@@ -90,7 +90,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta-min", type=float, default=1e-8, help="final viscosity")
     p.add_argument("--delta-factor", type=float, default=0.1, help="viscosity shrink factor")
     p.add_argument("--tol", type=float, default=1e-4, help="relative duality-gap target")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized initialization")
+    p.add_argument(
+        "--seed", type=int, default=0, help="echoed in the report; the solve does not read it"
+    )
     p.add_argument("--report", default=None, help="write key=value run report here")
     p.add_argument("--log-csv", dest="log_csv", default=None, help="per-outer-step CSV log")
     p.add_argument(
@@ -111,19 +113,19 @@ def _build_parser() -> _Parser:
 
 
 def _validate(args):
-    if args.mu <= 1.0:
+    if not args.mu > 1.0:
         raise ValueError(f"--mu must be > 1, got {args.mu}")
-    if args.zeta <= 1.0:
+    if not args.zeta > 1.0:
         raise ValueError(f"--zeta must be > 1, got {args.zeta}")
-    if args.lam <= 0.0:
+    if not args.lam > 0.0:
         raise ValueError(f"--lambda must be > 0, got {args.lam}")
     if not 0.0 < args.delta_factor < 1.0:
         raise ValueError(f"--delta-factor must be in (0, 1), got {args.delta_factor}")
     if not 0.0 < args.delta_min <= args.delta0:
         raise ValueError("need 0 < --delta-min <= --delta0")
-    if args.tol <= 0.0:
+    if not args.tol > 0.0:
         raise ValueError(f"--tol must be > 0, got {args.tol}")
-    if args.fidelity_smoothing < 0.0:
+    if not args.fidelity_smoothing >= 0.0:
         raise ValueError("--fidelity-smoothing must be >= 0")
     if args.fidelity_smoothing > 0.0 and args.zeta >= 2.0:
         raise ValueError("--fidelity-smoothing applies to zeta < 2 only")
@@ -166,6 +168,20 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _validate(args)
+        params = ModelParams(
+            lam=args.lam,
+            zeta=args.zeta,
+            density=DensityParams(mu=args.mu),
+            eps_fid=args.fidelity_smoothing,
+        )
+        cfg = SolverConfig(
+            delta0=args.delta0,
+            delta_min=args.delta_min,
+            delta_factor=args.delta_factor,
+            inner_tol=1e-8,
+            inner_max_iters=args.inner_max_iters,
+            gap_tol=args.tol,
+        )
         source = netpbm.read(args.input)
         f = source.samples.astype(float) / source.maxval
         if args.mask is not None:
@@ -175,22 +191,6 @@ def run(argv=None) -> int:
     except (_ArgumentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    params = ModelParams(
-        lam=args.lam,
-        zeta=args.zeta,
-        density=DensityParams(mu=args.mu),
-        eps_fid=args.fidelity_smoothing,
-    )
-    cfg = SolverConfig(
-        delta0=args.delta0,
-        delta_min=args.delta_min,
-        delta_factor=args.delta_factor,
-        inner_tol=1e-8,
-        inner_max_iters=args.inner_max_iters,
-        gap_tol=args.tol,
-        seed=args.seed,
-    )
 
     started = time.perf_counter()
     try:

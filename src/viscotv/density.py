@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import pixel_norms
+
 __all__ = [
     "DensityParams",
     "phi",
@@ -57,11 +59,6 @@ class DensityParams:
             raise ValueError(f"delta must be a finite real >= 0, got {self.delta!r}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "delta", delta)
-
-    @property
-    def recession(self) -> float:
-        """Slope of phi at infinity, ``1/(mu - 1)``."""
-        return 1.0 / (self.mu - 1.0)
 
     def without_viscosity(self) -> "DensityParams":
         return self if self.delta == 0.0 else DensityParams(self.mu, 0.0)
@@ -114,18 +111,12 @@ def phi_second(params: DensityParams, t):
     return _maybe_scalar(out, scalar_in)
 
 
-def _frobenius(P):
-    """Frobenius norm over the trailing (2, M) axes."""
-    P = np.asarray(P, dtype=float)
-    return np.sqrt(np.sum(P * P, axis=(-2, -1)))
-
-
 def density_value(params: DensityParams, P):
     """``(delta/2)|P|^2 + phi(|P|)`` with |P| the Frobenius norm.
 
     P has shape (..., 2, M); the result drops the trailing two axes.
     """
-    r = _frobenius(P)
+    r = pixel_norms(P)
     out = 0.5 * params.delta * r * r + phi(params, r)
     return out
 
@@ -142,7 +133,7 @@ def _radial_quotient(params: DensityParams, r):
 def density_gradient(params: DensityParams, P):
     """Gradient ``delta*P + phi'(|P|) P/|P|`` with the value 0 at P = 0."""
     P = np.asarray(P, dtype=float)
-    r = _frobenius(P)[..., None, None]
+    r = pixel_norms(P)[..., None, None]
     q = _radial_quotient(params, r)
     return params.delta * P + q * P
 
@@ -152,64 +143,27 @@ def recession_constant(params: DensityParams) -> float:
     return 1.0 / (params.mu - 1.0)
 
 
-def _invert_phi_prime(params: DensityParams, s):
-    """Solve phi'(t) = s elementwise for s in [0, cbar).
-
-    Safeguarded Newton: phi' is increasing and concave, so Newton from below
-    is monotone; a doubling bracket plus bisection guards the iteration.
-    Terminates at s-residual <= 1e-12.
-    """
-    s = np.asarray(s, dtype=float)
-    t = np.zeros_like(s)
-    hi = np.ones_like(s)
-    for _ in range(1200):
-        low = phi_prime(params, hi) <= s
-        if not low.any():
-            break
-        hi = np.where(low, np.minimum(2.0 * hi, 1e300), hi)
-    else:
-        raise ArithmeticError(
-            "cannot bracket the conjugate inversion; argument is too close "
-            "to the recession constant"
-        )
-    tol = 1e-12
-    for _ in range(300):
-        resid = phi_prime(params, t) - s
-        if np.max(np.abs(resid)) <= tol:
-            break
-        newton = t - resid / phi_second(params, t)
-        # Concavity keeps Newton-from-below inside [t, root]; bisect otherwise.
-        bad = ~np.isfinite(newton) | (newton <= t - tol) | (newton > hi)
-        t = np.where(bad, 0.5 * (t + hi), newton)
-    else:
-        raise ArithmeticError("conjugate inversion did not converge")
-    return t
-
-
 def phi_conjugate(params: DensityParams, s):
     """Fenchel conjugate ``sup_t [s t - phi(t)]`` of the viscosity-free density.
 
-    Finite for s < cbar; at s = cbar it equals ``1/((mu-1)(mu-2))`` when
-    mu > 2 and +inf otherwise; +inf beyond.  Requires delta = 0.
+    Closed form with ``L = log(1 - s/cbar)``: ``-s - L`` at mu = 2, otherwise
+    ``-s + (exp(L (mu-2)/(mu-1)) - 1)/(2 - mu)``.  Finite for s < cbar; at
+    s = cbar (L = -inf) it equals ``1/((mu-1)(mu-2))`` when mu > 2 and +inf
+    otherwise; +inf beyond.  Requires delta = 0.
     """
     if params.delta != 0.0:
         raise ValueError("phi_conjugate is defined for the delta = 0 density only")
     scalar_in = np.isscalar(s) or np.ndim(s) == 0
-    s = np.atleast_1d(_check_nonneg(s, name="s"))
+    s = _check_nonneg(s, name="s")
     mu = params.mu
     cbar = recession_constant(params)
-
-    out = np.full(s.shape, np.inf)
-    finite = s < cbar
-    if finite.any():
-        t = _invert_phi_prime(params, s[finite])
-        # Assembled as (s - cbar) t + (cbar t - phi(t)) so the two large
-        # linear-growth terms never meet head on.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # s/cbar rather than (mu-1) s: (mu-1) cbar can round to 1 - 2**-53,
+        # while s/cbar is exactly 1 at s = cbar, so L = -inf there.
+        L = np.log1p(-s / cbar)
         if abs(mu - 2.0) < _MU2_TOL:
-            tail = np.log1p(t)
+            out = -s - L
         else:
-            tail = np.expm1((2.0 - mu) * np.log1p(t)) / ((mu - 1.0) * (2.0 - mu))
-        out[finite] = (s[finite] - cbar) * t + tail
-    if mu > 2.0 + _MU2_TOL:
-        out[s == cbar] = 1.0 / ((mu - 1.0) * (mu - 2.0))
-    return _maybe_scalar(out[0], scalar_in) if scalar_in else out
+            out = -s + np.expm1((mu - 2.0) / (mu - 1.0) * L) / (2.0 - mu)
+    out = np.where(s > cbar, np.inf, out)
+    return _maybe_scalar(out, scalar_in)

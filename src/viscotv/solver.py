@@ -50,14 +50,13 @@ class SolverConfig:
     inner_tol: float = 1e-8
     inner_max_iters: int = 5000
     gap_tol: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.delta_min <= self.delta0):
             raise ValueError("need 0 < delta_min <= delta0")
         if not (0.0 < self.delta_factor < 1.0):
             raise ValueError("need 0 < delta_factor < 1")
-        if self.inner_tol <= 0.0 or self.gap_tol <= 0.0:
+        if not (self.inner_tol > 0.0 and self.gap_tol > 0.0):
             raise ValueError("tolerances must be positive")
         if self.inner_max_iters < 1:
             raise ValueError("inner_max_iters must be >= 1")

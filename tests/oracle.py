@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .energy import primal_energy
+from viscotv.energy import primal_energy
 
 __all__ = ["phi_by_quadrature", "brute_force_minimize", "fd_gradient"]
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import bridge_instance, checkerboard_instance, random_instance
+from oracle import brute_force_minimize, fd_gradient, phi_by_quadrature
 from viscotv import netpbm
 from viscotv.cli import load_image, run, save_image
 from viscotv.density import (
@@ -23,7 +24,6 @@ from viscotv.density import (
 from viscotv.dual import dual_from_primal, dual_value, sup_known_norm
 from viscotv.energy import ModelParams, euler_residual, primal_energy
 from viscotv.grid import clamp_to_ball, divergence, gradient
-from viscotv.oracle import brute_force_minimize, fd_gradient, phi_by_quadrature
 from viscotv.solver import SolverConfig, check_max_principle, continuation
 
 MUS = (1.5, 2.0, 3.0)

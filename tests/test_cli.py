@@ -30,6 +30,22 @@ class TestValidation:
         assert code == 1
         assert "--zeta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--mu", "nan"),
+            ("--lambda", "inf"),
+            ("--inner-max-iters", "0"),
+            ("--fidelity-smoothing", "nan"),
+            ("--tol", "nan"),
+        ],
+    )
+    def test_invalid_number_rejected(self, tmp_path, board, flag, value):
+        code = run(
+            ["--input", str(board[0]), "--output", str(tmp_path / "o.pgm"), flag, value]
+        )
+        assert code == 1
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = run(
             ["--input", str(tmp_path / "nope.pgm"), "--output", str(tmp_path / "o.pgm")]

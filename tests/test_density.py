@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracle import phi_by_quadrature
 from viscotv.density import (
     DensityParams,
     density_gradient,
@@ -15,7 +16,6 @@ from viscotv.density import (
     phi_second,
     recession_constant,
 )
-from viscotv.oracle import phi_by_quadrature
 
 MUS = (1.5, 2.0, 3.0)
 
@@ -36,7 +36,7 @@ class TestParams:
 
     def test_recession_is_finite_positive(self):
         for mu in MUS:
-            c = DensityParams(mu).recession
+            c = recession_constant(DensityParams(mu))
             assert c == 1.0 / (mu - 1.0) > 0.0
 
 
@@ -215,6 +215,11 @@ class TestConjugate:
         val = phi_conjugate(DensityParams(2.0), 0.5)
         assert val == pytest.approx(-0.5 - math.log(0.5), abs=1e-12)
         assert val == pytest.approx(conjugate_by_grid_sweep(2.0, 0.5), abs=1e-8)
+        # mu = 3: phi*(s) = 1 - s - sqrt(1 - 2s), for s up to phi'(1e6)
+        p = DensityParams(3.0)
+        s = phi_prime(p, np.linspace(0.0, 1e6, 4097))
+        expected = 1.0 - s - np.sqrt(1.0 - 2.0 * s)
+        assert np.allclose(phi_conjugate(p, s), expected, rtol=0.0, atol=1e-12)
 
     def test_infinite_at_recession_for_small_mu(self):
         assert phi_conjugate(DensityParams(2.0), 1.0) == math.inf
@@ -238,6 +243,15 @@ class TestConjugate:
         assert out[0] == 0.0
         assert out[1] == pytest.approx(-0.5 - math.log(0.5), abs=1e-12)
         assert out[2] == math.inf
+
+    @pytest.mark.parametrize("t_max", [200.0, 1e6])
+    def test_finite_on_large_gradients(self, t_max):
+        # norms of phi'(|grad u|) for data in [0, 255] and beyond
+        rng = np.random.default_rng(0)
+        for mu in MUS:
+            p = DensityParams(mu)
+            s = phi_prime(p, rng.uniform(0.0, t_max, 4096))
+            assert np.isfinite(phi_conjugate(p, s)).all()
 
     @given(st.floats(0.0, 0.999))
     def test_grid_sweep_agreement(self, frac):

@@ -187,6 +187,15 @@ class TestCertify:
         cert = certify(u, f, mask, params_for(), bound)
         assert cert.divergence_residual_on_D >= 0.0
 
+    @pytest.mark.parametrize("mu", [2.0, 3.0])
+    def test_data_in_0_255_certifies(self, mu):
+        f = np.random.default_rng(1).uniform(0.0, 255.0, size=(64, 64, 1))
+        mask = np.zeros((64, 64), dtype=bool)
+        mask[24:40, 24:40] = True
+        cert = certify(f, f, mask, params_for(mu=mu, lam=10.0), sup_known_norm(f, mask))
+        assert math.isfinite(cert.relative_gap)
+        assert cert.dual_value <= cert.primal_value
+
     def test_viscous_iterate_uses_viscosity_free_primal(self):
         rng = np.random.default_rng(11)
         f, mask = random_instance(rng)

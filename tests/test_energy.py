@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_instance
+from oracle import fd_gradient, phi_by_quadrature
 from viscotv.density import DensityParams
 from viscotv.energy import ModelParams, euler_residual, fidelity, primal_energy
-from viscotv.oracle import fd_gradient, phi_by_quadrature
 
 
 def single_pixel(u_val, f_val):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from oracle import brute_force_minimize, fd_gradient, phi_by_quadrature
 from viscotv.density import DensityParams, phi
 from viscotv.energy import ModelParams, euler_residual
-from viscotv.oracle import brute_force_minimize, fd_gradient, phi_by_quadrature
 
 
 def params_for(mu=2.0, lam=10.0, zeta=2.0, delta=0.0):

@@ -27,6 +27,8 @@ class TestConfig:
             SolverConfig(delta_factor=1.0)
         with pytest.raises(ValueError):
             SolverConfig(inner_tol=0.0)
+        with pytest.raises(ValueError):
+            SolverConfig(gap_tol=float("nan"))
 
 
 class TestMinimizeSmooth:
