@@ -111,12 +111,13 @@ def phi_second(params: DensityParams, t):
     return _maybe_scalar(out, scalar_in)
 
 
-def density_value(params: DensityParams, P):
+def density_value(params: DensityParams, P, *, norms=None):
     """``(delta/2)|P|^2 + phi(|P|)`` with |P| the Frobenius norm.
 
     P has shape (..., 2, M); the result drops the trailing two axes.
+    ``norms``, if given, is ``pixel_norms(P)`` already computed by the caller.
     """
-    r = pixel_norms(P)
+    r = pixel_norms(P) if norms is None else norms
     out = 0.5 * params.delta * r * r + phi(params, r)
     return out
 
@@ -130,10 +131,13 @@ def _radial_quotient(params: DensityParams, r):
     return np.where(small, 1.0 - 0.5 * params.mu * r, q)
 
 
-def density_gradient(params: DensityParams, P):
-    """Gradient ``delta*P + phi'(|P|) P/|P|`` with the value 0 at P = 0."""
+def density_gradient(params: DensityParams, P, *, norms=None):
+    """Gradient ``delta*P + phi'(|P|) P/|P|`` with the value 0 at P = 0.
+
+    ``norms``, if given, is ``pixel_norms(P)`` already computed by the caller.
+    """
     P = np.asarray(P, dtype=float)
-    r = pixel_norms(P)[..., None, None]
+    r = (pixel_norms(P) if norms is None else norms)[..., None, None]
     q = _radial_quotient(params, r)
     return params.delta * P + q * P
 

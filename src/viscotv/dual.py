@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import density_gradient, phi_conjugate, recession_constant
-from .energy import ModelParams, _fsum, _shape_check, primal_energy
+from .energy import ModelParams, _fsum, _Point, _shape_check
 from .grid import channel_norms, divergence, gradient, pixel_norms
 
 __all__ = [
@@ -95,6 +95,13 @@ def dual_value(tau, f, mask, mparams: ModelParams, bound: float) -> float:
     (|tau| > cbar, or |tau| >= cbar when mu <= 2).
     """
     tau = np.asarray(tau, dtype=float)
+    return _dual_value(
+        pixel_norms(tau), -divergence(tau), f, mask, mparams, bound
+    )
+
+
+def _dual_value(tau_norms, d, f, mask, mparams: ModelParams, bound: float) -> float:
+    """``dual_value`` from ``pixel_norms(tau)`` and ``d = -divergence(tau)``."""
     f = np.asarray(f, dtype=float)
     mask = np.asarray(mask)
     dparams = mparams.density.without_viscosity()
@@ -103,16 +110,14 @@ def dual_value(tau, f, mask, mparams: ModelParams, bound: float) -> float:
         raise ValueError(f"bound {bound} is below the largest known-pixel norm {sup_f}")
 
     cbar = recession_constant(dparams)
-    norms = pixel_norms(tau)
     if dparams.mu <= 2.0:
-        infeasible = norms >= cbar
+        infeasible = tau_norms >= cbar
     else:
-        infeasible = norms > cbar
+        infeasible = tau_norms > cbar
     if infeasible.any():
         return -math.inf
 
-    conj = phi_conjugate(dparams, norms)
-    d = -divergence(tau)
+    conj = phi_conjugate(dparams, tau_norms)
     known = ~mask
     known_terms = known_pixel_infimum(d, f, mparams.lam, mparams.zeta)[known]
     damaged_terms = damaged_pixel_infimum(d, bound)[mask]
@@ -127,18 +132,22 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     upper-bounds the true suboptimality for the target problem.
     """
     u, f, mask = _shape_check(u, f, mask)
-    tau, _ = dual_from_primal(u, mparams)
-    primal = primal_energy(u, f, mask, mparams.without_viscosity())
-    dval = dual_value(tau, f, mask, mparams, bound)
+    target = mparams.without_viscosity()
+    point = _Point(u, f, mask, target)
+    primal = point.total
+    tau = density_gradient(target.density, point.grad, norms=point.grad_norms)
+    del point  # its gradient field is as large as tau
+    tau_norms = pixel_norms(tau)
+    div_tau = divergence(tau)
+    dval = _dual_value(tau_norms, -div_tau, f, mask, mparams, bound)
 
-    margin = recession_constant(mparams.density) - float(np.max(pixel_norms(tau)))
+    margin = recession_constant(mparams.density) - float(np.max(tau_norms))
     if margin < 1e-12:
         warnings.warn(
             f"dual feasibility margin {margin:.3e} is tiny; gradients are enormous",
             RuntimeWarning,
             stacklevel=2,
         )
-    div_tau = divergence(tau)
     if mask.any():
         div_residual = float(np.max(channel_norms(div_tau)[mask]))
     else:

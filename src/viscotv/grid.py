@@ -55,14 +55,15 @@ def validate_mask(mask, image=None) -> np.ndarray:
 
 def channel_norms(u) -> np.ndarray:
     """Per-pixel Euclidean norm over channels: (H, W, M) -> (H, W)."""
-    u = np.asarray(u, dtype=float)
-    return np.sqrt(np.sum(u * u, axis=-1))
+    # einsum's summation order follows the memory layout; C order fixes it.
+    u = np.ascontiguousarray(u, dtype=float)
+    return np.sqrt(np.einsum("...k,...k->...", u, u))
 
 
 def pixel_norms(p) -> np.ndarray:
     """Per-pixel Frobenius norm: (H, W, 2, M) -> (H, W)."""
-    p = np.asarray(p, dtype=float)
-    return np.sqrt(np.sum(p * p, axis=(-2, -1)))
+    p = np.ascontiguousarray(p, dtype=float)
+    return np.sqrt(np.einsum("...ij,...ij->...", p, p))
 
 
 def gradient(u) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import certify, sup_known_norm
-from .energy import ModelParams, euler_residual, primal_energy
+from .energy import ModelParams, _Point
 from .grid import channel_norms, validate_image, validate_mask
 
 __all__ = [
@@ -79,11 +79,20 @@ class ConvergenceRecord:
 
 @dataclass
 class InnerResult:
+    """Outcome of one inner solve.
+
+    ``stop_reason`` says why it stopped: ``residual`` (tolerance met), ``cap``
+    (``inner_max_iters`` reached), ``stagnated`` (no step could lower the
+    energy by a representable amount) or ``flat`` (the gradient vanished at an
+    extrapolated point).
+    """
+
     u: np.ndarray
     iterations: int
     residual_inf: float
     converged: bool
     energy: float
+    stop_reason: str
     energy_history: list = field(default_factory=list)
 
 
@@ -125,8 +134,12 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
 
     Stops when the sup-norm of the residual falls below
     ``inner_tol * (1 + sup_known |f|)`` or after ``inner_max_iters``
-    iterations (flagged through ``converged``).  Every accepted step
-    strictly decreases the energy.
+    iterations (flagged through ``converged`` and ``stop_reason``).
+
+    The Armijo test runs on the sum of the per-pixel energy differences,
+    which is free of the cancellation between two large totals; a step that
+    passes it is accepted only if its exact total is also strictly below the
+    current one, so every accepted step strictly decreases the energy.
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
@@ -134,8 +147,9 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     tol = cfg.inner_tol * (1.0 + sup_known_norm(f, mask))
 
     u = np.array(u0, dtype=float, copy=True)
-    e_u = primal_energy(u, f, mask, pd)
-    g_u = euler_residual(u, f, mask, pd)
+    at_u = _Point(u, f, mask, pd)
+    g_u = at_u.residual()
+    e_u = at_u.total
     res = _linf(g_u)
     history = [e_u]
 
@@ -144,28 +158,28 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     momentum_k = 1
     iters = 0
 
-    stagnated = False
-    while res > tol and iters < cfg.inner_max_iters and not stagnated:
+    stop_reason = None
+    while res > tol and iters < cfg.inner_max_iters:
         iters += 1
         accepted = False
-        flat = False
         for use_momentum in (momentum_k > 1, False):
             if use_momentum:
                 beta = (momentum_k - 1.0) / (momentum_k + 2.0)
                 y = u + beta * (u - u_prev)
-                g_y = euler_residual(y, f, mask, pd)
-                e_y = primal_energy(y, f, mask, pd)
+                at_y = _Point(y, f, mask, pd)
+                g_y = at_y.residual()
             else:
-                y, g_y, e_y = u, g_u, e_u
+                y, at_y, g_y = u, at_u, g_u
             gg = float(np.vdot(g_y, g_y))
             if gg == 0.0:
-                flat = True
+                stop_reason = "flat"
                 break
             step = min(max(alpha, _STEP_CLIP[0]), _STEP_CLIP[1])
             for _ in range(_MAX_BACKTRACKS + 1):
                 cand = y - step * g_y
-                e_cand = primal_energy(cand, f, mask, pd)
-                if e_cand <= e_y - _ARMIJO_C1 * step * gg and e_cand < e_u:
+                at_cand = _Point(cand, f, mask, pd)
+                change = float(np.sum(at_cand.pixel_energy - at_y.pixel_energy))
+                if change <= -_ARMIJO_C1 * step * gg and at_cand.total < e_u:
                     accepted = True
                     break
                 step *= 0.5
@@ -175,25 +189,24 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
             if not use_momentum:
                 # At the final (tiny) step the energy change is below what
                 # floating point can certify: converged to machine precision.
-                if math.isfinite(e_cand) and abs(e_cand - e_u) <= 64.0 * np.finfo(
+                if math.isfinite(change) and abs(change) <= 64.0 * np.finfo(
                     float
                 ).eps * max(1.0, abs(e_u)):
-                    stagnated = True
+                    stop_reason = "stagnated"
                     break
                 raise LineSearchError(
                     f"no descent after {_MAX_BACKTRACKS} backtracks at iteration "
                     f"{iters} (delta={delta:g}, residual={res:.3e})"
                 )
-        if flat:  # gradient vanished at the extrapolated point
-            u, e_u = y, e_y
-            g_u = g_y
+        if stop_reason == "flat":  # gradient vanished at the extrapolated point
+            u, at_u, g_u = y, at_y, g_y
+            e_u = at_u.total
             res = _linf(g_u)
             history.append(e_u)
-            break
-        if stagnated:
+        if stop_reason is not None:
             break
 
-        g_new = euler_residual(cand, f, mask, pd)
+        g_new = at_cand.residual()
         s = cand - u
         q = g_new - g_u
         sq = float(np.vdot(s, q))
@@ -204,17 +217,20 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
         alpha = min(max(alpha, _STEP_CLIP[0]), _STEP_CLIP[1])
 
         u_prev, u = u, cand
-        e_u, g_u = e_cand, g_new
+        at_u, e_u, g_u = at_cand, at_cand.total, g_new
         res = _linf(g_u)
         history.append(e_u)
         momentum_k += 1
 
+    if stop_reason is None:
+        stop_reason = "residual" if res <= tol else "cap"
     return InnerResult(
         u=u,
         iterations=iters,
         residual_inf=res,
         converged=res <= tol,
         energy=e_u,
+        stop_reason=stop_reason,
         energy_history=history,
     )
 

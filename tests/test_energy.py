@@ -7,8 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import random_instance
 from oracle import fd_gradient, phi_by_quadrature
-from viscotv.density import DensityParams
-from viscotv.energy import ModelParams, euler_residual, fidelity, primal_energy
+from viscotv.density import DensityParams, density_value
+from viscotv.dual import certify, sup_known_norm
+from viscotv.energy import (
+    ModelParams,
+    _fsum,
+    _Point,
+    euler_residual,
+    fidelity,
+    primal_energy,
+)
+from viscotv.grid import gradient
 
 
 def single_pixel(u_val, f_val):
@@ -171,3 +180,112 @@ class TestEulerResidual:
         params = ModelParams(lam=1.0, zeta=1.5, density=DensityParams(2.0))
         res = euler_residual(u, f, mask, params)
         assert np.isfinite(res).all()
+
+
+class TestCompensatedSum:
+    @staticmethod
+    def assert_near_fsum(x):
+        x = np.asarray(x, dtype=float)
+        exact = math.fsum(x.tolist())
+        scale = math.fsum(np.abs(x).tolist())
+        assert abs(_fsum(x) - exact) <= 16.0 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 2304])
+    def test_close_to_fsum(self, size):
+        rng = np.random.default_rng(size)
+        x = rng.normal(size=size) * 10.0 ** rng.integers(-6, 7, size=size)
+        self.assert_near_fsum(x)
+
+    @pytest.mark.parametrize("size", [63, 64, 65, 2304])
+    def test_mixed_magnitudes(self, size):
+        x = np.ones(size)
+        x[::7] = 1e16
+        x[3::7] = -1e16
+        self.assert_near_fsum(x)
+        self.assert_near_fsum(x[::-1])
+
+    def test_tail_is_summed_exactly(self):
+        # 64 ones make one block; the tail's 1e16 and 1 go to math.fsum as is.
+        x = np.concatenate([np.ones(64), [1e16, 1.0, -1e16]])
+        assert _fsum(x) == 65.0
+
+    def test_same_bits_for_any_layout_of_the_same_values(self):
+        x = np.random.default_rng(3).normal(size=(48, 48))
+        assert _fsum(x) == _fsum(np.asfortranarray(x)) == _fsum(x.ravel())
+
+
+def layouts(u):
+    """C-ordered, Fortran-ordered and misaligned (byte offset 1) copies of u."""
+    buf = np.empty(u.nbytes + 1, dtype=np.uint8)
+    shifted = np.ndarray(u.shape, dtype=float, buffer=buf, offset=1)
+    shifted[...] = u
+    assert not shifted.flags.aligned
+    return [np.ascontiguousarray(u), np.asfortranarray(u), shifted]
+
+
+class TestLayoutIndependence:
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_primal_energy_and_certify_bits(self, channels):
+        # u and f share each layout, so u - f has it too.
+        rng = np.random.default_rng(31)
+        f, mask = random_instance(rng, shape=(12, 9), channels=channels)
+        u = rng.normal(size=f.shape)
+        params = ModelParams(lam=3.0, zeta=1.5, density=DensityParams(2.5, 0.01))
+        bound = sup_known_norm(f, mask)
+        energies = set()
+        certificates = set()
+        for v, g in zip(layouts(u), layouts(f)):
+            energies.add(primal_energy(v, g, mask, params).hex())
+            cert = certify(v, g, mask, params, bound)
+            certificates.add(
+                (
+                    cert.primal_value.hex(),
+                    cert.dual_value.hex(),
+                    cert.relative_gap.hex(),
+                    cert.feasibility_margin.hex(),
+                    cert.divergence_residual_on_D.hex(),
+                )
+            )
+        assert len(energies) == 1
+        assert len(certificates) == 1
+
+
+class TestFusedEvaluation:
+    @pytest.mark.parametrize(
+        "channels,zeta,eps_fid", [(1, 2.0, 0.0), (3, 1.5, 0.0), (2, 1.2, 1e-2)]
+    )
+    def test_matches_public_functions_exactly(self, channels, zeta, eps_fid):
+        rng = np.random.default_rng(41)
+        f, mask = random_instance(rng, shape=(10, 7), channels=channels)
+        u = rng.normal(size=f.shape)
+        params = ModelParams(
+            lam=2.0, zeta=zeta, density=DensityParams(2.0, 0.05), eps_fid=eps_fid
+        )
+        point = _Point(u, f, mask, params)
+        assert point.pixel_energy.shape == mask.shape
+        total = point.total
+        residual = point.residual()
+        assert total == primal_energy(u, f, mask, params)
+        assert np.array_equal(residual, euler_residual(u, f, mask, params))
+        assert point.residual() is residual
+        assert total == _fsum(point.pixel_energy)
+
+    def test_total_is_density_plus_fidelity(self):
+        rng = np.random.default_rng(43)
+        f, mask = random_instance(rng, shape=(9, 9), channels=3)
+        u = rng.normal(size=f.shape)
+        params = ModelParams(lam=5.0, zeta=2.5, density=DensityParams(3.0, 0.1))
+        separate = math.fsum(
+            density_value(params.density, gradient(u)).ravel().tolist()
+        ) + fidelity(u, f, mask, params)
+        assert primal_energy(u, f, mask, params) == pytest.approx(separate, rel=1e-14)
+
+    def test_damaged_pixels_carry_no_fidelity(self):
+        u, f, mask = single_pixel(0.5, 0.0)
+        params = ModelParams(lam=2.0, zeta=2.0, density=DensityParams(2.0))
+        u[0, 1, 0] = 7.0
+        point = _Point(u, f, mask, params)
+        assert point.pixel_energy[0, 1] == 0.0
+        assert point.pixel_energy[0, 0] == pytest.approx(
+            0.25 + density_value(params.density, gradient(u))[0, 0], rel=1e-15
+        )

@@ -66,6 +66,27 @@ class TestDivergence:
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 
 
+class TestNorms:
+    def test_values(self):
+        p = np.arange(12.0).reshape(1, 1, 2, 6)
+        assert pixel_norms(p)[0, 0] == np.sqrt(np.sum(p * p))
+        u = np.array([[[3.0, 4.0], [0.0, 0.0]]])
+        assert np.array_equal(channel_norms(u), np.array([[5.0, 0.0]]))
+
+    def test_single_channel_matches_plain_sum(self):
+        p = np.random.default_rng(9).normal(size=(7, 6, 2, 1))
+        assert np.array_equal(pixel_norms(p), np.sqrt(np.sum(p * p, axis=(-2, -1))))
+        assert np.array_equal(channel_norms(p[:, :, 0]), np.abs(p[:, :, 0, 0]))
+
+    @pytest.mark.parametrize("channels", [1, 3, 5])
+    def test_same_bits_for_any_layout(self, channels):
+        p = np.random.default_rng(channels).normal(size=(9, 8, 2, channels))
+        strided = np.concatenate([p, p], axis=-1)[..., :channels]
+        for copy in (np.asfortranarray(p), strided):
+            assert np.array_equal(pixel_norms(copy), pixel_norms(p))
+            assert np.array_equal(channel_norms(copy[:, :, 1]), channel_norms(p[:, :, 1]))
+
+
 class TestClamp:
     def test_identity_inside_ball(self):
         u = np.array([[[0.3, -0.4], [0.0, 0.9]]])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import bridge_instance, checkerboard_instance, random_instance
+from viscotv import energy
 from viscotv.density import DensityParams
 from viscotv.dual import sup_known_norm
 from viscotv.energy import ModelParams, euler_residual, primal_energy
@@ -46,13 +47,17 @@ class TestMinimizeSmooth:
         res = minimize_smooth(u0, 1e-2, f, mask, params_for(), SolverConfig())
         assert np.max(np.abs(res.u - 0.3)) < 1e-6
 
-    def test_descent_is_strict_across_accepted_steps(self):
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("zeta", [1.5, 2.0, 3.0])
+    def test_descent_is_strict_across_accepted_steps(self, zeta, channels):
         rng = np.random.default_rng(1)
-        f, mask = random_instance(rng)
+        f, mask = random_instance(rng, channels=channels)
         u0 = rng.uniform(size=f.shape)
-        res = minimize_smooth(u0, 0.05, f, mask, params_for(zeta=1.5), SolverConfig())
+        params = params_for(zeta=zeta)
+        res = minimize_smooth(u0, 0.05, f, mask, params, SolverConfig())
         hist = np.array(res.energy_history)
         assert (np.diff(hist) < 0.0).all()
+        assert res.energy == hist[-1] == primal_energy(res.u, f, mask, params.with_delta(0.05))
 
     def test_two_random_starts_agree(self):
         f, mask = checkerboard_instance(n=8, block=(3, 5))
@@ -70,6 +75,49 @@ class TestMinimizeSmooth:
         )
         assert res.residual_inf == pytest.approx(res.residual_inf)
         assert res.iterations >= 1
+
+    def test_cap_is_reported(self):
+        f, mask = checkerboard_instance(n=8, block=(3, 5))
+        cfg = SolverConfig(inner_max_iters=3)
+        res = minimize_smooth(default_initial(f, mask), 1e-2, f, mask, params_for(), cfg)
+        assert res.iterations == 3
+        assert res.stop_reason == "cap"
+        assert not res.converged
+
+    def test_tolerance_stop_is_reported(self):
+        f = np.full((6, 6, 1), 0.3)
+        mask = np.zeros((6, 6), dtype=bool)
+        mask[2:4, 2:4] = True
+        u0 = np.random.default_rng(0).uniform(size=f.shape)
+        res = minimize_smooth(u0, 1e-2, f, mask, params_for(), SolverConfig())
+        assert res.converged
+        assert res.stop_reason == "residual"
+
+    @pytest.mark.parametrize("zeta", [1.5, 2.0])
+    def test_exact_total_only_after_armijo_passes(self, monkeypatch, zeta):
+        # Backtracking compares per-pixel energy differences; the exact total
+        # is summed once for u0 and once per candidate that passes Armijo.
+        # The first iteration has no momentum, so its first passing candidate
+        # lies strictly below u0 and is accepted.
+        calls = {"fsum": 0, "points": 0}
+        fsum, point_init = energy._fsum, energy._Point.__init__
+
+        def counting_fsum(values):
+            calls["fsum"] += 1
+            return fsum(values)
+
+        def counting_init(self, *args):
+            calls["points"] += 1
+            point_init(self, *args)
+
+        monkeypatch.setattr(energy, "_fsum", counting_fsum)
+        monkeypatch.setattr(energy._Point, "__init__", counting_init)
+        f, mask = checkerboard_instance(n=10, block=(4, 7))
+        cfg = SolverConfig(inner_max_iters=1)
+        res = minimize_smooth(default_initial(f, mask), 1e-2, f, mask, params_for(zeta=zeta), cfg)
+        assert len(res.energy_history) == 2
+        assert calls["fsum"] == 2
+        assert calls["points"] > 3  # u0, then at least two backtracked candidates
 
 
 class TestContinuation:
