@@ -96,13 +96,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--report", default=None, help="write key=value run report here")
     p.add_argument("--log-csv", dest="log_csv", default=None, help="per-outer-step CSV log")
     p.add_argument(
-        "--fidelity-smoothing",
-        dest="fidelity_smoothing",
-        type=float,
-        default=0.0,
-        help="optional fidelity smoothing epsilon, only meaningful for zeta < 2",
-    )
-    p.add_argument(
         "--inner-max-iters",
         dest="inner_max_iters",
         type=int,
@@ -125,10 +118,6 @@ def _validate(args):
         raise ValueError("need 0 < --delta-min <= --delta0")
     if not args.tol > 0.0:
         raise ValueError(f"--tol must be > 0, got {args.tol}")
-    if not args.fidelity_smoothing >= 0.0:
-        raise ValueError("--fidelity-smoothing must be >= 0")
-    if args.fidelity_smoothing > 0.0 and args.zeta >= 2.0:
-        raise ValueError("--fidelity-smoothing applies to zeta < 2 only")
 
 
 def _fmt(value) -> str:
@@ -172,7 +161,6 @@ def run(argv=None) -> int:
             lam=args.lam,
             zeta=args.zeta,
             density=DensityParams(mu=args.mu),
-            eps_fid=args.fidelity_smoothing,
         )
         cfg = SolverConfig(
             delta0=args.delta0,
@@ -220,7 +208,6 @@ def run(argv=None) -> int:
                     ("inner_max_iters", cfg.inner_max_iters),
                     ("gap_tol", args.tol),
                     ("seed", args.seed),
-                    ("fidelity_smoothing", args.fidelity_smoothing),
                     ("final_I", cert.primal_value),
                     ("dual_value", cert.dual_value),
                     ("relative_gap", cert.relative_gap),

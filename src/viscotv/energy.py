@@ -8,12 +8,16 @@ value, exact to floating precision, so a vanishing residual characterizes the
 
 ``_Point`` evaluates one point: it computes ``gradient(u)``, the pixel norms
 and the deviation norms once and shares them between the per-pixel energy
-field and the residual; ``primal_energy`` and ``euler_residual`` are built on
-it.  Scalar reductions use ``_fsum``, a compensated sum in a fixed block
-order for a given size: ``np.sum`` over consecutive 64-element blocks of the
-row-major values, then ``math.fsum`` over the block totals and the tail.
-Energies are therefore reproducible bit for bit for a given grid, whatever
-the memory layout of u.
+field, the gradient of the density part and the residual; ``primal_energy``
+and ``euler_residual`` are built on it.  ``fidelity_prox`` is the exact
+proximal map of the fidelity, which is pixel-separable and radial, so it
+reduces to one scalar root per known pixel.
+
+Scalar reductions use ``_fsum``, a compensated sum in a fixed block order for
+a given size: ``np.sum`` over consecutive 64-element blocks of the row-major
+values, then ``math.fsum`` over the block totals and the tail.  Energies are
+therefore reproducible bit for bit for a given grid, whatever the memory
+layout of u.
 """
 
 from __future__ import annotations
@@ -26,29 +30,22 @@ import numpy as np
 from .density import DensityParams, density_gradient, density_value
 from .grid import channel_norms, divergence, gradient, pixel_norms
 
-__all__ = ["ModelParams", "fidelity", "primal_energy", "euler_residual"]
+__all__ = ["ModelParams", "fidelity", "fidelity_prox", "primal_energy", "euler_residual"]
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Fidelity weight ``lam`` (> 0), exponent ``zeta`` (> 1) and the density.
-
-    ``eps_fid`` optionally smooths the fidelity norm to
-    ``sqrt(|u - f|^2 + eps^2)``; meant for zeta < 2, default off.
-    """
+    """Fidelity weight ``lam`` (> 0), exponent ``zeta`` (> 1) and the density."""
 
     lam: float
     zeta: float
     density: DensityParams
-    eps_fid: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"lam must be a finite real > 0, got {self.lam!r}")
         if not (math.isfinite(self.zeta) and self.zeta > 1.0):
             raise ValueError(f"zeta must be a finite real > 1, got {self.zeta!r}")
-        if not (math.isfinite(self.eps_fid) and self.eps_fid >= 0.0):
-            raise ValueError(f"eps_fid must be a finite real >= 0, got {self.eps_fid!r}")
 
     def with_delta(self, delta: float) -> "ModelParams":
         return replace(self, density=DensityParams(self.density.mu, delta))
@@ -79,15 +76,53 @@ def _shape_check(u, f, mask):
     return u, f, mask
 
 
-def _deviation_norms(dev, params: ModelParams) -> np.ndarray:
-    if params.eps_fid > 0.0:
-        return np.sqrt(np.sum(dev * dev, axis=-1) + params.eps_fid**2)
-    return channel_norms(dev)
-
-
 def _fidelity_field(dev_norms, mask, params: ModelParams) -> np.ndarray:
     """``(lam/zeta)|u - f|^zeta`` per known pixel, 0 on damaged pixels."""
     return np.where(mask, 0.0, (params.lam / params.zeta) * dev_norms**params.zeta)
+
+
+def _newton_shrink(a, c, zeta):
+    """``r/a`` for the root r of ``r + c*r**(zeta-1) = a``, by Newton's method.
+
+    The equation is rewritten as ``y + b*y**e = d`` with e > 1: y = r for
+    zeta > 2, ``y = r**(zeta-1)`` for zeta < 2.  The left side is then convex
+    and increasing in y, so Newton started above the root decreases
+    monotonically; it stops when no entry decreases any more.
+    """
+    m = zeta - 1.0
+    d, b, e = (a, c, m) if m > 1.0 else (a / c, 1.0 / c, 1.0 / m)
+    y = np.minimum(d, (d / b) ** (1.0 / e))
+    while True:
+        new = y - (y + b * y**e - d) / (1.0 + b * e * y ** (e - 1.0))
+        lower = new < y
+        if not lower.any():
+            break
+        y = np.where(lower, new, y)
+    r = y if m > 1.0 else y**e
+    return np.divide(r, a, out=np.zeros_like(a), where=a > 0.0)
+
+
+def _prox_shrink(a, c, zeta):
+    """``r/a`` for the root r >= 0 of ``r + c*r**(zeta-1) = a``, in closed form where it exists."""
+    if zeta == 2.0:
+        return np.full_like(a, 1.0 / (1.0 + c))
+    if zeta == 1.5:  # sqrt(r) = 2a / (c + sqrt(c^2 + 4a))
+        return 4.0 * a / (c + np.sqrt(c * c + 4.0 * a)) ** 2
+    if zeta == 3.0:  # r = 2a / (1 + sqrt(1 + 4ca))
+        return 2.0 / (1.0 + np.sqrt(1.0 + 4.0 * c * a))
+    return _newton_shrink(a, c, zeta)
+
+
+def fidelity_prox(w, f, mask, params: ModelParams, gamma: float) -> np.ndarray:
+    """``argmin_v gamma * fidelity(v) + |v - w|^2 / 2``, exact for every zeta > 1.
+
+    On a known pixel ``v = f + (r/a)(w - f)`` with ``a = |w - f|`` and r the
+    root of ``r + gamma*lam*r**(zeta-1) = a``; damaged pixels keep w.
+    """
+    w, f, mask = _shape_check(w, f, mask)
+    dev = w - f
+    shrink = _prox_shrink(channel_norms(dev), gamma * params.lam, params.zeta)
+    return np.where(mask[..., None], w, f + shrink[..., None] * dev)
 
 
 class _Point:
@@ -95,9 +130,11 @@ class _Point:
 
     ``pixel_energy`` is the energy per pixel, shape (H, W); ``total`` is its
     exact sum, taken on first use.  ``residual()`` builds the exact gradient
-    of the energy from the cached ``grad`` and norms and drops them, so a
-    point kept after its residual holds only ``pixel_energy`` and the
-    residual.  u and f are kept by reference, not copied.
+    of the energy from the cached ``grad`` and norms and drops them; it also
+    sets ``density_residual``, the gradient ``-div DF_delta(grad u)`` of the
+    density part alone.  A point kept after its residual holds only
+    ``pixel_energy`` and these two fields.  u and f are kept by reference,
+    not copied.
     """
 
     def __init__(self, u, f, mask, params: ModelParams):
@@ -105,12 +142,13 @@ class _Point:
         self.params = params
         self.grad = gradient(self.u)
         self.grad_norms = pixel_norms(self.grad)
-        self.dev_norms = _deviation_norms(self.u - self.f, params)
+        self.dev_norms = channel_norms(self.u - self.f)
         self.pixel_energy = density_value(
             params.density, self.grad, norms=self.grad_norms
         ) + _fidelity_field(self.dev_norms, self.mask, params)
         self._total = None
         self._residual = None
+        self.density_residual = None
 
     @property
     def total(self) -> float:
@@ -124,19 +162,19 @@ class _Point:
             flux = density_gradient(params.density, self.grad, norms=self.grad_norms)
             norms = self.dev_norms
             self.grad = self.grad_norms = self.dev_norms = None
-            g = -divergence(flux)
+            self.density_residual = -divergence(flux)
             del flux
             with np.errstate(divide="ignore", invalid="ignore"):
                 scale = np.where(norms > 0.0, norms ** (params.zeta - 2.0), 0.0)
-            g += params.lam * (~self.mask)[..., None] * scale[..., None] * (self.u - self.f)
-            self._residual = g
+            fid = params.lam * (~self.mask)[..., None] * scale[..., None] * (self.u - self.f)
+            self._residual = self.density_residual + fid
         return self._residual
 
 
 def fidelity(u, f, mask, params: ModelParams) -> float:
     """``(lam/zeta) sum_{known pixels} |u - f|^zeta``; f is ignored on damaged pixels."""
     u, f, mask = _shape_check(u, f, mask)
-    return _fsum(_fidelity_field(_deviation_norms(u - f, params), mask, params))
+    return _fsum(_fidelity_field(channel_norms(u - f), mask, params))
 
 
 def primal_energy(u, f, mask, params: ModelParams) -> float:

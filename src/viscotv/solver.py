@@ -1,11 +1,12 @@
 """Smooth inner minimization and vanishing-viscosity continuation.
 
-The viscous objective (delta > 0) is minimized by gradient descent with
-Armijo backtracking, Barzilai-Borwein trial steps and Nesterov-style momentum
-that restarts whenever an extrapolated step fails to keep the energy
-monotone.  Plain Newton is ruled out globally because the fidelity term is
-merely C^1 for zeta < 2; the contract is descent plus a residual tolerance,
-not a step count.
+The viscous objective (delta > 0) splits into the density part D, whose
+gradient is Lipschitz with ``L <= 8(1 + delta)``, and the pixel-separable
+fidelity G, whose prox is exact (``energy.fidelity_prox``), also across the
+unbounded curvature of ``|u - f|^zeta`` at u = f for zeta < 2.  The inner
+solver is proximal gradient with Barzilai-Borwein steps on D and
+backtracking, one step path for every zeta > 1; the contract is descent plus
+a residual tolerance, not a step count.
 
 ``continuation`` drives delta down a geometric schedule with warm starts and
 stops at the first certificate whose relative duality gap clears ``gap_tol``
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import certify, sup_known_norm
-from .energy import ModelParams, _Point
+from .energy import ModelParams, _Point, fidelity_prox
 from .grid import channel_norms, validate_image, validate_mask
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "default_initial",
 ]
 
-_ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
 _STEP_CLIP = (1e-8, 1e4)
 
@@ -52,8 +52,8 @@ class SolverConfig:
     gap_tol: float = 1e-4
 
     def __post_init__(self):
-        if not (0.0 < self.delta_min <= self.delta0):
-            raise ValueError("need 0 < delta_min <= delta0")
+        if not (0.0 < self.delta_min <= self.delta0 < math.inf):
+            raise ValueError("need 0 < delta_min <= delta0 < inf")
         if not (0.0 < self.delta_factor < 1.0):
             raise ValueError("need 0 < delta_factor < 1")
         if not (self.inner_tol > 0.0 and self.gap_tol > 0.0):
@@ -82,9 +82,8 @@ class InnerResult:
     """Outcome of one inner solve.
 
     ``stop_reason`` says why it stopped: ``residual`` (tolerance met), ``cap``
-    (``inner_max_iters`` reached), ``stagnated`` (no step could lower the
-    energy by a representable amount) or ``flat`` (the gradient vanished at an
-    extrapolated point).
+    (``inner_max_iters`` reached) or ``stagnated`` (no step could lower the
+    energy by a representable amount).
     """
 
     u: np.ndarray
@@ -136,10 +135,13 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     ``inner_tol * (1 + sup_known |f|)`` or after ``inner_max_iters``
     iterations (flagged through ``converged`` and ``stop_reason``).
 
-    The Armijo test runs on the sum of the per-pixel energy differences,
-    which is free of the cancellation between two large totals; a step that
-    passes it is accepted only if its exact total is also strictly below the
-    current one, so every accepted step strictly decreases the energy.
+    Each iteration takes ``cand = prox_{gamma G}(u - gamma grad D(u))`` and
+    halves gamma until the energy falls by at least ``|cand - u|^2/(2 gamma)``,
+    which holds for every gamma <= 1/L.  That test runs on the sum of the
+    per-pixel energy differences, free of the cancellation between two large
+    totals; a candidate that passes it is accepted only if its exact total is
+    also strictly below the current one, so every accepted step strictly
+    decreases the energy.
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
@@ -148,79 +150,44 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
 
     u = np.array(u0, dtype=float, copy=True)
     at_u = _Point(u, f, mask, pd)
-    g_u = at_u.residual()
     e_u = at_u.total
-    res = _linf(g_u)
+    res = _linf(at_u.residual())
     history = [e_u]
 
-    u_prev = u
-    alpha = 1.0
-    momentum_k = 1
+    step = 1.0
     iters = 0
-
     stop_reason = None
     while res > tol and iters < cfg.inner_max_iters:
         iters += 1
-        accepted = False
-        for use_momentum in (momentum_k > 1, False):
-            if use_momentum:
-                beta = (momentum_k - 1.0) / (momentum_k + 2.0)
-                y = u + beta * (u - u_prev)
-                at_y = _Point(y, f, mask, pd)
-                g_y = at_y.residual()
-            else:
-                y, at_y, g_y = u, at_u, g_u
-            gg = float(np.vdot(g_y, g_y))
-            if gg == 0.0:
-                stop_reason = "flat"
+        step = min(max(step, _STEP_CLIP[0]), _STEP_CLIP[1])
+        for _ in range(_MAX_BACKTRACKS + 1):
+            cand = fidelity_prox(u - step * at_u.density_residual, f, mask, pd, step)
+            s = cand - u
+            ss = float(np.sum(s * s))
+            at_cand = _Point(cand, f, mask, pd)
+            change = float(np.sum(at_cand.pixel_energy - at_u.pixel_energy))
+            if change <= -ss / (2.0 * step) and at_cand.total < e_u:
                 break
-            step = min(max(alpha, _STEP_CLIP[0]), _STEP_CLIP[1])
-            for _ in range(_MAX_BACKTRACKS + 1):
-                cand = y - step * g_y
-                at_cand = _Point(cand, f, mask, pd)
-                change = float(np.sum(at_cand.pixel_energy - at_y.pixel_energy))
-                if change <= -_ARMIJO_C1 * step * gg and at_cand.total < e_u:
-                    accepted = True
-                    break
-                step *= 0.5
-            if accepted:
-                break
-            momentum_k = 1  # momentum step failed; retry plain from u
-            if not use_momentum:
-                # At the final (tiny) step the energy change is below what
-                # floating point can certify: converged to machine precision.
-                if math.isfinite(change) and abs(change) <= 64.0 * np.finfo(
-                    float
-                ).eps * max(1.0, abs(e_u)):
-                    stop_reason = "stagnated"
-                    break
-                raise LineSearchError(
-                    f"no descent after {_MAX_BACKTRACKS} backtracks at iteration "
-                    f"{iters} (delta={delta:g}, residual={res:.3e})"
-                )
-        if stop_reason == "flat":  # gradient vanished at the extrapolated point
-            u, at_u, g_u = y, at_y, g_y
-            e_u = at_u.total
-            res = _linf(g_u)
-            history.append(e_u)
-        if stop_reason is not None:
-            break
-
-        g_new = at_cand.residual()
-        s = cand - u
-        q = g_new - g_u
-        sq = float(np.vdot(s, q))
-        if sq > 0.0:
-            alpha = float(np.vdot(s, s)) / sq  # Barzilai-Borwein trial step
+            step *= 0.5
         else:
-            alpha = step * 2.0
-        alpha = min(max(alpha, _STEP_CLIP[0]), _STEP_CLIP[1])
+            # At the final (tiny) step the energy change is below what
+            # floating point can certify: converged to machine precision.
+            tiny = 64.0 * np.finfo(float).eps * max(1.0, abs(e_u))
+            if math.isfinite(change) and abs(change) <= tiny:
+                stop_reason = "stagnated"
+                break
+            raise LineSearchError(
+                f"no descent after {_MAX_BACKTRACKS} backtracks at iteration "
+                f"{iters} (delta={delta:g}, residual={res:.3e})"
+            )
 
-        u_prev, u = u, cand
-        at_u, e_u, g_u = at_cand, at_cand.total, g_new
-        res = _linf(g_u)
+        res = _linf(at_cand.residual())
+        # Barzilai-Borwein trial step from the density curvature alone; the
+        # fidelity is handled exactly by the prox.
+        sq = float(np.sum(s * (at_cand.density_residual - at_u.density_residual)))
+        step = ss / sq if sq > 0.0 else 2.0 * step
+        u, at_u, e_u = cand, at_cand, at_cand.total
         history.append(e_u)
-        momentum_k += 1
 
     if stop_reason is None:
         stop_reason = "residual" if res <= tol else "cap"

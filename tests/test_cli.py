@@ -36,8 +36,8 @@ class TestValidation:
             ("--mu", "nan"),
             ("--lambda", "inf"),
             ("--inner-max-iters", "0"),
-            ("--fidelity-smoothing", "nan"),
             ("--tol", "nan"),
+            ("--delta0", "inf"),
         ],
     )
     def test_invalid_number_rejected(self, tmp_path, board, flag, value):
@@ -59,16 +59,6 @@ class TestValidation:
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"P5\n4 4\n255\nxx")
         assert run(["--input", str(bad), "--output", str(tmp_path / "o.pgm")]) == 1
-
-    def test_smoothing_needs_small_zeta(self, tmp_path, board):
-        code = run(
-            [
-                "--input", str(board[0]),
-                "--output", str(tmp_path / "o.pgm"),
-                "--fidelity-smoothing", "1e-3",
-            ]
-        )
-        assert code == 1
 
     def test_mask_dimension_mismatch(self, tmp_path, board):
         small = tmp_path / "small.pgm"

@@ -12,9 +12,12 @@ from viscotv.dual import certify, sup_known_norm
 from viscotv.energy import (
     ModelParams,
     _fsum,
+    _newton_shrink,
     _Point,
+    _prox_shrink,
     euler_residual,
     fidelity,
+    fidelity_prox,
     primal_energy,
 )
 from viscotv.grid import gradient
@@ -36,10 +39,6 @@ class TestModelParams:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             ModelParams(lam=0.0, zeta=2.0, density=DensityParams(2.0))
-
-    def test_rejects_negative_smoothing(self):
-        with pytest.raises(ValueError):
-            ModelParams(lam=1.0, zeta=1.5, density=DensityParams(2.0), eps_fid=-1e-3)
 
 
 class TestFidelity:
@@ -80,6 +79,50 @@ class TestFidelity:
         assert fidelity(u, f, mask, scaled) == pytest.approx(
             lam * fidelity(u, f, mask, base), rel=1e-12
         )
+
+
+def hypot_norms(x):
+    """Per-pixel channel norms by ``math.hypot``, which neither underflows nor overflows."""
+    return np.array([[math.hypot(*pixel) for pixel in row] for row in x])
+
+
+PROX_DISTANCES = np.array([0.0, 1e-12, 1e-6, 1e-3, 0.5, 1.0, 1e3, 1e6])
+
+
+class TestFidelityProx:
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("zeta", [1.1, 1.5, 2.0, 2.5, 3.0, 6.0])
+    def test_optimality_residual_vanishes(self, zeta, channels):
+        # f = 0 on known pixels keeps v - f exact, so the residual measures the
+        # scalar root alone; damaged pixels carry arbitrary f, which is ignored.
+        rng = np.random.default_rng(61)
+        n = PROX_DISTANCES.size
+        direction = rng.normal(size=(2, n, channels))
+        direction /= hypot_norms(direction)[..., None]
+        w = PROX_DISTANCES[None, :, None] * direction
+        mask = np.zeros((2, n), dtype=bool)
+        mask[1, ::2] = True
+        f = np.where(mask[..., None], rng.normal(size=w.shape), 0.0)
+        params = ModelParams(lam=1.0, zeta=zeta, density=DensityParams(2.0))
+        for c in np.logspace(-8, 4, 13):
+            v = fidelity_prox(w, f, mask, params, c)
+            assert np.array_equal(v[mask], w[mask])
+            assert (v[0, 0] == 0.0).all()  # known, a = 0
+            r = hypot_norms(v)
+            with np.errstate(divide="ignore"):
+                scale = np.where(r > 0.0, r ** (zeta - 2.0), 0.0)
+            residual = hypot_norms((v - w) + c * scale[..., None] * v)
+            known = ~mask
+            bound = 32.0 * np.finfo(float).eps * hypot_norms(w)
+            assert (residual[known] <= bound[known]).all()
+
+    @pytest.mark.parametrize("zeta", [1.5, 3.0])
+    def test_closed_forms_match_newton(self, zeta):
+        a = np.logspace(-12, 6, 200)
+        for c in np.logspace(-8, 4, 25):
+            closed = _prox_shrink(a, c, zeta)
+            newton = _newton_shrink(a, c, zeta)
+            assert np.max(np.abs(closed - newton) / closed) <= 16.0 * np.finfo(float).eps
 
 
 class TestPrimalEnergy:
@@ -163,13 +206,11 @@ class TestEulerResidual:
         denom = np.max(np.abs(fd))
         assert np.max(np.abs(res - fd)) / denom <= 1e-6
 
-    def test_smoothed_fidelity_matches_finite_differences(self):
+    def test_small_zeta_fidelity_matches_finite_differences(self):
         rng = np.random.default_rng(23)
         f, mask = random_instance(rng, shape=(5, 5))
         u = rng.uniform(size=f.shape)
-        params = ModelParams(
-            lam=2.0, zeta=1.2, density=DensityParams(2.0, 0.01), eps_fid=1e-2
-        )
+        params = ModelParams(lam=2.0, zeta=1.2, density=DensityParams(2.0, 0.01))
         res = euler_residual(u, f, mask, params)
         fd = fd_gradient(u, f, mask, params, 1e-6)
         assert np.max(np.abs(res - fd)) / np.max(np.abs(fd)) <= 1e-6
@@ -251,16 +292,12 @@ class TestLayoutIndependence:
 
 
 class TestFusedEvaluation:
-    @pytest.mark.parametrize(
-        "channels,zeta,eps_fid", [(1, 2.0, 0.0), (3, 1.5, 0.0), (2, 1.2, 1e-2)]
-    )
-    def test_matches_public_functions_exactly(self, channels, zeta, eps_fid):
+    @pytest.mark.parametrize("channels,zeta", [(1, 2.0), (3, 1.5), (2, 1.2)])
+    def test_matches_public_functions_exactly(self, channels, zeta):
         rng = np.random.default_rng(41)
         f, mask = random_instance(rng, shape=(10, 7), channels=channels)
         u = rng.normal(size=f.shape)
-        params = ModelParams(
-            lam=2.0, zeta=zeta, density=DensityParams(2.0, 0.05), eps_fid=eps_fid
-        )
+        params = ModelParams(lam=2.0, zeta=zeta, density=DensityParams(2.0, 0.05))
         point = _Point(u, f, mask, params)
         assert point.pixel_energy.shape == mask.shape
         total = point.total

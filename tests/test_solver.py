@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
 from conftest import bridge_instance, checkerboard_instance, random_instance
+import viscotv
 from viscotv import energy
 from viscotv.density import DensityParams
 from viscotv.dual import sup_known_norm
@@ -30,6 +36,8 @@ class TestConfig:
             SolverConfig(inner_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(gap_tol=float("nan"))
+        with pytest.raises(ValueError):
+            SolverConfig(delta0=float("inf"))
 
 
 class TestMinimizeSmooth:
@@ -95,10 +103,11 @@ class TestMinimizeSmooth:
 
     @pytest.mark.parametrize("zeta", [1.5, 2.0])
     def test_exact_total_only_after_armijo_passes(self, monkeypatch, zeta):
-        # Backtracking compares per-pixel energy differences; the exact total
-        # is summed once for u0 and once per candidate that passes Armijo.
-        # The first iteration has no momentum, so its first passing candidate
-        # lies strictly below u0 and is accepted.
+        # The sufficient-decrease test compares per-pixel energy differences;
+        # the exact total is summed once for u0 and once per candidate that
+        # passes it, and a passing candidate lies strictly below u0, so it is
+        # accepted.  The weak fidelity (lam = 0.1) leaves the step to the
+        # density's curvature, which rejects the first trial steps.
         calls = {"fsum": 0, "points": 0}
         fsum, point_init = energy._fsum, energy._Point.__init__
 
@@ -114,10 +123,44 @@ class TestMinimizeSmooth:
         monkeypatch.setattr(energy._Point, "__init__", counting_init)
         f, mask = checkerboard_instance(n=10, block=(4, 7))
         cfg = SolverConfig(inner_max_iters=1)
-        res = minimize_smooth(default_initial(f, mask), 1e-2, f, mask, params_for(zeta=zeta), cfg)
+        params = params_for(lam=0.1, zeta=zeta)
+        res = minimize_smooth(default_initial(f, mask), 1e-2, f, mask, params, cfg)
         assert len(res.energy_history) == 2
         assert calls["fsum"] == 2
         assert calls["points"] > 3  # u0, then at least two backtracked candidates
+
+    def test_iterates_do_not_depend_on_blas_threads(self):
+        # Inner products taken by BLAS (np.vdot) sum in an order that depends
+        # on the thread count; the solver's must not.
+        script = textwrap.dedent(
+            """
+            import hashlib
+            import numpy as np
+            from viscotv.density import DensityParams
+            from viscotv.energy import ModelParams
+            from viscotv.solver import SolverConfig, default_initial, minimize_smooth
+
+            f = np.random.default_rng(7).uniform(size=(128, 128, 1))
+            mask = np.zeros((128, 128), dtype=bool)
+            mask[48:80, 48:80] = True
+            params = ModelParams(lam=10.0, zeta=2.0, density=DensityParams(2.0))
+            res = minimize_smooth(
+                default_initial(f, mask), 1e-2, f, mask, params,
+                SolverConfig(inner_max_iters=20),
+            )
+            print(hashlib.sha256(res.u.tobytes()).hexdigest())
+            """
+        )
+        src = os.path.dirname(os.path.dirname(viscotv.__file__))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestContinuation:
@@ -172,6 +215,16 @@ class TestContinuation:
         # so the tail ratio approaches 10 from below.
         tail = [visc[i] / visc[i + 1] for i in range(len(visc) - 3, len(visc) - 1)]
         assert all(r >= 9.5 for r in tail)
+
+    def test_small_zeta_certifies_in_few_iterations(self):
+        # zeta = 1.5 has unbounded fidelity curvature at u = f; plain gradient
+        # steps crawl there (over 5000 inner iterations on this instance),
+        # the exact fidelity prox does not.
+        _, mask = checkerboard_instance(n=24, block=(9, 15))
+        f = np.random.default_rng(0).uniform(size=(24, 24, 1))
+        u, cert, recs = continuation(f, mask, params_for(zeta=1.5), SolverConfig())
+        assert cert.relative_gap <= 1e-4
+        assert sum(r.inner_iterations for r in recs) <= 500
 
     def test_gap_stop_comes_before_schedule_floor(self):
         f, mask = checkerboard_instance()
