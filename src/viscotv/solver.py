@@ -2,7 +2,7 @@
 
 The viscous objective (delta > 0) splits into the density part D, whose
 gradient is Lipschitz with ``L <= 8(1 + delta)``, and the pixel-separable
-fidelity G, whose prox is exact (``energy.fidelity_prox``), also across the
+fidelity G, whose prox is exact (``energy._fidelity_prox``), also across the
 unbounded curvature of ``|u - f|^zeta`` at u = f for zeta < 2.  The inner
 solver is proximal gradient with Barzilai-Borwein steps on D and
 backtracking, one step path for every zeta > 1; the contract is descent plus
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import certify, sup_known_norm
-from .energy import ModelParams, _Point, fidelity_prox
+from .energy import ModelParams, _fidelity_prox, _Point
 from .grid import channel_norms, validate_image, validate_mask
 
 __all__ = [
@@ -161,7 +161,7 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
         iters += 1
         step = min(max(step, _STEP_CLIP[0]), _STEP_CLIP[1])
         for _ in range(_MAX_BACKTRACKS + 1):
-            cand = fidelity_prox(u - step * at_u.density_residual, f, mask, pd, step)
+            cand = _fidelity_prox(u - step * at_u.density_residual, at_u.f, at_u.mask, pd, step)
             s = cand - u
             ss = float(np.sum(s * s))
             at_cand = _Point(cand, f, mask, pd)

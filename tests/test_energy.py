@@ -11,13 +11,13 @@ from viscotv.density import DensityParams, density_value
 from viscotv.dual import certify, sup_known_norm
 from viscotv.energy import (
     ModelParams,
+    _fidelity_prox,
     _fsum,
     _newton_shrink,
     _Point,
     _prox_shrink,
     euler_residual,
     fidelity,
-    fidelity_prox,
     primal_energy,
 )
 from viscotv.grid import gradient
@@ -105,7 +105,7 @@ class TestFidelityProx:
         f = np.where(mask[..., None], rng.normal(size=w.shape), 0.0)
         params = ModelParams(lam=1.0, zeta=zeta, density=DensityParams(2.0))
         for c in np.logspace(-8, 4, 13):
-            v = fidelity_prox(w, f, mask, params, c)
+            v = _fidelity_prox(w, f, mask, params, c)
             assert np.array_equal(v[mask], w[mask])
             assert (v[0, 0] == 0.0).all()  # known, a = 0
             r = hypot_norms(v)
@@ -116,7 +116,7 @@ class TestFidelityProx:
             bound = 32.0 * np.finfo(float).eps * hypot_norms(w)
             assert (residual[known] <= bound[known]).all()
 
-    @pytest.mark.parametrize("zeta", [1.5, 3.0])
+    @pytest.mark.parametrize("zeta", [1.5, 2.0])
     def test_closed_forms_match_newton(self, zeta):
         a = np.logspace(-12, 6, 200)
         for c in np.logspace(-8, 4, 25):
