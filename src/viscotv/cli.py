@@ -215,6 +215,7 @@ def run(argv=None) -> int:
                     ("max_principle_margin", mp.margin),
                     ("outer_steps", len(records)),
                     ("total_inner_iterations", sum(r.inner_iterations for r in records)),
+                    ("inner_cap_hits", sum(r.stop_reason == "cap" for r in records)),
                 ],
             )
         if args.log_csv:

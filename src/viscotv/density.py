@@ -83,24 +83,27 @@ def phi(params: DensityParams, t):
     expm1/log1p so the mu -> 2 limit stays well conditioned.
     """
     scalar_in = np.isscalar(t) or np.ndim(t) == 0
-    t = _check_nonneg(t)
-    mu = params.mu
+    return _maybe_scalar(_phi(params.mu, _check_nonneg(t)), scalar_in)
+
+
+def _phi(mu, t):
+    """``phi`` on a float array t >= 0, unchecked."""
     if abs(mu - 2.0) < _MU2_TOL:
-        out = t - np.log1p(t)
-    else:
-        out = t / (mu - 1.0) - np.expm1((2.0 - mu) * np.log1p(t)) / (
-            (mu - 1.0) * (2.0 - mu)
-        )
-    return _maybe_scalar(out, scalar_in)
+        return t - np.log1p(t)
+    return t / (mu - 1.0) - np.expm1((2.0 - mu) * np.log1p(t)) / (
+        (mu - 1.0) * (2.0 - mu)
+    )
 
 
 def phi_prime(params: DensityParams, t):
     """First derivative ``(1 - (1+t)**(1-mu))/(mu - 1)``; increases from 0 to cbar."""
     scalar_in = np.isscalar(t) or np.ndim(t) == 0
-    t = _check_nonneg(t)
-    mu = params.mu
-    out = -np.expm1((1.0 - mu) * np.log1p(t)) / (mu - 1.0)
-    return _maybe_scalar(out, scalar_in)
+    return _maybe_scalar(_phi_prime(params.mu, _check_nonneg(t)), scalar_in)
+
+
+def _phi_prime(mu, t):
+    """``phi_prime`` on a float array t >= 0, unchecked."""
+    return -np.expm1((1.0 - mu) * np.log1p(t)) / (mu - 1.0)
 
 
 def phi_second(params: DensityParams, t):
@@ -118,15 +121,14 @@ def density_value(params: DensityParams, P, *, norms=None):
     ``norms``, if given, is ``pixel_norms(P)`` already computed by the caller.
     """
     r = pixel_norms(P) if norms is None else norms
-    out = 0.5 * params.delta * r * r + phi(params, r)
-    return out
+    return 0.5 * params.delta * r * r + _phi(params.mu, r)
 
 
 def _radial_quotient(params: DensityParams, r):
     """phi'(r)/r, continuously extended by phi''(0) = 1 at r = 0."""
     small = r < _RADIAL_TOL
     safe = np.where(small, 1.0, r)
-    q = phi_prime(params, safe) / safe
+    q = _phi_prime(params.mu, safe) / safe
     # First-order Taylor of phi'(r)/r about 0.
     return np.where(small, 1.0 - 0.5 * params.mu * r, q)
 

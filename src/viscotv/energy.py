@@ -137,11 +137,11 @@ class _Point:
     sets ``density_residual``, the gradient ``-div DF_delta(grad u)`` of the
     density part alone.  A point kept after its residual holds only
     ``pixel_energy`` and these two fields.  u and f are kept by reference,
-    not copied.
+    not copied; the arrays are taken as ``_shape_check`` returns them.
     """
 
     def __init__(self, u, f, mask, params: ModelParams):
-        self.u, self.f, self.mask = _shape_check(u, f, mask)
+        self.u, self.f, self.mask = u, f, mask
         self.params = params
         self.grad = gradient(self.u)
         self.grad_norms = pixel_norms(self.grad)
@@ -182,7 +182,7 @@ def fidelity(u, f, mask, params: ModelParams) -> float:
 
 def primal_energy(u, f, mask, params: ModelParams) -> float:
     """Density term plus fidelity; with ``delta = 0`` this is the target energy."""
-    return _Point(u, f, mask, params).total
+    return _Point(*_shape_check(u, f, mask), params).total
 
 
 def euler_residual(u, f, mask, params: ModelParams) -> np.ndarray:
@@ -191,4 +191,4 @@ def euler_residual(u, f, mask, params: ModelParams) -> np.ndarray:
     ``-div(DF_delta(grad u)) + lam * 1_known * |u-f|^(zeta-2) (u-f)``, the
     fidelity factor taken as 0 at u = f when zeta < 2 (its continuous limit).
     """
-    return _Point(u, f, mask, params).residual()
+    return _Point(*_shape_check(u, f, mask), params).residual()

@@ -8,8 +8,9 @@ solver is proximal gradient with Barzilai-Borwein steps on D and
 backtracking, one step path for every zeta > 1; the contract is descent plus
 a residual tolerance, not a step count.
 
-``continuation`` drives delta down a geometric schedule with warm starts and
-stops at the first certificate whose relative duality gap clears ``gap_tol``
+``continuation`` drives delta down a geometric schedule with warm starts,
+solves each level only as accurately as its viscous bias warrants, and stops
+at the first certificate whose relative duality gap clears ``gap_tol``
 (or when the schedule bottoms out at ``delta_min``).  It never returns
 without a certificate.
 """
@@ -18,12 +19,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dual import certify, sup_known_norm
-from .energy import ModelParams, _fidelity_prox, _Point
+from .energy import ModelParams, _fidelity_prox, _Point, _shape_check
 from .grid import channel_norms, validate_image, validate_mask
 
 __all__ = [
@@ -44,6 +45,13 @@ _STEP_CLIP = (1e-8, 1e4)
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Viscosity schedule, tolerances and the inner iteration cap.
+
+    ``inner_tol`` is the floor of the inner residual tolerance:
+    ``continuation`` solves level delta to ``max(inner_tol, gap_tol * delta)``
+    times ``1 + sup_known |f|``, ``minimize_smooth`` to ``inner_tol`` itself.
+    """
+
     delta0: float = 0.1
     delta_min: float = 1e-8
     delta_factor: float = 0.1
@@ -64,7 +72,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
-    """One outer continuation step, for observability of the delta -> 0 limit."""
+    """One outer continuation step, for observability of the delta -> 0 limit.
+
+    ``stop_reason`` is the level's ``InnerResult.stop_reason``.
+    """
 
     delta: float
     inner_iterations: int
@@ -75,6 +86,7 @@ class ConvergenceRecord:
     residual_inf_norm: float
     max_abs_u: float
     wall_seconds: float
+    stop_reason: str
 
 
 @dataclass
@@ -146,9 +158,9 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     if not delta > 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     pd = params.with_delta(float(delta))
+    u, f, mask = _shape_check(np.array(u0, dtype=float, copy=True), f, mask)
     tol = cfg.inner_tol * (1.0 + sup_known_norm(f, mask))
 
-    u = np.array(u0, dtype=float, copy=True)
     at_u = _Point(u, f, mask, pd)
     e_u = at_u.total
     res = _linf(at_u.residual())
@@ -161,7 +173,7 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
         iters += 1
         step = min(max(step, _STEP_CLIP[0]), _STEP_CLIP[1])
         for _ in range(_MAX_BACKTRACKS + 1):
-            cand = _fidelity_prox(u - step * at_u.density_residual, at_u.f, at_u.mask, pd, step)
+            cand = _fidelity_prox(u - step * at_u.density_residual, f, mask, pd, step)
             s = cand - u
             ss = float(np.sum(s * s))
             at_cand = _Point(cand, f, mask, pd)
@@ -216,6 +228,12 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
     Returns ``(u, certificate, records)``.  Stops early at the first relative
     gap <= ``cfg.gap_tol``.  ``u0`` overrides the deterministic initial guess
     (useful for multi-start uniqueness checks).
+
+    Level delta is solved to the residual ``max(inner_tol, gap_tol * delta)
+    * (1 + L)``, L the largest known-pixel norm: its viscous bias is O(delta),
+    so a level above the target gap is only a warm start for the next one and
+    needs no more accuracy than the certificate asks for.  ``inner_tol`` is
+    the floor.  The certificate, not the residual, decides when to stop.
     """
     f = validate_image(f, name="f")
     mask = validate_mask(mask, image=f)
@@ -237,6 +255,7 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
             residual_inf_norm=0.0,
             max_abs_u=float(np.max(channel_norms(u))),
             wall_seconds=time.perf_counter() - t0,
+            stop_reason="residual",
         )
         return u, cert, [rec]
 
@@ -245,7 +264,8 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
     delta = cfg.delta0
     while True:
         t0 = time.perf_counter()
-        inner = minimize_smooth(u, delta, f, mask, params, cfg)
+        level_cfg = replace(cfg, inner_tol=max(cfg.inner_tol, cfg.gap_tol * delta))
+        inner = minimize_smooth(u, delta, f, mask, params, level_cfg)
         u = inner.u
         cert = certify(u, f, mask, params, bound)
         records.append(
@@ -259,6 +279,7 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
                 residual_inf_norm=inner.residual_inf,
                 max_abs_u=float(np.max(channel_norms(u))),
                 wall_seconds=time.perf_counter() - t0,
+                stop_reason=inner.stop_reason,
             )
         )
         if cert.relative_gap <= cfg.gap_tol:

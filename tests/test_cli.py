@@ -136,6 +136,23 @@ class TestRuns:
         assert report.exists()
         assert "relative_gap=" in report.read_text()
 
+    def test_inner_cap_hits_reported(self, tmp_path, board):
+        src, mask = board
+        report = tmp_path / "rep.txt"
+        code = run(
+            [
+                "--input", str(src),
+                "--mask", str(mask),
+                "--output", str(tmp_path / "o.pgm"),
+                "--report", str(report),
+                "--inner-max-iters", "3",
+                "--delta-min", "0.01",  # the delta = 0.01 level cannot certify 1e-4
+            ]
+        )
+        assert code == 2
+        keys = dict(line.split("=", 1) for line in report.read_text().splitlines())
+        assert int(keys["inner_cap_hits"]) >= 1
+
     def test_denoise_without_mask(self, tmp_path):
         rng = np.random.default_rng(0)
         src = tmp_path / "noisy.pgm"

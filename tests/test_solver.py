@@ -226,6 +226,43 @@ class TestContinuation:
         assert cert.relative_gap <= 1e-4
         assert sum(r.inner_iterations for r in recs) <= 500
 
+    def test_levels_stop_at_gap_scaled_tolerance(self):
+        # A level whose viscous bias keeps its gap above gap_tol is only a
+        # warm start, so it is solved to gap_tol * delta, not to inner_tol.
+        f, mask = checkerboard_instance()
+        cfg = SolverConfig()
+        _, cert, recs = continuation(f, mask, params_for(), cfg)
+        scale = 1.0 + sup_known_norm(f, mask)
+        assert cert.relative_gap <= cfg.gap_tol
+        assert recs[0].stop_reason == "residual"
+        for r in recs:
+            if r.stop_reason == "residual":
+                level_tol = max(cfg.inner_tol, cfg.gap_tol * r.delta)
+                assert r.residual_inf_norm <= level_tol * scale
+        assert recs[0].residual_inf_norm > cfg.inner_tol * scale
+
+    def test_tiny_gap_tol_keeps_exact_levels(self):
+        # With gap_tol * delta below inner_tol every level is solved exactly
+        # as minimize_smooth solves it with the caller's config.
+        f, mask = checkerboard_instance()
+        cfg = SolverConfig(gap_tol=1e-30, delta_min=1e-3)
+        u, _, recs = continuation(f, mask, params_for(), cfg)
+        assert len(recs) == 3
+        v, delta = default_initial(f, mask), cfg.delta0
+        for _ in recs:
+            v = minimize_smooth(v, delta, f, mask, params_for(), cfg).u
+            delta *= cfg.delta_factor
+        assert u.tobytes() == v.tobytes()
+
+    def test_certifies_within_iteration_budget(self):
+        # The 16x16 zeta = 2 instance of acceptance criterion 7.  Solving every
+        # level to inner_tol needs 117 inner iterations here, 47 of them at
+        # delta = 0.1, whose gap (~9e-3) could never certify 1e-4.
+        f, mask = checkerboard_instance()
+        _, cert, recs = continuation(f, mask, params_for(), SolverConfig())
+        assert cert.relative_gap <= 1e-4
+        assert sum(r.inner_iterations for r in recs) <= 100
+
     def test_gap_stop_comes_before_schedule_floor(self):
         f, mask = checkerboard_instance()
         u, cert, recs = continuation(f, mask, params_for(), SolverConfig())
