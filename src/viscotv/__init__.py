@@ -7,7 +7,7 @@ solver drives the viscosity to zero with warm starts and certifies the final
 iterate through a computable duality gap.
 """
 
-from .density import DensityParams, phi, phi_conjugate, phi_prime, phi_second
+from .density import DensityParams, phi, phi_conjugate, phi_prime
 from .dual import DualCertificate, certify, dual_from_primal, dual_value
 from .energy import ModelParams, euler_residual, fidelity, primal_energy
 from .grid import clamp_to_ball, divergence, gradient
@@ -27,7 +27,6 @@ __all__ = [
     "DualCertificate",
     "phi",
     "phi_prime",
-    "phi_second",
     "phi_conjugate",
     "gradient",
     "divergence",

@@ -183,7 +183,7 @@ def run(argv=None) -> int:
     started = time.perf_counter()
     try:
         u, cert, records = continuation(f, mask, params, cfg)
-    except Exception as exc:  # line-search abort or similar: nothing to certify
+    except Exception as exc:  # a defect: every validated solve ends in a certificate
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - started

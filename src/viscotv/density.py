@@ -25,7 +25,6 @@ __all__ = [
     "DensityParams",
     "phi",
     "phi_prime",
-    "phi_second",
     "density_value",
     "density_gradient",
     "phi_conjugate",
@@ -104,14 +103,6 @@ def phi_prime(params: DensityParams, t):
 def _phi_prime(mu, t):
     """``phi_prime`` on a float array t >= 0, unchecked."""
     return -np.expm1((1.0 - mu) * np.log1p(t)) / (mu - 1.0)
-
-
-def phi_second(params: DensityParams, t):
-    """Second derivative ``(1+t)**(-mu)``, strictly positive."""
-    scalar_in = np.isscalar(t) or np.ndim(t) == 0
-    t = _check_nonneg(t)
-    out = np.exp(-params.mu * np.log1p(t))
-    return _maybe_scalar(out, scalar_in)
 
 
 def density_value(params: DensityParams, P, *, norms=None):

@@ -73,14 +73,16 @@ def known_pixel_infimum(d, f_val, lam: float, zeta: float):
     """Exact infimum over v of ``d . v + (lam/zeta)|v - f|^zeta`` per pixel.
 
     d and f_val have a trailing channel axis; equality is attained at
-    ``v = f - (|d|/lam)^(1/(zeta-1)) d/|d|``.
+    ``v = f - (|d|/lam)^(1/(zeta-1)) d/|d|``, giving
+    ``d . f - (lam/zc)(|d|/lam)^zc`` with ``zc = zeta/(zeta - 1)``.  Where
+    that power overflows the infimum is -inf, still a valid lower bound.
     """
     d = np.asarray(d, dtype=float)
     f_val = np.asarray(f_val, dtype=float)
-    dnorm = channel_norms(d)
     dot = np.sum(d * f_val, axis=-1)
-    coef = (zeta - 1.0) / zeta * lam ** (-1.0 / (zeta - 1.0))
-    return dot - coef * dnorm ** (zeta / (zeta - 1.0))
+    zc = zeta / (zeta - 1.0)
+    with np.errstate(over="ignore"):
+        return dot - (lam / zc) * (channel_norms(d) / lam) ** zc
 
 
 def damaged_pixel_infimum(d, bound: float):

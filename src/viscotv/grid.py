@@ -25,7 +25,6 @@ __all__ = [
     "pixel_norms",
     "validate_image",
     "validate_mask",
-    "poincare_ratio",
 ]
 
 
@@ -103,19 +102,3 @@ def clamp_to_ball(u, radius: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(norms > radius, radius / norms, 1.0)
     return u * scale[..., None]
-
-
-def poincare_ratio(u, mask) -> float:
-    """Diagnostic ratio ||u - mean_known(u)||_2 / ||gradient(u)||_2.
-
-    Finite for nonconstant u because constants are the only fields with zero
-    discrete gradient; no sharp constant is claimed for the discrete lattice.
-    """
-    u = np.asarray(u, dtype=float)
-    known = ~np.asarray(mask)
-    mean = u[known].mean(axis=0)
-    num = float(np.linalg.norm(u - mean))
-    den = float(np.linalg.norm(gradient(u)))
-    if den == 0.0:
-        return 0.0 if num == 0.0 else float("inf")
-    return num / den

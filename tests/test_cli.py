@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from viscotv import netpbm
+from viscotv import netpbm, solver
 from viscotv.cli import run
 
 
@@ -135,6 +135,48 @@ class TestRuns:
         assert code == 2
         assert report.exists()
         assert "relative_gap=" in report.read_text()
+
+    @pytest.mark.parametrize(
+        "lam, zeta, expected", [("1e-4", "1.01", 0), ("1e-20", "1.05", 2)]
+    )
+    def test_extreme_fidelity_writes_report(self, tmp_path, board, lam, zeta, expected):
+        # lam**(-1/(zeta-1)) is beyond the float range here; the first pair
+        # still certifies, the second reports its infinite gap.
+        src, mask = board
+        report = tmp_path / "rep.txt"
+        code = run(
+            [
+                "--input", str(src),
+                "--mask", str(mask),
+                "--output", str(tmp_path / "o.pgm"),
+                "--report", str(report),
+                "--lambda", lam,
+                "--zeta", zeta,
+            ]
+        )
+        assert code == expected
+        keys = dict(line.split("=", 1) for line in report.read_text().splitlines())
+        gap = float(keys["relative_gap"])
+        assert gap <= 1e-4 if expected == 0 else gap > 1e-4
+
+    def test_failed_line_search_exits_two_with_report(self, tmp_path, board, monkeypatch):
+        # No trial step ever descends: every level stagnates at its start,
+        # which is still certified and reported.
+        monkeypatch.setattr(solver, "_fidelity_prox", lambda w, *args: w + 1.0)
+        src, mask = board
+        report = tmp_path / "rep.txt"
+        code = run(
+            [
+                "--input", str(src),
+                "--mask", str(mask),
+                "--output", str(tmp_path / "o.pgm"),
+                "--report", str(report),
+            ]
+        )
+        assert code == 2
+        keys = dict(line.split("=", 1) for line in report.read_text().splitlines())
+        assert float(keys["relative_gap"]) > 1e-4
+        assert (tmp_path / "o.pgm").exists()
 
     def test_inner_cap_hits_reported(self, tmp_path, board):
         src, mask = board

@@ -100,6 +100,16 @@ class TestPointwiseInfima:
             zeta = rng.uniform(1.1, 4.0)
             closed = float(known_pixel_infimum(d[None, None], f[None, None], lam, zeta)[0, 0])
             assert closed == pytest.approx(infimum_by_line_search(d, f, lam, zeta), abs=1e-8)
+        # At these pairs lam**(-1/(zeta-1)) is beyond the float range while
+        # the infimum is not.  |d| just above lam puts the minimizer inside
+        # the searched segment; the comparison is on the part below d . f.
+        f = np.array([0.3, 0.7])
+        for lam, zeta, ratio in [(1e-4, 1.01, 1.03), (1e-20, 1.05, 1.15)]:
+            d = np.array([0.6, -0.8]) * lam * ratio
+            closed = float(known_pixel_infimum(d[None, None], f[None, None], lam, zeta)[0, 0])
+            by_search = infimum_by_line_search(d, f, lam, zeta)
+            assert closed - d @ f == pytest.approx(by_search - d @ f, rel=1e-9)
+            assert closed - d @ f < 0.0
 
     def test_damaged_pixel_example(self):
         d = np.array([[[0.2]]])

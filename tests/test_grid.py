@@ -9,7 +9,6 @@ from viscotv.grid import (
     divergence,
     gradient,
     pixel_norms,
-    poincare_ratio,
     validate_image,
     validate_mask,
 )
@@ -152,19 +151,3 @@ class TestValidators:
     def test_mask_image_shape_agreement(self):
         with pytest.raises(ValueError):
             validate_mask(np.zeros((2, 3), dtype=bool), image=np.zeros((3, 2, 1)))
-
-
-class TestPoincareDiagnostic:
-    def test_constant_field_is_degenerate_zero(self):
-        mask = np.zeros((4, 4), dtype=bool)
-        assert poincare_ratio(np.full((4, 4, 1), 0.3), mask) == 0.0
-
-    def test_ratio_bounded_on_samples(self):
-        rng = np.random.default_rng(11)
-        mask = np.zeros((8, 8), dtype=bool)
-        mask[2:6, 2:6] = True
-        ratios = [
-            poincare_ratio(rng.normal(size=(8, 8, 1)), mask) for _ in range(200)
-        ]
-        assert all(np.isfinite(ratios))
-        assert max(ratios) < 50.0
