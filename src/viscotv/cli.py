@@ -133,7 +133,10 @@ def _write_report(path, pairs) -> None:
 
 
 def _write_csv(path, records) -> None:
-    header = "outer_iter,delta,inner_iters,I_delta,I,R_hat,gap_rel,grad_inf_norm,max_abs_u,seconds"
+    header = (
+        "outer_iter,delta,inner_iters,I_delta,I,R_hat,gap_rel,grad_inf_norm,max_abs_u,"
+        "stop_reason,evaluations,seconds"
+    )
     with open(path, "w", newline="\n") as handle:
         handle.write(header + "\n")
         for i, rec in enumerate(records, start=1):
@@ -147,6 +150,8 @@ def _write_csv(path, records) -> None:
                 _fmt(rec.relative_gap),
                 _fmt(rec.residual_inf_norm),
                 _fmt(rec.max_abs_u),
+                rec.stop_reason,
+                str(rec.evaluations),
                 f"{rec.wall_seconds:.6f}",
             ]
             handle.write(",".join(row) + "\n")

@@ -116,7 +116,12 @@ def density_value(params: DensityParams, P, *, norms=None):
 
 
 def _radial_quotient(params: DensityParams, r):
-    """phi'(r)/r, continuously extended by phi''(0) = 1 at r = 0."""
+    """phi'(r)/r, continuously extended by phi''(0) = 1 at r = 0.
+
+    Exact ``1/(1 + r)`` at mu = 2, finite at r = 0.
+    """
+    if abs(params.mu - 2.0) < _MU2_TOL:
+        return 1.0 / (1.0 + r)
     small = r < _RADIAL_TOL
     safe = np.where(small, 1.0, r)
     q = _phi_prime(params.mu, safe) / safe

@@ -126,12 +126,33 @@ def _dual_value(tau_norms, d, f, mask, mparams: ModelParams, bound: float) -> fl
     return _fsum(-conj) + _fsum(known_terms) + _fsum(damaged_terms)
 
 
+def _into_ball(tau, tau_norms, cbar: float):
+    """Scale each pixel with ``|tau| > cbar`` back into the closed cbar-ball.
+
+    Returns the scaled field and its recomputed norms.  Rounding can leave a
+    pixel scaled to radius cbar just outside it; those are scaled to
+    ``cbar (1 - 4 eps)`` instead.  Any field in the ball is dual-feasible at
+    mu > 2, where ``phi*(cbar)`` is finite.
+    """
+    over = tau_norms > cbar
+    for radius in (cbar, cbar * (1.0 - 4.0 * np.finfo(float).eps)):
+        scale = np.divide(radius, tau_norms, out=np.ones_like(tau_norms), where=over)
+        scaled = tau * scale[..., None, None]
+        scaled_norms = pixel_norms(scaled)
+        if not (scaled_norms > cbar).any():
+            break
+    return scaled, scaled_norms
+
+
 def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     """Build tau from u, evaluate both sides of the duality and the gap.
 
     The primal side is the delta = 0 energy even for iterates produced at
     delta > 0; it dominates the viscous energy, so the reported gap
-    upper-bounds the true suboptimality for the target problem.
+    upper-bounds the true suboptimality for the target problem.  At mu > 2,
+    pixels where rounding puts ``|tau|`` above cbar are scaled back into the
+    ball first (``feasibility_margin`` still reports the unscaled field).
+    The gap is inf when the primal energy or the dual bound is infinite.
     """
     u, f, mask = _shape_check(u, f, mask)
     target = mparams.without_viscosity()
@@ -140,10 +161,13 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     tau = density_gradient(target.density, point.grad, norms=point.grad_norms)
     del point  # its gradient field is as large as tau
     tau_norms = pixel_norms(tau)
+    cbar = recession_constant(target.density)
+    margin = cbar - float(np.max(tau_norms))
+    if margin < 0.0 and target.density.mu > 2.0:
+        tau, tau_norms = _into_ball(tau, tau_norms, cbar)
     div_tau = divergence(tau)
     dval = _dual_value(tau_norms, -div_tau, f, mask, mparams, bound)
 
-    margin = recession_constant(mparams.density) - float(np.max(tau_norms))
     if margin < 1e-12:
         warnings.warn(
             f"dual feasibility margin {margin:.3e} is tiny; gradients are enormous",
@@ -155,7 +179,7 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     else:
         div_residual = 0.0
 
-    if dval == -math.inf:
+    if dval == -math.inf or primal == math.inf:
         gap = math.inf
     else:
         gap = (primal - dval) / max(1.0, abs(primal))

@@ -15,9 +15,10 @@ reduces to one scalar root per known pixel.
 
 Scalar reductions use ``_fsum``, a compensated sum in a fixed block order for
 a given size: ``np.sum`` over consecutive 64-element blocks of the row-major
-values, then ``math.fsum`` over the block totals and the tail.  Energies are
-therefore reproducible bit for bit for a given grid, whatever the memory
-layout of u.
+values, then ``math.fsum`` over the block totals and the tail.  The per-pixel
+norms (``grid.channel_norms``, ``grid.pixel_norms``) sum the squares of their
+components one by one in a fixed order.  Energies are therefore reproducible
+bit for bit for a given grid, whatever the memory layout of u.
 """
 
 from __future__ import annotations
@@ -58,11 +59,18 @@ _FSUM_BLOCK = 64
 
 
 def _fsum(values) -> float:
-    """Sum in a fixed order: ``np.sum`` per 64-element block, ``math.fsum`` of those."""
+    """Sum in a fixed order: ``np.sum`` per 64-element block, ``math.fsum`` of those.
+
+    A total beyond the float range is returned as inf of its sign.
+    """
     x = np.asarray(values, dtype=float).ravel()
     cut = x.size - x.size % _FSUM_BLOCK
     blocks = x[:cut].reshape(-1, _FSUM_BLOCK).sum(axis=1)
-    return math.fsum(blocks.tolist() + x[cut:].tolist())
+    parts = blocks.tolist() + x[cut:].tolist()
+    try:
+        return math.fsum(parts)
+    except OverflowError:  # a partial sum of finite parts overflowed
+        return math.copysign(math.inf, math.fsum(p * 2.0**-64 for p in parts))
 
 
 def _shape_check(u, f, mask):
@@ -167,9 +175,12 @@ class _Point:
             self.grad = self.grad_norms = self.dev_norms = None
             self.density_residual = -divergence(flux)
             del flux
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scale = np.where(norms > 0.0, norms ** (params.zeta - 2.0), 0.0)
-            fid = params.lam * (~self.mask)[..., None] * scale[..., None] * (self.u - self.f)
+            coef = params.lam * (~self.mask)[..., None]
+            if params.zeta != 2.0:  # |u - f|^(zeta - 2) is 1 at zeta = 2
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    scale = np.where(norms > 0.0, norms ** (params.zeta - 2.0), 0.0)
+                coef = coef * scale[..., None]
+            fid = coef * (self.u - self.f)
             self._residual = self.density_residual + fid
         return self._residual
 

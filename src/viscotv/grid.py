@@ -52,17 +52,27 @@ def validate_mask(mask, image=None) -> np.ndarray:
     return mask
 
 
+def _root_sum_squares(x) -> np.ndarray:
+    """``sqrt(sum_k x[..., k]**2)``, summed in the order k = 0, 1, ...
+
+    The sum is elementwise in a fixed order, so its bits do not depend on the
+    memory layout of x.
+    """
+    acc = x[..., 0] * x[..., 0]
+    for k in range(1, x.shape[-1]):
+        acc += x[..., k] * x[..., k]
+    return np.sqrt(acc)
+
+
 def channel_norms(u) -> np.ndarray:
     """Per-pixel Euclidean norm over channels: (H, W, M) -> (H, W)."""
-    # einsum's summation order follows the memory layout; C order fixes it.
-    u = np.ascontiguousarray(u, dtype=float)
-    return np.sqrt(np.einsum("...k,...k->...", u, u))
+    return _root_sum_squares(np.asarray(u, dtype=float))
 
 
 def pixel_norms(p) -> np.ndarray:
-    """Per-pixel Frobenius norm: (H, W, 2, M) -> (H, W)."""
-    p = np.ascontiguousarray(p, dtype=float)
-    return np.sqrt(np.einsum("...ij,...ij->...", p, p))
+    """Per-pixel Frobenius norm: (H, W, 2, M) -> (H, W), (i, k) in row-major order."""
+    p = np.asarray(p, dtype=float)
+    return _root_sum_squares(p.reshape(p.shape[:-2] + (-1,)))
 
 
 def gradient(u) -> np.ndarray:
@@ -85,8 +95,9 @@ def divergence(p) -> np.ndarray:
     h, w, _, m = p.shape
     px = p[:, :, 0, :]
     py = p[:, :, 1, :]
-    div = np.zeros((h, w, m))
-    div[:, :-1, :] += px[:, :-1, :]
+    div = np.empty((h, w, m))
+    div[:, :-1, :] = px[:, :-1, :]
+    div[:, -1, :] = 0.0
     div[:, 1:, :] -= px[:, :-1, :]
     div[:-1, :, :] += py[:-1, :, :]
     div[1:, :, :] -= py[:-1, :, :]

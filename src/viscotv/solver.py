@@ -74,7 +74,7 @@ class SolverConfig:
 class ConvergenceRecord:
     """One outer continuation step, for observability of the delta -> 0 limit.
 
-    ``stop_reason`` is the level's ``InnerResult.stop_reason``.
+    ``stop_reason`` and ``evaluations`` are the level's ``InnerResult`` fields.
     """
 
     delta: float
@@ -87,6 +87,7 @@ class ConvergenceRecord:
     max_abs_u: float
     wall_seconds: float
     stop_reason: str
+    evaluations: int
 
 
 @dataclass
@@ -95,7 +96,8 @@ class InnerResult:
 
     ``stop_reason`` says why it stopped: ``residual`` (tolerance met), ``cap``
     (``inner_max_iters`` reached) or ``stagnated`` (none of 61 trial steps
-    lowered the energy; ``u`` is the last accepted iterate).
+    lowered the energy; ``u`` is the last accepted iterate).  ``evaluations``
+    counts the candidate points evaluated, accepted or not.
     """
 
     u: np.ndarray
@@ -104,6 +106,7 @@ class InnerResult:
     converged: bool
     energy: float
     stop_reason: str
+    evaluations: int
     energy_history: list = field(default_factory=list)
 
 
@@ -169,7 +172,7 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     history = [e_u]
 
     step = 1.0
-    iters = 0
+    iters = evaluations = 0
     stop_reason = None
     while res > tol and iters < cfg.inner_max_iters:
         iters += 1
@@ -179,6 +182,7 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
             s = cand - u
             ss = float(np.sum(s * s))
             at_cand = _Point(cand, f, mask, pd)
+            evaluations += 1
             change = float(np.sum(at_cand.pixel_energy - at_u.pixel_energy))
             if change <= -ss / (2.0 * step) and at_cand.total < e_u:
                 break
@@ -204,6 +208,7 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
         converged=res <= tol,
         energy=e_u,
         stop_reason=stop_reason,
+        evaluations=evaluations,
         energy_history=history,
     )
 
@@ -246,6 +251,7 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
                 max_abs_u=float(np.max(channel_norms(u))),
                 wall_seconds=time.perf_counter() - t0,
                 stop_reason=inner.stop_reason,
+                evaluations=inner.evaluations,
             )
         )
         if cert.relative_gap <= cfg.gap_tol:

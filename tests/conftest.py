@@ -31,3 +31,12 @@ def random_instance(rng, shape=(8, 8), channels=1, damage=0.3):
     mask = rng.uniform(size=shape) < damage
     mask[rng.integers(shape[0]), rng.integers(shape[1])] = False
     return f, mask
+
+
+def layouts(u):
+    """C-ordered, Fortran-ordered and misaligned (byte offset 1) copies of u."""
+    buf = np.empty(u.nbytes + 1, dtype=np.uint8)
+    shifted = np.ndarray(u.shape, dtype=float, buffer=buf, offset=1)
+    shifted[...] = u
+    assert not shifted.flags.aligned
+    return [np.ascontiguousarray(u), np.asfortranarray(u), shifted]

@@ -106,7 +106,7 @@ class TestRuns:
         lines = csv.read_text().splitlines()
         assert lines[0] == (
             "outer_iter,delta,inner_iters,I_delta,I,R_hat,gap_rel,"
-            "grad_inf_norm,max_abs_u,seconds"
+            "grad_inf_norm,max_abs_u,stop_reason,evaluations,seconds"
         )
         report_text = dict(
             line.split("=", 1) for line in report.read_text().splitlines()

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from oracle import phi_by_quadrature
 from viscotv.density import (
     DensityParams,
+    _phi_prime,
+    _radial_quotient,
     density_gradient,
     density_value,
     phi,
@@ -166,6 +168,29 @@ class TestDensityGradient:
         p = DensityParams(2.0)
         small = density_gradient(p, mat(1e-13, 0.0, 0.0, 0.0))
         assert small[0, 0] == pytest.approx(1e-13, rel=1e-6)
+
+
+class TestRadialQuotient:
+    R = np.array([0.0, 1e-13, 1e-3, 1.0, 1e8, 1e300])
+
+    def test_mu2_closed_form_equals_general_formula_at_mu2(self):
+        # The general path phi'(r)/r with its Taylor extension near 0,
+        # evaluated at mu = 2 exactly, against the exact 1/(1 + r).
+        r = self.R
+        safe = np.where(r < 1e-12, 1.0, r)
+        general = np.where(r < 1e-12, 1.0 - r, _phi_prime(2.0, safe) / safe)
+        q = _radial_quotient(DensityParams(2.0), r)
+        assert np.isfinite(q).all()
+        assert (np.abs(q - general) <= 1e-9 * general).all()
+
+    @pytest.mark.parametrize("mu", [2.0 - 2e-6, 2.0 + 2e-6])
+    def test_continuous_across_the_mu2_switch(self, mu):
+        # Just outside the switch the general path is taken.  phi'(r)/r itself
+        # moves by up to |mu - 2| relative between the two mu (at large r, as
+        # 1/((mu - 1) r)), so that is the tolerance, not rounding.
+        q2 = _radial_quotient(DensityParams(2.0), self.R)
+        q = _radial_quotient(DensityParams(mu), self.R)
+        assert (np.abs(q - q2) <= 1.01 * abs(mu - 2.0) * q2).all()
 
 
 def conjugate_by_grid_sweep(mu, s):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import checkerboard_instance, random_instance
 from viscotv.density import DensityParams, recession_constant
 from viscotv.dual import (
     certify,
@@ -205,6 +205,42 @@ class TestCertify:
         cert = certify(f, f, mask, params_for(mu=mu, lam=10.0), sup_known_norm(f, mask))
         assert math.isfinite(cert.relative_gap)
         assert cert.dual_value <= cert.primal_value
+
+    @pytest.mark.parametrize("mu", [15.0, 40.0])
+    @pytest.mark.parametrize("scale", [255.0, 1e6])
+    def test_rounding_past_cbar_is_scaled_back_at_large_mu(self, mu, scale):
+        # phi' of these gradients rounds to just above cbar on some pixels.
+        # At mu > 2 phi*(cbar) is finite, so those pixels are scaled back into
+        # the ball and the certificate stays finite; the margin still reports
+        # the unscaled field.
+        f, mask = checkerboard_instance(n=8, block=(3, 5))
+        f = scale * f
+        u = f.copy()
+        u[mask] = 0.5 * scale
+        with pytest.warns(RuntimeWarning, match="feasibility margin"):
+            cert = certify(u, f, mask, params_for(mu=mu, lam=10.0), sup_known_norm(f, mask))
+        assert cert.feasibility_margin < 0.0
+        assert math.isfinite(cert.relative_gap)
+        assert cert.dual_value <= cert.primal_value
+
+    def test_rounding_to_cbar_stays_infeasible_at_mu_2(self):
+        # At mu <= 2 the conjugate is +inf already at |tau| = cbar, so no
+        # scaling into the closed ball is done: the dual stays -inf.
+        u = np.zeros((1, 2, 1))
+        u[0, 1, 0] = 1e17  # phi'(1e17) rounds to cbar = 1
+        mask = np.array([[False, True]])
+        with pytest.warns(RuntimeWarning, match="feasibility margin"):
+            cert = certify(u, np.zeros_like(u), mask, params_for(mu=2.0), 1.0)
+        assert cert.dual_value == -math.inf
+        assert cert.relative_gap == math.inf
+
+    def test_infinite_primal_gives_infinite_gap(self):
+        # Finite data whose energy sums past the float range: inf, not NaN.
+        f = np.zeros((8, 16, 1))
+        mask = np.zeros((8, 16), dtype=bool)
+        cert = certify(np.full(f.shape, 1.7e153), f, mask, params_for(), 0.0)
+        assert cert.primal_value == math.inf
+        assert cert.relative_gap == math.inf
 
     def test_viscous_iterate_uses_viscosity_free_primal(self):
         rng = np.random.default_rng(11)

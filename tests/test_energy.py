@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_instance
+from conftest import layouts, random_instance
 from oracle import fd_gradient, phi_by_quadrature
-from viscotv.density import DensityParams, density_value
+from viscotv.density import DensityParams, density_gradient, density_value
 from viscotv.dual import certify, sup_known_norm
 from viscotv.energy import (
     ModelParams,
@@ -20,7 +20,7 @@ from viscotv.energy import (
     fidelity,
     primal_energy,
 )
-from viscotv.grid import gradient
+from viscotv.grid import channel_norms, divergence, gradient
 
 
 def single_pixel(u_val, f_val):
@@ -222,6 +222,24 @@ class TestEulerResidual:
         res = euler_residual(u, f, mask, params)
         assert np.isfinite(res).all()
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_zeta2_skips_the_unit_scale_bit_for_bit(self, channels):
+        # At zeta = 2 the factor |u - f|^(zeta - 2) is 1 (0 where u = f) and
+        # is not computed; the residual must not change by a bit.
+        rng = np.random.default_rng(29)
+        f, mask = random_instance(rng, shape=(7, 6), channels=channels)
+        u = rng.normal(size=f.shape)
+        u[0, 0] = f[0, 0]
+        mask[0, 0] = False
+        params = ModelParams(lam=3.0, zeta=2.0, density=DensityParams(2.0, 0.05))
+        norms = channel_norms(u - f)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(norms > 0.0, norms ** (params.zeta - 2.0), 0.0)
+        general = -divergence(density_gradient(params.density, gradient(u))) + (
+            params.lam * (~mask)[..., None] * scale[..., None] * (u - f)
+        )
+        assert euler_residual(u, f, mask, params).tobytes() == general.tobytes()
+
 
 class TestCompensatedSum:
     @staticmethod
@@ -254,14 +272,20 @@ class TestCompensatedSum:
         x = np.random.default_rng(3).normal(size=(48, 48))
         assert _fsum(x) == _fsum(np.asfortranarray(x)) == _fsum(x.ravel())
 
+    @pytest.mark.parametrize("size", [3, 128, 200])
+    def test_total_beyond_float_range_is_inf_of_its_sign(self, size):
+        x = np.full(size, 1e308)
+        x[1] = -1.0
+        assert _fsum(x) == math.inf
+        assert _fsum(-x) == -math.inf
 
-def layouts(u):
-    """C-ordered, Fortran-ordered and misaligned (byte offset 1) copies of u."""
-    buf = np.empty(u.nbytes + 1, dtype=np.uint8)
-    shifted = np.ndarray(u.shape, dtype=float, buffer=buf, offset=1)
-    shifted[...] = u
-    assert not shifted.flags.aligned
-    return [np.ascontiguousarray(u), np.asfortranarray(u), shifted]
+    def test_primal_energy_of_huge_finite_field_is_inf(self):
+        # Each pixel's fidelity 0.5 * (1.7e153)^2 = 1.4e306 is finite; the
+        # 128 of them sum past the float range.
+        f = np.zeros((8, 16, 1))
+        mask = np.zeros((8, 16), dtype=bool)
+        params = ModelParams(lam=1.0, zeta=2.0, density=DensityParams(2.0))
+        assert primal_energy(np.full(f.shape, 1.7e153), f, mask, params) == math.inf
 
 
 class TestLayoutIndependence:

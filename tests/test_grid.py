@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import layouts
 from viscotv.grid import (
     channel_norms,
     clamp_to_ball,
@@ -64,6 +65,20 @@ class TestDivergence:
             rhs = -float(np.vdot(u, divergence(p)))
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 6), (40, 33)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_equals_zero_fill_accumulation(self, shape, channels):
+        # divergence starts from np.empty; it must equal accumulating every
+        # difference into zeros, up to the sign of zero (== ignores it).
+        p = np.random.default_rng(shape[0] * 100 + shape[1]).normal(size=(*shape, 2, channels))
+        px, py = p[:, :, 0, :], p[:, :, 1, :]
+        expected = np.zeros((*shape, channels))
+        expected[:, :-1] += px[:, :-1]
+        expected[:, 1:] -= px[:, :-1]
+        expected[:-1] += py[:-1]
+        expected[1:] -= py[:-1]
+        assert (divergence(p) == expected).all()
+
 
 class TestNorms:
     def test_values(self):
@@ -84,6 +99,23 @@ class TestNorms:
         for copy in (np.asfortranarray(p), strided):
             assert np.array_equal(pixel_norms(copy), pixel_norms(p))
             assert np.array_equal(channel_norms(copy[:, :, 1]), channel_norms(p[:, :, 1]))
+
+    @pytest.mark.parametrize("channels", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(1, 1), (9, 8)])
+    def test_match_linalg_norm_and_layout(self, shape, channels):
+        rng = np.random.default_rng(channels)
+        p = rng.normal(size=(*shape, 2, channels)) * 10.0 ** rng.uniform(-3, 3, (*shape, 1, 1))
+        u = p[:, :, 1, :]
+        cases = (
+            (pixel_norms, p, np.linalg.norm(p.reshape(*shape, -1), axis=-1)),
+            (channel_norms, u, np.linalg.norm(u, axis=-1)),
+        )
+        for norms, field, expected in cases:
+            got = norms(field)
+            ulp = np.spacing(expected)
+            assert (np.abs(got - expected) <= 4.0 * ulp).all()
+            for copy in layouts(field):
+                assert norms(copy).tobytes() == got.tobytes()
 
 
 class TestClamp:

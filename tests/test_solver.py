@@ -1,7 +1,9 @@
+import math
 import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +145,22 @@ class TestMinimizeSmooth:
         assert calls["fsum"] == 2
         assert calls["points"] > 3  # u0, then at least two backtracked candidates
 
+    def test_evaluations_count_every_candidate(self, monkeypatch):
+        # Every point but the start is a candidate, accepted or not.
+        calls = {"points": 0}
+        point_init = energy._Point.__init__
+
+        def counting_init(self, *args):
+            calls["points"] += 1
+            point_init(self, *args)
+
+        monkeypatch.setattr(energy._Point, "__init__", counting_init)
+        f, mask = checkerboard_instance(n=10, block=(4, 7))
+        cfg = SolverConfig(inner_max_iters=8)
+        res = minimize_smooth(default_initial(f, mask), 1e-2, f, mask, params_for(lam=0.1), cfg)
+        assert res.evaluations == calls["points"] - 1
+        assert res.evaluations > res.iterations
+
     def test_iterates_do_not_depend_on_blas_threads(self):
         # Inner products taken by BLAS (np.vdot) sum in an order that depends
         # on the thread count; the solver's must not.
@@ -272,6 +290,38 @@ class TestContinuation:
             delta *= cfg.delta_factor
         assert u.tobytes() == v.tobytes()
 
+    def test_records_carry_level_evaluations(self):
+        f, mask = checkerboard_instance()
+        cfg = SolverConfig()
+        _, _, recs = continuation(f, mask, params_for(), cfg)
+        v, delta = default_initial(f, mask), cfg.delta0
+        for r in recs:
+            level_cfg = SolverConfig(inner_tol=max(cfg.inner_tol, cfg.gap_tol * delta))
+            inner = minimize_smooth(v, delta, f, mask, params_for(), level_cfg)
+            assert (r.evaluations, r.stop_reason) == (inner.evaluations, inner.stop_reason)
+            assert r.evaluations >= r.inner_iterations
+            v, delta = inner.u, delta * cfg.delta_factor
+
+    def test_huge_finite_start_does_not_raise(self):
+        # The start's energy sums past the float range (each pixel 1.4e306).
+        f = np.zeros((8, 16, 1))
+        mask = np.zeros((8, 16), dtype=bool)
+        params = params_for(lam=1.0)
+        u, cert, recs = continuation(f, mask, params, SolverConfig(), u0=np.full(f.shape, 1.7e153))
+        assert not np.isnan(cert.relative_gap)
+        assert recs[0].I_delta_value < math.inf
+
+    def test_scaled_board_certifies_at_large_mu(self):
+        # [0, 255] data at mu = 15: phi' of the board's large gradients rounds
+        # just past cbar, which certify scales back into the ball.
+        f, mask = checkerboard_instance(n=8, block=(3, 5))
+        params = ModelParams(lam=10.0, zeta=2.0, density=DensityParams(15.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the margin warning
+            _, cert, _ = continuation(255.0 * f, mask, params, SolverConfig())
+        assert cert.relative_gap <= 1e-4
+        assert cert.dual_value <= cert.primal_value
+
     def test_certifies_within_iteration_budget(self):
         # The 16x16 zeta = 2 instance of acceptance criterion 7.  Solving every
         # level to inner_tol needs 117 inner iterations here, 47 of them at
@@ -309,6 +359,34 @@ class TestContinuation:
         # for whatever iterate a level ends at.
         cfg = SolverConfig(inner_max_iters=100)
         u, cert, recs = continuation(scale * f, mask, params, cfg)
+        assert not np.isnan(cert.relative_gap)
+        assert cert.relative_gap >= 0.0
+
+    @settings(max_examples=30)
+    @given(
+        st.integers(1, 12),
+        st.booleans(),
+        st.booleans(),
+        st.floats(-3.0, 4.0),
+        st.floats(1.05, 4.0),
+        st.floats(1.05, 15.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_strips_and_single_known_pixel_never_raise(
+        self, n, vertical, single_known, log_lam, zeta, mu, seed
+    ):
+        # 1 x N and N x 1 grids reach every edge slice of the divergence.
+        rng = np.random.default_rng(seed)
+        shape = (n, 1) if vertical else (1, n)
+        f = rng.uniform(size=(*shape, 2))
+        if single_known:
+            mask = np.ones(shape, dtype=bool)
+        else:
+            mask = rng.uniform(size=shape) < 0.5
+        mask.flat[rng.integers(n)] = False
+        params = ModelParams(lam=10.0**log_lam, zeta=zeta, density=DensityParams(mu))
+        cfg = SolverConfig(inner_max_iters=100)
+        u, cert, recs = continuation(f, mask, params, cfg)
         assert not np.isnan(cert.relative_gap)
         assert cert.relative_gap >= 0.0
 
