@@ -5,7 +5,8 @@ Builds an n x n checkerboard with a damaged central block, runs the
 vanishing-viscosity continuation, and prints viscosity level, inner
 iterations, why the inner solve stopped (residual, cap or stagnated),
 primal/dual values, the relative duality gap and the viscous gradient energy
-delta * sum |grad u|^2 for each outer step.
+delta * sum |grad u|^2 for each outer step, then the final certificate with
+the dual field that gave it (tau, or theta * sigma) and its scale theta.
 """
 
 import argparse
@@ -61,7 +62,8 @@ def main():
 
     mp = check_max_principle(u, f, mask)
     print(f"\ncertificate: I = {cert.primal_value:.9g}, R_hat = {cert.dual_value:.9g}, "
-          f"relative gap = {cert.relative_gap:.3e}")
+          f"relative gap = {cert.relative_gap:.3e}, dual field = {cert.dual_field}, "
+          f"scale = {cert.dual_scale:.6f}")
     print(f"dual feasibility margin = {cert.feasibility_margin:.6f}, "
           f"max |div tau| on damage = {cert.divergence_residual_on_D:.3e}")
     print(f"maximum principle: {'pass' if mp.passed else 'FAIL'} "

@@ -31,10 +31,6 @@ __all__ = [
     "recession_constant",
 ]
 
-# Below this, the mu != 2 closed form divides by (2 - mu); switch to the
-# exact mu = 2 branch.
-_MU2_TOL = 1e-6
-
 # Radial quotient phi'(t)/t switches to its Taylor expansion below this.
 _RADIAL_TOL = 1e-12
 
@@ -87,7 +83,7 @@ def phi(params: DensityParams, t):
 
 def _phi(mu, t):
     """``phi`` on a float array t >= 0, unchecked."""
-    if abs(mu - 2.0) < _MU2_TOL:
+    if mu == 2.0:
         return t - np.log1p(t)
     return t / (mu - 1.0) - np.expm1((2.0 - mu) * np.log1p(t)) / (
         (mu - 1.0) * (2.0 - mu)
@@ -120,7 +116,7 @@ def _radial_quotient(params: DensityParams, r):
 
     Exact ``1/(1 + r)`` at mu = 2, finite at r = 0.
     """
-    if abs(params.mu - 2.0) < _MU2_TOL:
+    if params.mu == 2.0:
         return 1.0 / (1.0 + r)
     small = r < _RADIAL_TOL
     safe = np.where(small, 1.0, r)
@@ -159,11 +155,11 @@ def phi_conjugate(params: DensityParams, s):
     s = _check_nonneg(s, name="s")
     mu = params.mu
     cbar = recession_constant(params)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # s/cbar rather than (mu-1) s: (mu-1) cbar can round to 1 - 2**-53,
         # while s/cbar is exactly 1 at s = cbar, so L = -inf there.
         L = np.log1p(-s / cbar)
-        if abs(mu - 2.0) < _MU2_TOL:
+        if mu == 2.0:
             out = -s - L
         else:
             out = -s + np.expm1((mu - 2.0) / (mu - 1.0) * L) / (2.0 - mu)

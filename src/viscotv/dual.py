@@ -1,19 +1,30 @@
 """Dual variables, the dual functional, and the duality-gap certificate.
 
-For a candidate restoration u the dual field ``tau = DF(grad u)`` (the
-viscosity-free part of the density gradient) is always strictly inside the
-ball of radius ``cbar`` where the conjugate density is finite.  Plugging tau
-into the Lagrangian and taking the pointwise infimum over test images yields
-a rigorous lower bound ``R_hat[tau]`` on the minimal energy:
+Any field p with ``|p| < cbar`` per pixel (``<= cbar`` when mu > 2) is
+feasible for the Fenchel dual.  Plugging it into the Lagrangian and taking
+the pointwise infimum over test images yields a rigorous lower bound
+``R_hat[p]`` on the minimal energy (weak duality):
 
 * on known pixels the infimum of ``d . v + (lam/zeta)|v - f|^zeta`` over all
-  v is available in closed form (``d = -div tau``);
+  v is available in closed form (``d = -div p``);
 * on damaged pixels there is no fidelity, so the infimum is taken over the
   ball ``|v| <= L`` instead -- legitimate because every minimizer obeys the
   maximum principle ``sup |u| <= L`` with L the largest known-pixel norm.
 
-``certify`` packages the resulting bound as a duality-gap certificate: the
-reported relative gap upper-bounds the true suboptimality of u.
+``certify`` evaluates two such fields at a candidate restoration u and keeps
+the larger bound, which is then still a lower bound:
+
+* ``tau = DF(grad u)``, the viscosity-free part of the density gradient,
+  always strictly inside the ball;
+* ``theta sigma``, the paper's viscous flux ``sigma = DF_delta(grad u) =
+  tau + delta grad u`` scaled by the theta in ``(0, cbar/max|sigma|]`` that
+  maximizes ``R_hat(theta sigma)``.  At an iterate of level delta, div sigma
+  vanishes on the damaged region up to the inner residual, where tau pays
+  ``L |div tau| = L delta |Laplacian u|``, so this bound is O(delta^2) from
+  the optimum instead of O(delta).  It is skipped at delta = 0 and when no
+  pixel is damaged, where tau is the better field.
+
+The reported relative gap upper-bounds the true suboptimality of u.
 """
 
 from __future__ import annotations
@@ -45,6 +56,8 @@ class DualCertificate:
 
     ``dual_value <= primal_value`` always (weak duality);
     ``relative_gap = (primal_value - dual_value)/max(1, |primal_value|)``.
+    ``dual_field`` (``"tau"`` or ``"sigma"``) and ``dual_scale`` (theta, 1.0
+    for tau) say which dual field gave ``dual_value``.
     """
 
     primal_value: float
@@ -52,6 +65,8 @@ class DualCertificate:
     relative_gap: float
     divergence_residual_on_D: float
     feasibility_margin: float
+    dual_field: str
+    dual_scale: float
 
 
 def sup_known_norm(f, mask) -> float:
@@ -79,10 +94,14 @@ def known_pixel_infimum(d, f_val, lam: float, zeta: float):
     """
     d = np.asarray(d, dtype=float)
     f_val = np.asarray(f_val, dtype=float)
-    dot = np.sum(d * f_val, axis=-1)
+    return _known_infimum(np.sum(d * f_val, axis=-1), channel_norms(d), lam, zeta)
+
+
+def _known_infimum(dot, d_norms, lam: float, zeta: float):
+    """``known_pixel_infimum`` from ``d . f`` and ``|d|``."""
     zc = zeta / (zeta - 1.0)
     with np.errstate(over="ignore"):
-        return dot - (lam / zc) * (channel_norms(d) / lam) ** zc
+        return dot - (lam / zc) * (d_norms / lam) ** zc
 
 
 def damaged_pixel_infimum(d, bound: float):
@@ -97,20 +116,37 @@ def dual_value(tau, f, mask, mparams: ModelParams, bound: float) -> float:
     (|tau| > cbar, or |tau| >= cbar when mu <= 2).
     """
     tau = np.asarray(tau, dtype=float)
+    f = np.asarray(f, dtype=float)
+    mask = np.asarray(mask)
+    _check_bound(f, mask, bound)
     return _dual_value(
-        pixel_norms(tau), -divergence(tau), f, mask, mparams, bound
+        pixel_norms(tau), *_split(-divergence(tau), f, mask), mparams, bound
     )
 
 
-def _dual_value(tau_norms, d, f, mask, mparams: ModelParams, bound: float) -> float:
-    """``dual_value`` from ``pixel_norms(tau)`` and ``d = -divergence(tau)``."""
-    f = np.asarray(f, dtype=float)
-    mask = np.asarray(mask)
-    dparams = mparams.density.without_viscosity()
+def _check_bound(f, mask, bound: float):
+    """Reject a ball radius below the largest known-pixel norm."""
     sup_f = sup_known_norm(f, mask)
     if bound < sup_f * (1.0 - 1e-12):
         raise ValueError(f"bound {bound} is below the largest known-pixel norm {sup_f}")
 
+
+def _split(d, f, mask):
+    """``d . f`` and ``|d|`` on the known pixels, ``|d|`` on the damaged ones."""
+    d_norms = channel_norms(d)
+    known = ~mask
+    return np.sum(d * f, axis=-1)[known], d_norms[known], d_norms[mask]
+
+
+def _dual_value(
+    tau_norms, dot_known, d_known, d_damaged, mparams: ModelParams, bound: float
+) -> float:
+    """``dual_value`` from ``pixel_norms(tau)`` and ``_split(-divergence(tau), ...)``.
+
+    ``bound`` has passed ``_check_bound``.  The damaged pixels contribute
+    ``damaged_pixel_infimum``, ``-bound |d|``.
+    """
+    dparams = mparams.density.without_viscosity()
     cbar = recession_constant(dparams)
     if dparams.mu <= 2.0:
         infeasible = tau_norms >= cbar
@@ -120,10 +156,8 @@ def _dual_value(tau_norms, d, f, mask, mparams: ModelParams, bound: float) -> fl
         return -math.inf
 
     conj = phi_conjugate(dparams, tau_norms)
-    known = ~mask
-    known_terms = known_pixel_infimum(d, f, mparams.lam, mparams.zeta)[known]
-    damaged_terms = damaged_pixel_infimum(d, bound)[mask]
-    return _fsum(-conj) + _fsum(known_terms) + _fsum(damaged_terms)
+    known_terms = _known_infimum(dot_known, d_known, mparams.lam, mparams.zeta)
+    return _fsum(-conj) + _fsum(known_terms) + _fsum(-bound * d_damaged)
 
 
 def _into_ball(tau, tau_norms, cbar: float):
@@ -144,29 +178,154 @@ def _into_ball(tau, tau_norms, cbar: float):
     return scaled, scaled_norms
 
 
+# Largest float below 1: the last scale short of the ball's edge.
+_EDGE = 1.0 - 2.0**-53
+_NEWTON_STEPS = 60
+
+
+def _scaled_dual(norms, d, f, mask, mparams: ModelParams, bound: float, tol: float):
+    """Maximize ``R_hat(theta sigma)`` over ``0 < theta <= theta_max``.
+
+    ``norms`` is ``|sigma|`` per pixel and ``d = -div sigma``.  Norms and
+    divergence are linear in theta, so with ``zc = zeta/(zeta-1)``
+
+        R_hat(theta) = -sum phi*(theta |sigma|) + theta A - theta^zc B - theta C,
+
+    ``A = sum_known d . f``, ``B = (lam/zc) sum_known (|d|/lam)^zc`` and
+    ``C = bound sum_D |d|``, a concave function of theta.  Its slope vanishes
+    at the optimum; a Newton iteration on the slope, bisecting whenever a
+    step leaves the bracket, finds it.  ``phi*'`` and ``phi*''`` share
+    ``l = log1p(-s/cbar)``: ``expm1(-l/(mu-1))`` and ``exp(-mu l/(mu-1))``.
+    ``theta_max = cbar/max|sigma|`` is excluded at mu <= 2, where
+    ``phi*(cbar)`` is +inf, and taken at mu > 2 when the slope just short of
+    it is still positive.  Once a step's predicted gain
+    ``slope^2/|curvature|`` is at most tol, the step is taken and the
+    iteration stops.
+
+    Returns ``(theta, value)``, the value by ``_dual_value`` (every theta in
+    range gives a valid bound, so theta need only be near-optimal), or None
+    when sigma is 0 or the slope at theta = 0 is not positive.
+    """
+    mu, lam, zeta = mparams.density.mu, mparams.lam, mparams.zeta
+    cbar = recession_constant(mparams.density)
+    n_max = np.max(norms)
+    if not n_max > 0.0:
+        return None
+    theta_max = cbar / n_max
+    w = norms / n_max  # theta |sigma| / cbar = (theta/theta_max) w
+    sq = norms * norms
+
+    dot_known, d_known, d_damaged = _split(d, f, mask)
+    a_minus_c = np.sum(dot_known) - bound * np.sum(d_damaged)
+    if not a_minus_c > 0.0:  # R_hat falls from R_hat(0) = 0
+        return None
+    # theta^zc B = b (theta m)^zc, each ratio under the power at most 1.
+    zc = zeta / (zeta - 1.0)
+    d_max = np.max(d_known)
+    m = d_max / lam
+    b = lam / zc * np.sum((d_known / d_max) ** zc) if d_max > 0.0 else 0.0
+
+    def slope(rho):
+        """dR_hat/dtheta and d2R_hat/dtheta2 at theta = rho theta_max."""
+        e = np.log1p(-rho * w) / (1.0 - mu)
+        g = a_minus_c - np.sum(norms * np.expm1(e))
+        h = -np.sum(sq * np.exp(mu * e))
+        if b > 0.0:
+            y = rho * theta_max * m
+            g -= zc * b * m * y ** (zc - 1.0)
+            h -= zc * (zc - 1.0) * b * m * m * y ** (zc - 2.0)
+        return g, h
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lo, hi = 0.0, 1.0
+        rho = min(1.0 / theta_max, 0.5)
+        for _ in range(_NEWTON_STEPS):
+            g, h = slope(rho)
+            if g == 0.0:
+                break
+            if g > 0.0:
+                if rho == _EDGE and mu > 2.0:  # the optimum is on the ball's edge
+                    rho = 1.0
+                    break
+                lo = rho
+            else:
+                hi = rho
+            new = rho - g / (h * theta_max)
+            if lo < new < hi:
+                if g * g <= -h * tol:
+                    rho = new
+                    break
+            else:
+                new = _EDGE if hi == 1.0 and mu > 2.0 else 0.5 * (lo + hi)
+            if new == rho:
+                break
+            rho = new
+        theta = rho * theta_max
+        value = _dual_value(
+            cbar * (rho * w), theta * dot_known, theta * d_known, theta * d_damaged,
+            mparams, bound,
+        )
+    return float(theta), value
+
+
 def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
-    """Build tau from u, evaluate both sides of the duality and the gap.
+    """Evaluate both sides of the duality at u and the relative gap.
 
     The primal side is the delta = 0 energy even for iterates produced at
     delta > 0; it dominates the viscous energy, so the reported gap
-    upper-bounds the true suboptimality for the target problem.  At mu > 2,
-    pixels where rounding puts ``|tau|`` above cbar are scaled back into the
-    ball first (``feasibility_margin`` still reports the unscaled field).
-    The gap is inf when the primal energy or the dual bound is infinite.
+    upper-bounds the true suboptimality for the target problem.
+
+    The dual side is the better of two dual-feasible fields, so by weak
+    duality it is still a lower bound on the minimal energy:
+
+    * ``tau = DF(grad u)``, always.  At mu > 2, pixels where rounding puts
+      ``|tau|`` above cbar are scaled back into the ball first
+      (``feasibility_margin`` still reports the unscaled field).
+    * ``theta sigma`` with the paper's viscous flux
+      ``sigma = DF_delta(grad u) = tau + delta grad u`` at the delta of
+      ``mparams`` and theta maximizing ``R_hat(theta sigma)``
+      (``_scaled_dual``).  On the damaged region, where tau pays
+      ``bound |div tau| = bound delta |Laplacian u|``, div sigma vanishes up
+      to the inner residual, so its bias is O(delta^2) against tau's
+      O(delta).  Skipped at delta = 0 or when no pixel is damaged: there the
+      delta = 0 conjugate overcharges sigma by about
+      ``delta sum |grad u|^2`` and tau wins.
+
+    ``dual_field`` names the winner (``"tau"`` on ties) and ``dual_scale``
+    is its theta (1.0 for tau); ``divergence_residual_on_D`` and
+    ``feasibility_margin`` describe tau.  The gap is inf when the primal
+    energy or the dual bound is infinite.
     """
     u, f, mask = _shape_check(u, f, mask)
+    _check_bound(f, mask, bound)
     target = mparams.without_viscosity()
+    delta = mparams.density.delta
     point = _Point(u, f, mask, target)
     primal = point.total
     tau = density_gradient(target.density, point.grad, norms=point.grad_norms)
-    del point  # its gradient field is as large as tau
     tau_norms = pixel_norms(tau)
+    viscous = delta > 0.0 and bool(mask.any())
+    if viscous:
+        sigma_norms = tau_norms + delta * point.grad_norms
+        d_sigma = -divergence(tau + delta * point.grad)
+    del point  # its gradient field is as large as tau
     cbar = recession_constant(target.density)
     margin = cbar - float(np.max(tau_norms))
     if margin < 0.0 and target.density.mu > 2.0:
         tau, tau_norms = _into_ball(tau, tau_norms, cbar)
     div_tau = divergence(tau)
-    dval = _dual_value(tau_norms, -div_tau, f, mask, mparams, bound)
+    dval = _dual_value(tau_norms, *_split(-div_tau, f, mask), mparams, bound)
+    dual_field, dual_scale = "tau", 1.0
+    if viscous:
+        # A last Newton step predicted to gain 1e-6 of the gap's scale
+        # leaves ~1e-12 of it: far below any gap worth certifying.
+        scaled = _scaled_dual(
+            sigma_norms, d_sigma, f, mask, mparams, bound,
+            1e-6 * max(1.0, abs(primal)),
+        )
+        if scaled is not None and scaled[1] > dval:
+            dual_field = "sigma"
+            dual_scale, dval = scaled
 
     if margin < 1e-12:
         warnings.warn(
@@ -195,4 +354,6 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
         relative_gap=gap,
         divergence_residual_on_D=div_residual,
         feasibility_margin=margin,
+        dual_field=dual_field,
+        dual_scale=dual_scale,
     )

@@ -113,12 +113,13 @@ def _newton_shrink(a, c, zeta):
 def _prox_shrink(a, c, zeta):
     """``r/a`` for the root r >= 0 of ``r + c*r**(zeta-1) = a``.
 
-    Closed forms at zeta = 2 and zeta = 1.5, Newton otherwise.  At zeta = 1.5
-    the closed form made a 32x32 inpainting solve 1.4-2.1x faster than Newton
-    (2-vCPU host, BENCH_4.json).
+    Closed forms at zeta = 2 and zeta = 1.5, Newton otherwise.  At zeta = 2
+    the shrink is the scalar ``1/(1 + c)`` for every a, and a is not read.
+    At zeta = 1.5 the closed form made a 32x32 inpainting solve 1.4-2.1x
+    faster than Newton (2-vCPU host, BENCH_4.json).
     """
     if zeta == 2.0:
-        return np.full_like(a, 1.0 / (1.0 + c))
+        return 1.0 / (1.0 + c)
     if zeta == 1.5:  # sqrt(r) = 2a / (c + sqrt(c^2 + 4a))
         return 4.0 * a / (c + np.sqrt(c * c + 4.0 * a)) ** 2
     return _newton_shrink(a, c, zeta)
@@ -132,8 +133,12 @@ def _fidelity_prox(w, f, mask, params: ModelParams, gamma: float) -> np.ndarray:
     arrays are taken as given: w, f float of one shape, mask boolean (H, W).
     """
     dev = w - f
-    shrink = _prox_shrink(channel_norms(dev), gamma * params.lam, params.zeta)
-    return np.where(mask[..., None], w, f + shrink[..., None] * dev)
+    c = gamma * params.lam
+    if params.zeta == 2.0:  # one shrink for every pixel: no deviation norms
+        prox = f + _prox_shrink(None, c, 2.0) * dev
+    else:
+        prox = f + _prox_shrink(channel_norms(dev), c, params.zeta)[..., None] * dev
+    return np.where(mask[..., None], w, prox)
 
 
 class _Point:

@@ -224,7 +224,9 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
     * (1 + L)``, L the largest known-pixel norm: its viscous bias is O(delta),
     so a level above the target gap is only a warm start for the next one and
     needs no more accuracy than the certificate asks for.  ``inner_tol`` is
-    the floor.  The certificate, not the residual, decides when to stop.
+    the floor.  The certificate, not the residual, decides when to stop; it
+    is taken with the level's delta, so its dual side can use the viscous
+    flux of that level (``dual.certify``).
     """
     f = validate_image(f, name="f")
     mask = validate_mask(mask, image=f)
@@ -238,7 +240,7 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
         level_cfg = replace(cfg, inner_tol=max(cfg.inner_tol, cfg.gap_tol * delta))
         inner = minimize_smooth(u, delta, f, mask, params, level_cfg)
         u = inner.u
-        cert = certify(u, f, mask, params, bound)
+        cert = certify(u, f, mask, params.with_delta(delta), bound)
         records.append(
             ConvergenceRecord(
                 delta=delta,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,8 +186,8 @@ class TestRadialQuotient:
 
     @pytest.mark.parametrize("mu", [2.0 - 2e-6, 2.0 + 2e-6])
     def test_continuous_across_the_mu2_switch(self, mu):
-        # Just outside the switch the general path is taken.  phi'(r)/r itself
-        # moves by up to |mu - 2| relative between the two mu (at large r, as
+        # Only mu = 2 itself takes the closed form.  phi'(r)/r itself moves by
+        # up to |mu - 2| relative between the two mu (at large r, as
         # 1/((mu - 1) r)), so that is the tolerance, not rounding.
         q2 = _radial_quotient(DensityParams(2.0), self.R)
         q = _radial_quotient(DensityParams(mu), self.R)
@@ -256,6 +257,22 @@ class TestConjugate:
         with pytest.raises(ValueError):
             phi_conjugate(DensityParams(2.0, 0.1), 0.3)
 
+    def test_boundary_value_next_to_two(self):
+        # Only mu = 2 itself takes the mu = 2 closed form (+inf at cbar).
+        mu = 2.0 + 5e-7
+        p = DensityParams(mu)
+        assert phi_conjugate(p, recession_constant(p)) == pytest.approx(
+            1.0 / ((mu - 1.0) * (mu - 2.0)), rel=1e-9
+        )
+
+    def test_overflow_to_inf_is_silent(self):
+        # At mu near 1 the closed form's expm1 overflows to the correct +inf
+        # well inside the ball.
+        p = DensityParams(1.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert phi_conjugate(p, (1.0 - 1e-9) * recession_constant(p)) == math.inf
+
     def test_array_input(self):
         p = DensityParams(2.0)
         out = phi_conjugate(p, np.array([0.0, 0.5, 1.0]))
@@ -295,6 +312,15 @@ class TestFenchelYoung:
                 lhs = F + phi_conjugate(p, float(np.linalg.norm(DF)))
                 rhs = float(np.sum(P * DF))
                 assert abs(lhs - rhs) <= 1e-9
+
+    @pytest.mark.parametrize("mu", [2.0 - 5e-7, 2.0 + 5e-7])
+    def test_equality_next_to_mu_two(self, mu):
+        # phi, phi' and phi* all take the general closed forms here.
+        p = DensityParams(mu)
+        t = np.array([1e-2, 1.0, 1e2, 1e6])
+        s = phi_prime(p, t)
+        rhs = t * s - phi(p, t)
+        assert np.all(np.abs(phi_conjugate(p, s) - rhs) <= 1e-10 * np.abs(rhs))
 
     def test_inequality_for_feasible_pairs(self):
         rng = np.random.default_rng(8)

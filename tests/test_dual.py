@@ -6,6 +6,7 @@ import pytest
 from conftest import checkerboard_instance, random_instance
 from viscotv.density import DensityParams, recession_constant
 from viscotv.dual import (
+    _scaled_dual,
     certify,
     damaged_pixel_infimum,
     dual_from_primal,
@@ -14,7 +15,8 @@ from viscotv.dual import (
     sup_known_norm,
 )
 from viscotv.energy import ModelParams, primal_energy
-from viscotv.grid import clamp_to_ball, gradient
+from viscotv.grid import channel_norms, clamp_to_ball, divergence, gradient, pixel_norms
+from viscotv.solver import SolverConfig, default_initial, minimize_smooth
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -250,3 +252,133 @@ class TestCertify:
         with_visc = certify(u, f, mask, params_for(delta=0.5), bound)
         without = certify(u, f, mask, params_for(delta=0.0), bound)
         assert with_visc.primal_value == without.primal_value
+
+
+def board_iterate(mu, zeta, deltas, inner_tol=None):
+    """The 16x16 board solved level by level; yields (delta, u, params)."""
+    f, mask = checkerboard_instance()
+    params = params_for(mu=mu, lam=10.0, zeta=zeta)
+    u = default_initial(f, mask)
+    for delta in deltas:
+        tol = inner_tol if inner_tol is not None else 1e-4 * delta
+        u = minimize_smooth(u, delta, f, mask, params, SolverConfig(inner_tol=tol)).u
+        yield delta, u, params
+
+
+class TestViscousCertificate:
+    """The dual candidate ``theta sigma`` built from ``sigma = DF_delta(grad u)``."""
+
+    @pytest.mark.parametrize("mu,zeta", [(2.0, 2.0), (2.0, 1.5), (3.0, 3.0), (1.5, 2.0)])
+    def test_sigma_gap_is_second_order_in_delta(self, mu, zeta):
+        # Each level solved tightly: the tau gap carries the O(delta) charge
+        # for div tau on the hole, the sigma gap only O(delta^2).
+        f, mask = checkerboard_instance()
+        bound = sup_known_norm(f, mask)
+        gaps = []
+        for delta, u, params in board_iterate(mu, zeta, (1e-2, 1e-3), inner_tol=1e-11):
+            cert = certify(u, f, mask, params.with_delta(delta), bound)
+            tau_only = certify(u, f, mask, params, bound)
+            assert cert.dual_field == "sigma"
+            assert cert.relative_gap <= tau_only.relative_gap
+            gaps.append(cert.relative_gap)
+        assert gaps[0] >= 50.0 * gaps[1]
+
+    def test_provenance(self):
+        f, mask = checkerboard_instance()
+        bound = sup_known_norm(f, mask)
+        (delta, u, params), = board_iterate(2.0, 2.0, (1e-2,))
+        viscous = params.with_delta(delta)
+        cert = certify(u, f, mask, viscous, bound)
+        _, sigma = dual_from_primal(u, viscous)
+        theta_max = recession_constant(params.density) / np.max(pixel_norms(sigma))
+        assert cert.dual_field == "sigma"
+        assert 0.0 < cert.dual_scale <= theta_max
+        for cert in (
+            certify(u, f, mask, params, bound),
+            certify(u, f, np.zeros_like(mask), viscous, bound),
+        ):
+            assert cert.dual_field == "tau"
+            assert cert.dual_scale == 1.0
+
+    @pytest.mark.parametrize(
+        "mu,zeta", [(2.0, 2.0), (2.0, 1.5), (3.0, 3.0), (1.5, 2.0), (15.0, 2.0)]
+    )
+    def test_newton_theta_against_scan(self, mu, zeta):
+        # At mu = 15 theta_max = cbar/max|sigma| < 1 and the optimum sits on
+        # it; every other maximum is interior.
+        f, mask = checkerboard_instance()
+        bound = sup_known_norm(f, mask)
+        *_, (delta, u, params) = board_iterate(mu, zeta, (1e-1, 1e-2))
+        viscous = params.with_delta(delta)
+        _, sigma = dual_from_primal(u, viscous)
+        norms = pixel_norms(sigma)
+        theta_max = recession_constant(params.density) / np.max(norms)
+        scan = max(
+            dual_value(theta * sigma, f, mask, viscous, bound)
+            for theta in np.linspace(0.0, theta_max, 2001)
+        )
+        primal = primal_energy(u, f, mask, params)
+        theta, value = _scaled_dual(
+            norms, -divergence(sigma), f, mask, viscous, bound, 1e-6 * primal
+        )
+        assert 0.0 < theta <= theta_max
+        assert value >= scan - 1e-9 * abs(scan)
+        if mu == 15.0:
+            assert theta == pytest.approx(theta_max, rel=1e-12)
+
+    def test_weak_duality_fuzz_at_positive_delta(self):
+        # Random bounded fields rarely leave theta sigma a positive slope at
+        # theta = 0; 20 solver steps from the default start mostly do.
+        rng = np.random.default_rng(43)
+        cfg = SolverConfig(inner_max_iters=20)
+        fields = []
+        for delta in (1e-3, 0.1, 1.0):
+            for mu in (1.01, 1.2, 2.0, 3.0, 15.0):
+                for zeta in (1.01, 1.5, 2.0, 3.0, 8.0):
+                    params = params_for(mu=mu, delta=delta, zeta=zeta, lam=7.0)
+                    for single_known in (False, True):
+                        f, mask = random_instance(rng, shape=(6, 6), channels=2)
+                        if single_known:
+                            mask[:] = True
+                            mask[rng.integers(6), rng.integers(6)] = False
+                        bound = sup_known_norm(f, mask)
+                        start = default_initial(f, mask)
+                        for u in (
+                            clamp_to_ball(rng.uniform(-2.0, 2.0, size=f.shape), bound),
+                            minimize_smooth(start, delta, f, mask, params, cfg).u,
+                        ):
+                            cert = certify(u, f, mask, params, bound)
+                            assert cert.dual_value <= cert.primal_value
+                            fields.append(cert.dual_field)
+        assert fields.count("sigma") >= 30
+
+    @pytest.mark.parametrize("mu,zeta", [(2.0, 2.0), (3.0, 1.5), (15.0, 3.0)])
+    def test_tau_path_without_damage_or_viscosity(self, mu, zeta):
+        # Without a damaged pixel or at delta = 0 the certificate is the tau
+        # one, field by field and bit for bit.
+        rng = np.random.default_rng(44)
+        for channels, all_known in ((1, True), (3, True), (2, False)):
+            f, mask = random_instance(rng, shape=(7, 9), channels=channels)
+            if all_known:
+                mask[:] = False
+            bound = sup_known_norm(f, mask)
+            u = clamp_to_ball(f + rng.normal(0.0, 0.2, size=f.shape), bound)
+            target = params_for(mu=mu, zeta=zeta, lam=5.0)
+            deltas = (0.0, 0.01) if all_known else (0.0,)
+            for delta in deltas:
+                cert = certify(u, f, mask, target.with_delta(delta), bound)
+                tau, _ = dual_from_primal(u, target)
+                primal = primal_energy(u, f, mask, target)
+                dual = dual_value(tau, f, mask, target, bound)
+                div_tau = channel_norms(divergence(tau))[mask]
+                assert cert.primal_value == primal
+                assert cert.dual_value == dual
+                assert cert.relative_gap == max(0.0, (primal - dual) / max(1.0, abs(primal)))
+                assert cert.feasibility_margin == (
+                    recession_constant(target.density) - np.max(pixel_norms(tau))
+                )
+                assert cert.divergence_residual_on_D == (
+                    float(np.max(div_tau)) if mask.any() else 0.0
+                )
+                assert cert.dual_field == "tau"
+                assert cert.dual_scale == 1.0

@@ -390,6 +390,48 @@ class TestContinuation:
         assert not np.isnan(cert.relative_gap)
         assert cert.relative_gap >= 0.0
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            {},
+            {"scale": 255.0},
+            {"mu": 1.01},
+            {"mu": 20.0},
+            {"zeta": 1.01},
+            {"zeta": 1.05},
+            {"zeta": 8.0},
+            {"lam": 1e-4},
+            {"lam": 1e6},
+            {"known": 2},
+            {"shape": (1, 32)},
+            {"shape": (32, 1)},
+            {"shape": (1, 1)},
+        ],
+        ids=lambda case: "-".join(f"{k}={v}" for k, v in case.items()) or "blocks",
+    )
+    def test_edge_inputs_certify(self, case):
+        # 8 x 8 noisy blocks with a central hole, mu = 2, zeta = 2, lam = 10
+        # and the default schedule, one setting changed at a time.
+        h, w = case.get("shape", (32, 32))
+        rng = np.random.default_rng([4001, 0])
+        levels = rng.uniform(size=(8, 8, 1))
+        f = levels[np.arange(h) * 8 // h][:, np.arange(w) * 8 // w]
+        f = case.get("scale", 1.0) * np.clip(f + rng.normal(0.0, 0.05, f.shape), 0.0, 1.0)
+        mask = np.zeros((h, w), dtype=bool)
+        if case.get("known") == 2:
+            mask[:] = True
+            mask[0, 0] = mask[-1, -1] = False
+        elif h * w > 1:  # the central 3/8..5/8 block, at least one line wide
+            mask[3 * h // 8 : -(-5 * h // 8), 3 * w // 8 : -(-5 * w // 8)] = True
+        params = ModelParams(
+            lam=case.get("lam", 10.0),
+            zeta=case.get("zeta", 2.0),
+            density=DensityParams(case.get("mu", 2.0)),
+        )
+        u, cert, recs = continuation(f, mask, params, SolverConfig())
+        assert cert.relative_gap <= 1e-4
+        assert cert.dual_value <= cert.primal_value
+
     def test_validates_inputs(self):
         f, mask = checkerboard_instance(n=4, block=(1, 3))
         with pytest.raises(ValueError):
