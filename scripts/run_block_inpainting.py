@@ -3,10 +3,11 @@
 
 Builds an n x n checkerboard with a damaged central block, runs the
 vanishing-viscosity continuation, and prints viscosity level, inner
-iterations, why the inner solve stopped (residual, cap or stagnated),
-primal/dual values, the relative duality gap and the viscous gradient energy
-delta * sum |grad u|^2 for each outer step, then the final certificate with
-the dual field that gave it (tau, or theta * sigma) and its scale theta.
+iterations, candidate points evaluated (accepted or not), why the inner solve
+stopped (residual, cap or stagnated), primal/dual values, the relative
+duality gap and the viscous gradient energy delta * sum |grad u|^2 for each
+outer step, then the final certificate with the dual field that gave it (tau,
+or theta * sigma) and its scale theta.
 """
 
 import argparse
@@ -52,12 +53,12 @@ def main():
     u, cert, records = continuation(f, mask, params, cfg)
     wall = time.perf_counter() - t0
 
-    print(f"{'delta':>9}  {'inner':>5}  {'stop':>9}  {'I_delta':>12}  {'I':>12}  "
-          f"{'R_hat':>12}  {'gap_rel':>9}  {'visc':>9}")
+    print(f"{'delta':>9}  {'inner':>5}  {'evals':>5}  {'stop':>9}  {'I_delta':>12}  "
+          f"{'I':>12}  {'R_hat':>12}  {'gap_rel':>9}  {'visc':>9}")
     for r in records:
         visc = 2.0 * (r.I_delta_value - r.I_value)
-        print(f"{r.delta:9.1e}  {r.inner_iterations:5d}  {r.stop_reason:>9}  "
-              f"{r.I_delta_value:12.6f}  {r.I_value:12.6f}  {r.dual_value:12.6f}  "
+        print(f"{r.delta:9.1e}  {r.inner_iterations:5d}  {r.evaluations:5d}  "
+              f"{r.stop_reason:>9}  {r.I_delta_value:12.6f}  {r.I_value:12.6f}  {r.dual_value:12.6f}  "
               f"{r.relative_gap:9.2e}  {visc:9.2e}")
 
     mp = check_max_principle(u, f, mask)

@@ -69,6 +69,7 @@ def save_image(path, u, magic: str, maxval: int) -> None:
 
 
 def _build_parser() -> _Parser:
+    defaults = SolverConfig()
     p = _Parser(
         prog="viscotv",
         description=(
@@ -86,10 +87,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu", type=float, default=2.0, help="ellipticity exponent (> 1)")
     p.add_argument("--zeta", type=float, default=2.0, help="fidelity exponent (> 1)")
     p.add_argument("--lambda", dest="lam", type=float, default=10.0, help="fidelity weight")
-    p.add_argument("--delta0", type=float, default=0.1, help="initial viscosity")
-    p.add_argument("--delta-min", type=float, default=1e-8, help="final viscosity")
-    p.add_argument("--delta-factor", type=float, default=0.1, help="viscosity shrink factor")
-    p.add_argument("--tol", type=float, default=1e-4, help="relative duality-gap target")
+    p.add_argument("--delta0", type=float, default=defaults.delta0, help="initial viscosity")
+    p.add_argument(
+        "--delta-min", type=float, default=defaults.delta_min, help="final viscosity"
+    )
+    p.add_argument(
+        "--delta-factor",
+        type=float,
+        default=defaults.delta_factor,
+        help="viscosity shrink factor",
+    )
+    p.add_argument(
+        "--tol", type=float, default=defaults.gap_tol, help="relative duality-gap target"
+    )
     p.add_argument(
         "--seed", type=int, default=0, help="echoed in the report; the solve does not read it"
     )
@@ -99,7 +109,7 @@ def _build_parser() -> _Parser:
         "--inner-max-iters",
         dest="inner_max_iters",
         type=int,
-        default=5000,
+        default=defaults.inner_max_iters,
         help="iteration cap per inner smooth solve",
     )
     return p
@@ -171,7 +181,6 @@ def run(argv=None) -> int:
             delta0=args.delta0,
             delta_min=args.delta_min,
             delta_factor=args.delta_factor,
-            inner_tol=1e-8,
             inner_max_iters=args.inner_max_iters,
             gap_tol=args.tol,
         )
@@ -206,12 +215,12 @@ def run(argv=None) -> int:
                     ("mu", args.mu),
                     ("zeta", args.zeta),
                     ("lambda", args.lam),
-                    ("delta0", args.delta0),
-                    ("delta_min", args.delta_min),
-                    ("delta_factor", args.delta_factor),
+                    ("delta0", cfg.delta0),
+                    ("delta_min", cfg.delta_min),
+                    ("delta_factor", cfg.delta_factor),
                     ("inner_tol", cfg.inner_tol),
                     ("inner_max_iters", cfg.inner_max_iters),
-                    ("gap_tol", args.tol),
+                    ("gap_tol", cfg.gap_tol),
                     ("seed", args.seed),
                     ("final_I", cert.primal_value),
                     ("dual_value", cert.dual_value),

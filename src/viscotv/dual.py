@@ -44,8 +44,6 @@ __all__ = [
     "dual_from_primal",
     "dual_value",
     "certify",
-    "known_pixel_infimum",
-    "damaged_pixel_infimum",
     "sup_known_norm",
 ]
 
@@ -84,29 +82,17 @@ def dual_from_primal(u, params: ModelParams):
     return tau, sigma
 
 
-def known_pixel_infimum(d, f_val, lam: float, zeta: float):
+def _known_infimum(dot, d_norms, lam: float, zeta: float):
     """Exact infimum over v of ``d . v + (lam/zeta)|v - f|^zeta`` per pixel.
 
-    d and f_val have a trailing channel axis; equality is attained at
+    Takes ``dot = d . f`` and ``d_norms = |d|``.  Equality is attained at
     ``v = f - (|d|/lam)^(1/(zeta-1)) d/|d|``, giving
     ``d . f - (lam/zc)(|d|/lam)^zc`` with ``zc = zeta/(zeta - 1)``.  Where
     that power overflows the infimum is -inf, still a valid lower bound.
     """
-    d = np.asarray(d, dtype=float)
-    f_val = np.asarray(f_val, dtype=float)
-    return _known_infimum(np.sum(d * f_val, axis=-1), channel_norms(d), lam, zeta)
-
-
-def _known_infimum(dot, d_norms, lam: float, zeta: float):
-    """``known_pixel_infimum`` from ``d . f`` and ``|d|``."""
     zc = zeta / (zeta - 1.0)
     with np.errstate(over="ignore"):
         return dot - (lam / zc) * (d_norms / lam) ** zc
-
-
-def damaged_pixel_infimum(d, bound: float):
-    """Exact infimum of ``d . v`` over the channel ball ``|v| <= bound``."""
-    return -bound * channel_norms(d)
 
 
 def dual_value(tau, f, mask, mparams: ModelParams, bound: float) -> float:
@@ -144,7 +130,7 @@ def _dual_value(
     """``dual_value`` from ``pixel_norms(tau)`` and ``_split(-divergence(tau), ...)``.
 
     ``bound`` has passed ``_check_bound``.  The damaged pixels contribute
-    ``damaged_pixel_infimum``, ``-bound |d|``.
+    ``-bound |d|``, the infimum of ``d . v`` over the ball ``|v| <= bound``.
     """
     dparams = mparams.density.without_viscosity()
     cbar = recession_constant(dparams)
@@ -313,8 +299,8 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     margin = cbar - float(np.max(tau_norms))
     if margin < 0.0 and target.density.mu > 2.0:
         tau, tau_norms = _into_ball(tau, tau_norms, cbar)
-    div_tau = divergence(tau)
-    dval = _dual_value(tau_norms, *_split(-div_tau, f, mask), mparams, bound)
+    dot_known, d_known, d_damaged = _split(-divergence(tau), f, mask)
+    dval = _dual_value(tau_norms, dot_known, d_known, d_damaged, mparams, bound)
     dual_field, dual_scale = "tau", 1.0
     if viscous:
         # A last Newton step predicted to gain 1e-6 of the gap's scale
@@ -333,10 +319,7 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
             RuntimeWarning,
             stacklevel=2,
         )
-    if mask.any():
-        div_residual = float(np.max(channel_norms(div_tau)[mask]))
-    else:
-        div_residual = 0.0
+    div_residual = float(np.max(d_damaged)) if d_damaged.size else 0.0
 
     if dval == -math.inf or primal == math.inf:
         gap = math.inf

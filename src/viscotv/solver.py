@@ -6,8 +6,9 @@ fidelity G, whose prox is exact (``energy._fidelity_prox``), also across the
 unbounded curvature of ``|u - f|^zeta`` at u = f for zeta < 2.  The inner
 solver is proximal gradient with Barzilai-Borwein steps on D and
 backtracking, one step path for every zeta > 1; the contract is descent plus
-a residual tolerance, not a step count.  A line search that finds no descent
-ends the solve as ``stagnated`` at the last accepted iterate.
+a residual tolerance, not a step count.  A trial step at or below 1/L that
+finds no descent, which only rounding can cause, ends the solve as
+``stagnated`` at the last accepted iterate.
 
 ``continuation`` drives delta down a geometric schedule with warm starts,
 solves each level only as accurately as its viscous bias warrants, and stops
@@ -39,8 +40,7 @@ __all__ = [
     "default_initial",
 ]
 
-_MAX_BACKTRACKS = 60
-_STEP_CLIP = (1e-8, 1e4)
+_STEP_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,9 @@ class InnerResult:
     """Outcome of one inner solve.
 
     ``stop_reason`` says why it stopped: ``residual`` (tolerance met), ``cap``
-    (``inner_max_iters`` reached) or ``stagnated`` (none of 61 trial steps
-    lowered the energy; ``u`` is the last accepted iterate).  ``evaluations``
+    (``inner_max_iters`` reached) or ``stagnated`` (a trial step at or below
+    ``1/L = 1/(8(1 + delta))`` failed to lower the energy, which only
+    rounding can cause; ``u`` is the last accepted iterate).  ``evaluations``
     counts the candidate points evaluated, accepted or not.
     """
 
@@ -149,12 +150,15 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
 
     Stops when the sup-norm of the residual falls below
     ``inner_tol * (1 + sup_known |f|)``, after ``inner_max_iters``
-    iterations, or when none of the 61 trial steps of an iteration lowers the
+    iterations, or when a trial step at or below ``1/L`` fails to lower the
     energy (flagged through ``converged`` and ``stop_reason``).
 
     Each iteration takes ``cand = prox_{gamma G}(u - gamma grad D(u))`` and
-    halves gamma until the energy falls by at least ``|cand - u|^2/(2 gamma)``,
-    which holds for every gamma <= 1/L.  That test runs on the sum of the
+    halves gamma, from the last Barzilai-Borwein step (1.0 at first) capped
+    at 1e4, until the energy falls by at least ``|cand - u|^2/(2 gamma)``.
+    By the descent lemma that holds for every gamma <= 1/L in exact
+    arithmetic, ``L = 8(1 + delta)``, so a trial at or below 1/L that fails
+    ends the solve instead of halving further.  The test runs on the sum of the
     per-pixel energy differences, free of the cancellation between two large
     totals; a candidate that passes it is accepted only if its exact total is
     also strictly below the current one, so every accepted step strictly
@@ -165,6 +169,7 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     pd = params.with_delta(float(delta))
     u, f, mask = _shape_check(np.array(u0, dtype=float, copy=True), f, mask)
     tol = cfg.inner_tol * (1.0 + sup_known_norm(f, mask))
+    min_step = 1.0 / (8.0 * (1.0 + pd.density.delta))
 
     at_u = _Point(u, f, mask, pd)
     e_u = at_u.total
@@ -176,8 +181,8 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     stop_reason = None
     while res > tol and iters < cfg.inner_max_iters:
         iters += 1
-        step = min(max(step, _STEP_CLIP[0]), _STEP_CLIP[1])
-        for _ in range(_MAX_BACKTRACKS + 1):
+        step = min(step, _STEP_MAX)
+        while True:
             cand = _fidelity_prox(u - step * at_u.density_residual, f, mask, pd, step)
             s = cand - u
             ss = float(np.sum(s * s))
@@ -186,9 +191,11 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
             change = float(np.sum(at_cand.pixel_energy - at_u.pixel_energy))
             if change <= -ss / (2.0 * step) and at_cand.total < e_u:
                 break
+            if not step > min_step:  # also ends on a non-finite step
+                stop_reason = "stagnated"
+                break
             step *= 0.5
-        else:
-            stop_reason = "stagnated"
+        if stop_reason is not None:
             break
 
         res = _linf(at_cand.residual())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from viscotv import netpbm, solver
+from viscotv import SolverConfig, netpbm, solver
 from viscotv.cli import run
 
 
@@ -87,6 +87,20 @@ class TestRuns:
         text = report.read_text()
         assert "relative_gap=0.0" in text
         assert "max_principle_pass=true" in text
+
+    def test_schedule_defaults_are_solver_config_defaults(self, tmp_path):
+        src = tmp_path / "const.pgm"
+        write_pgm(src, np.full((4, 4, 1), 77))
+        report = tmp_path / "rep.txt"
+        out = tmp_path / "o.pgm"
+        code = run(["--input", str(src), "--output", str(out), "--report", str(report)])
+        assert code == 0
+        keys = dict(line.split("=", 1) for line in report.read_text().splitlines())
+        defaults = SolverConfig()
+        for field in (
+            "delta0", "delta_min", "delta_factor", "inner_tol", "inner_max_iters", "gap_tol"
+        ):
+            assert keys[field] == repr(getattr(defaults, field)), field
 
     def test_inpainting_run_certifies(self, tmp_path, board):
         src, mask = board

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import checkerboard_instance, random_instance
-from viscotv.density import DensityParams, recession_constant
+from viscotv.density import DensityParams, phi_conjugate, recession_constant
 from viscotv.dual import (
+    _known_infimum,
     _scaled_dual,
     certify,
-    damaged_pixel_infimum,
     dual_from_primal,
     dual_value,
-    known_pixel_infimum,
     sup_known_norm,
 )
 from viscotv.energy import ModelParams, primal_energy
@@ -86,11 +85,15 @@ def infimum_by_line_search(d, f_val, lam, zeta):
     return value(0.5 * (a + b))
 
 
+def known_infimum(d, f_val, lam, zeta):
+    """``dual._known_infimum`` at one pixel with channel vectors d and f_val."""
+    return float(_known_infimum(d @ f_val, np.linalg.norm(d), lam, zeta))
+
+
 class TestPointwiseInfima:
     def test_known_pixel_example(self):
-        d = np.array([[[0.1]]])
-        f = np.array([[[0.5]]])
-        assert known_pixel_infimum(d, f, 1.0, 2.0)[0, 0] == pytest.approx(0.045, abs=1e-15)
+        d, f = np.array([0.1]), np.array([0.5])
+        assert known_infimum(d, f, 1.0, 2.0) == pytest.approx(0.045, abs=1e-15)
 
     def test_known_pixel_against_line_search(self):
         rng = np.random.default_rng(3)
@@ -100,7 +103,7 @@ class TestPointwiseInfima:
             f = rng.normal(size=m)
             lam = rng.uniform(0.2, 30.0)
             zeta = rng.uniform(1.1, 4.0)
-            closed = float(known_pixel_infimum(d[None, None], f[None, None], lam, zeta)[0, 0])
+            closed = known_infimum(d, f, lam, zeta)
             assert closed == pytest.approx(infimum_by_line_search(d, f, lam, zeta), abs=1e-8)
         # At these pairs lam**(-1/(zeta-1)) is beyond the float range while
         # the infimum is not.  |d| just above lam puts the minimizer inside
@@ -108,25 +111,55 @@ class TestPointwiseInfima:
         f = np.array([0.3, 0.7])
         for lam, zeta, ratio in [(1e-4, 1.01, 1.03), (1e-20, 1.05, 1.15)]:
             d = np.array([0.6, -0.8]) * lam * ratio
-            closed = float(known_pixel_infimum(d[None, None], f[None, None], lam, zeta)[0, 0])
+            closed = known_infimum(d, f, lam, zeta)
             by_search = infimum_by_line_search(d, f, lam, zeta)
             assert closed - d @ f == pytest.approx(by_search - d @ f, rel=1e-9)
             assert closed - d @ f < 0.0
 
     def test_damaged_pixel_example(self):
-        d = np.array([[[0.2]]])
-        assert damaged_pixel_infimum(d, 1.0)[0, 0] == pytest.approx(-0.2, abs=1e-15)
+        # On a 1 x 2 grid with the right pixel damaged, tau_x = 0.2 at the
+        # left one gives d = -div tau = 0.2 there: the dual value falls by
+        # 0.2 per unit of ball radius.
+        f = np.zeros((1, 2, 1))
+        mask = np.array([[False, True]])
+        tau = np.zeros((1, 2, 2, 1))
+        tau[0, 0, 0, 0] = 0.2
+        params = params_for()
+        slope = dual_value(tau, f, mask, params, 1.0) - dual_value(tau, f, mask, params, 2.0)
+        assert slope == pytest.approx(0.2, abs=1e-15)
 
     def test_damaged_pixel_is_ball_infimum(self):
+        # dual_value is the infimum over v, |v| <= bound on D, of the
+        # Lagrangian  sum d . v + (lam/zeta) sum_known |v - f|^zeta
+        # - sum phi*(|tau|), d = -div tau.  With v at its closed-form
+        # minimizer on the known pixels, no sampled damaged v goes below it,
+        # and v = -bound d/|d| on D attains it.
         rng = np.random.default_rng(4)
+        lam, zeta = 3.0, 2.5
+        params = params_for(lam=lam, zeta=zeta)
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[1, 1:] = True
         for _ in range(20):
-            d = rng.normal(size=2)
-            bound = rng.uniform(0.1, 3.0)
-            vs = rng.uniform(-1.0, 1.0, size=(500, 2))
-            vs = vs / np.maximum(np.linalg.norm(vs, axis=1, keepdims=True) / bound, 1.0)
-            sampled = float(np.min(vs @ d))
-            closed = float(damaged_pixel_infimum(d[None, None], bound)[0, 0])
-            assert closed <= sampled + 1e-12
+            f = rng.uniform(-0.5, 0.5, size=(3, 3, 2))
+            tau = rng.uniform(-0.3, 0.3, size=(3, 3, 2, 2))
+            bound = sup_known_norm(f, mask) * rng.uniform(1.0, 3.0)
+            dv = dual_value(tau, f, mask, params, bound)
+            d = -divergence(tau)
+            d_norms = channel_norms(d)[..., None]
+            v = f - (d_norms / lam) ** (1.0 / (zeta - 1.0)) * d / d_norms
+            conj = float(np.sum(phi_conjugate(params.density, pixel_norms(tau))))
+
+            def lagrangian(v):
+                known = lam / zeta * np.sum(channel_norms(v - f)[~mask] ** zeta)
+                return float(np.sum(d * v)) + known - conj
+
+            for _ in range(50):
+                w = rng.normal(size=(int(mask.sum()), 2))
+                w *= bound * rng.uniform() ** 0.5 / np.linalg.norm(w, axis=1, keepdims=True)
+                v[mask] = w
+                assert dv <= lagrangian(v) + 1e-12
+            v[mask] = -bound * d[mask] / d_norms[mask]
+            assert dv == pytest.approx(lagrangian(v), abs=1e-12)
 
 
 class TestDualValue:

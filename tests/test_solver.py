@@ -107,7 +107,9 @@ class TestMinimizeSmooth:
 
     def test_no_descent_stops_as_stagnated(self, monkeypatch):
         # A prox that only ever moves uphill: every trial step fails, and the
-        # solve ends at its start instead of raising.
+        # solve ends at its start instead of raising.  The line search stops
+        # at the first failed trial at or below 1/L = 1/(8(1 + delta)) ~
+        # 0.1238: trials 1, 1/2, 1/4, 1/8 and 1/16.
         monkeypatch.setattr(solver, "_fidelity_prox", lambda w, *args: w + 1.0)
         f, mask = checkerboard_instance(n=8, block=(3, 5))
         u0 = default_initial(f, mask)
@@ -116,6 +118,7 @@ class TestMinimizeSmooth:
         assert not res.converged
         assert np.array_equal(res.u, u0)
         assert res.energy_history == [res.energy]
+        assert res.evaluations == 5
 
     @pytest.mark.parametrize("zeta", [1.5, 2.0])
     def test_exact_total_only_after_armijo_passes(self, monkeypatch, zeta):
