@@ -122,12 +122,6 @@ def _validate(args):
         raise ValueError(f"--zeta must be > 1, got {args.zeta}")
     if not args.lam > 0.0:
         raise ValueError(f"--lambda must be > 0, got {args.lam}")
-    if not 0.0 < args.delta_factor < 1.0:
-        raise ValueError(f"--delta-factor must be in (0, 1), got {args.delta_factor}")
-    if not 0.0 < args.delta_min <= args.delta0:
-        raise ValueError("need 0 < --delta-min <= --delta0")
-    if not args.tol > 0.0:
-        raise ValueError(f"--tol must be > 0, got {args.tol}")
 
 
 def _fmt(value) -> str:

@@ -133,7 +133,9 @@ def density_gradient(params: DensityParams, P, *, norms=None):
     P = np.asarray(P, dtype=float)
     r = (pixel_norms(P) if norms is None else norms)[..., None, None]
     q = _radial_quotient(params, r)
-    return params.delta * P + q * P
+    grad = q * P  # += delta*P: the bits of delta*P + q*P, one temporary fewer
+    grad += params.delta * P
+    return grad
 
 
 def recession_constant(params: DensityParams) -> float:

@@ -132,13 +132,15 @@ def _fidelity_prox(w, f, mask, params: ModelParams, gamma: float) -> np.ndarray:
     root of ``r + gamma*lam*r**(zeta-1) = a``; damaged pixels keep w.  The
     arrays are taken as given: w, f float of one shape, mask boolean (H, W).
     """
-    dev = w - f
+    prox = w - f  # the deviation, shrunk and shifted back in place
     c = gamma * params.lam
     if params.zeta == 2.0:  # one shrink for every pixel: no deviation norms
-        prox = f + _prox_shrink(None, c, 2.0) * dev
+        prox *= _prox_shrink(None, c, 2.0)
     else:
-        prox = f + _prox_shrink(channel_norms(dev), c, params.zeta)[..., None] * dev
-    return np.where(mask[..., None], w, prox)
+        prox *= _prox_shrink(channel_norms(prox), c, params.zeta)[..., None]
+    prox += f
+    np.copyto(prox, w, where=mask[..., None])
+    return prox
 
 
 class _Point:
@@ -178,15 +180,19 @@ class _Point:
             flux = density_gradient(params.density, self.grad, norms=self.grad_norms)
             norms = self.dev_norms
             self.grad = self.grad_norms = self.dev_norms = None
-            self.density_residual = -divergence(flux)
+            div = divergence(flux)
             del flux
+            self.density_residual = np.negative(div, out=div)
             coef = params.lam * (~self.mask)[..., None]
             if params.zeta != 2.0:  # |u - f|^(zeta - 2) is 1 at zeta = 2
                 with np.errstate(divide="ignore", invalid="ignore"):
                     scale = np.where(norms > 0.0, norms ** (params.zeta - 2.0), 0.0)
                 coef = coef * scale[..., None]
-            fid = coef * (self.u - self.f)
-            self._residual = self.density_residual + fid
+            # Built in place; the same bits as density_residual + coef*(u - f).
+            res = self.u - self.f
+            res *= coef
+            res += self.density_residual
+            self._residual = res
         return self._residual
 
 

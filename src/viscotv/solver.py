@@ -27,7 +27,7 @@ import numpy as np
 
 from .dual import certify, sup_known_norm
 from .energy import ModelParams, _fidelity_prox, _Point, _shape_check
-from .grid import channel_norms, validate_image, validate_mask
+from .grid import _planar, channel_norms, validate_image, validate_mask
 
 __all__ = [
     "SolverConfig",
@@ -130,11 +130,12 @@ def default_initial(f, mask) -> np.ndarray:
     """f on known pixels, per-channel mean of the known values on damaged ones.
 
     The mean is clipped to the per-channel known range, so constant known data
-    fill the holes with exactly that constant: the minimizer itself.
+    fill the holes with exactly that constant: the minimizer itself.  The
+    result has the memory layout of f.
     """
     f = np.asarray(f, dtype=float)
     mask = np.asarray(mask)
-    u0 = f.copy()
+    u0 = f.copy(order="K")
     if mask.any():
         known = f[~mask]
         u0[mask] = np.clip(known.mean(axis=0), known.min(axis=0), known.max(axis=0))
@@ -167,7 +168,9 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     if not delta > 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     pd = params.with_delta(float(delta))
-    u, f, mask = _shape_check(np.array(u0, dtype=float, copy=True), f, mask)
+    u, f, mask = _shape_check(u0, f, mask)
+    # Planar copies fix the memory order in which the step sums below reduce.
+    u, f = np.array(_planar(u), copy=True), _planar(f)
     tol = cfg.inner_tol * (1.0 + sup_known_norm(f, mask))
     min_step = 1.0 / (8.0 * (1.0 + pd.density.delta))
 
@@ -234,6 +237,9 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
     the floor.  The certificate, not the residual, decides when to stop; it
     is taken with the level's delta, so its dual side can use the viscous
     flux of that level (``dual.certify``).
+
+    f and u0 are taken channel-planar (``grid.validate_image``) for the
+    solve; the returned u is C-contiguous.
     """
     f = validate_image(f, name="f")
     mask = validate_mask(mask, image=f)
@@ -269,4 +275,4 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
         if next_delta < cfg.delta_min * (1.0 - 1e-12):
             break
         delta = next_delta
-    return u, cert, records
+    return np.ascontiguousarray(u), cert, records

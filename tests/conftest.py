@@ -34,9 +34,16 @@ def random_instance(rng, shape=(8, 8), channels=1, damage=0.3):
 
 
 def layouts(u):
-    """C-ordered, Fortran-ordered and misaligned (byte offset 1) copies of u."""
+    """C-ordered, Fortran-ordered, misaligned (byte offset 1) and planar copies of u.
+
+    The planar copy stores the axes after the two grid axes outermost, the
+    memory order of ``grid.gradient``, ``grid.divergence`` and
+    ``grid.validate_image``.
+    """
     buf = np.empty(u.nbytes + 1, dtype=np.uint8)
     shifted = np.ndarray(u.shape, dtype=float, buffer=buf, offset=1)
     shifted[...] = u
     assert not shifted.flags.aligned
-    return [np.ascontiguousarray(u), np.asfortranarray(u), shifted]
+    order = (*range(2, u.ndim), 0, 1)
+    planar = np.ascontiguousarray(u.transpose(order)).transpose(np.argsort(order))
+    return [np.ascontiguousarray(u), np.asfortranarray(u), shifted, planar]

@@ -38,6 +38,9 @@ class TestValidation:
             ("--inner-max-iters", "0"),
             ("--tol", "nan"),
             ("--delta0", "inf"),
+            ("--delta-factor", "1.5"),
+            ("--delta-min", "1"),
+            ("--tol", "0"),
         ],
     )
     def test_invalid_number_rejected(self, tmp_path, board, flag, value):

@@ -37,6 +37,18 @@ class TestGradient:
         assert (g[:, -1, 0, :] == 0.0).all()
         assert (g[-1, :, 1, :] == 0.0).all()
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 6)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_equals_zero_fill_on_every_layout(self, shape, channels):
+        u = np.random.default_rng(shape[0] * 100 + shape[1]).normal(size=(*shape, channels))
+        expected = np.zeros((*shape, 2, channels))
+        expected[:, :-1, 0, :] = u[:, 1:, :] - u[:, :-1, :]
+        expected[:-1, :, 1, :] = u[1:, :, :] - u[:-1, :, :]
+        for v in layouts(u):
+            g = gradient(v)
+            assert g.shape == (*shape, 2, channels)
+            assert (g == expected).all()
+
 
 class TestDivergence:
     def test_zero_field(self):
@@ -77,7 +89,23 @@ class TestDivergence:
         expected[:, 1:] -= px[:, :-1]
         expected[:-1] += py[:-1]
         expected[1:] -= py[:-1]
-        assert (divergence(p) == expected).all()
+        for q in layouts(p):
+            d = divergence(q)
+            assert d.shape == (*shape, channels)
+            assert (d == expected).all()
+
+
+class TestPlanarLayout:
+    def test_fields_are_channel_planes(self):
+        u = np.random.default_rng(5).normal(size=(6, 5, 3))
+        g = gradient(u)
+        d = divergence(g)
+        v = validate_image(u)
+        for field in (g, d, v):
+            for plane in field.reshape(*field.shape[:2], -1).transpose(2, 0, 1):
+                assert plane.flags.c_contiguous
+        assert np.array_equal(v, u)
+        assert not np.shares_memory(v, u)
 
 
 class TestNorms:

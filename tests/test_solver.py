@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bridge_instance, checkerboard_instance, random_instance
+from conftest import bridge_instance, checkerboard_instance, layouts, random_instance
 import viscotv
 from viscotv import energy, solver
 from viscotv.density import DensityParams
@@ -443,6 +444,22 @@ class TestContinuation:
         bad[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             continuation(bad, mask, params_for(), SolverConfig())
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_input_layout_does_not_change_the_solve(self, channels):
+        f, mask = random_instance(np.random.default_rng(17), shape=(12, 10), channels=channels)
+        outputs, inner = set(), set()
+        for g in layouts(f):
+            u, cert, recs = continuation(g, mask, params_for(), SolverConfig())
+            assert u.flags.c_contiguous
+            records = tuple(dataclasses.replace(r, wall_seconds=0.0) for r in recs)
+            outputs.add((u.tobytes(), cert, records))
+            # default_initial keeps the layout of g, so u0 and f both vary.
+            u0 = default_initial(g, mask)
+            res = minimize_smooth(u0, 1e-2, g, mask, params_for(), SolverConfig())
+            inner.add((np.ascontiguousarray(res.u).tobytes(), res.iterations, res.evaluations))
+        assert len(outputs) == 1
+        assert len(inner) == 1
 
     def test_refinement_consistency_diagnostic(self):
         # The same scene at two grid resolutions certifies at both; only a
