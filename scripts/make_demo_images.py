@@ -10,12 +10,11 @@ import pathlib
 
 import numpy as np
 
-from viscotv import netpbm
+from viscotv.cli import save_image
 
 
 def save_pgm(path, values01):
-    samples = np.rint(np.clip(values01, 0.0, 1.0) * 255).astype(np.uint16)
-    netpbm.write(path, netpbm.NetpbmImage("P5", 255, samples[:, :, None]))
+    save_image(path, values01[:, :, None], "P5", 255)
 
 
 def main():

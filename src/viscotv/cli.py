@@ -21,6 +21,7 @@ import numpy as np
 from . import netpbm
 from .density import DensityParams
 from .energy import ModelParams
+from .grid import validate_mask
 from .solver import SolverConfig, check_max_principle, continuation
 
 __all__ = ["load_image", "load_mask", "save_image", "run", "main"]
@@ -55,10 +56,7 @@ def load_mask(path, image_shape) -> np.ndarray:
             f"mask is {img.width}x{img.height} but image is "
             f"{image_shape[1]}x{image_shape[0]}"
         )
-    damaged = img.samples[:, :, 0] >= 128
-    if damaged.all():
-        raise ValueError("mask damages entire domain")
-    return damaged
+    return validate_mask(img.samples[:, :, 0] >= 128)
 
 
 def save_image(path, u, magic: str, maxval: int) -> None:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .density import density_gradient, phi_conjugate, recession_constant
 from .energy import ModelParams, _fsum, _Point, _shape_check
-from .grid import channel_norms, divergence, gradient, pixel_norms
+from .grid import _bool_mask, _finite, channel_norms, divergence, gradient, pixel_norms
 
 __all__ = [
     "DualCertificate",
@@ -68,9 +68,12 @@ class DualCertificate:
 
 
 def sup_known_norm(f, mask) -> float:
-    """Largest channel-Euclidean norm of f over known pixels."""
-    f = np.asarray(f, dtype=float)
-    mask = np.asarray(mask)
+    """Largest channel-Euclidean norm of f over known pixels.
+
+    Rejects a non-finite f and a mask that is not 2-d bool.
+    """
+    f = _finite(np.asarray(f, dtype=float), "f")
+    mask = _bool_mask(mask)
     return float(np.max(channel_norms(f)[~mask]))
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .density import DensityParams, density_gradient, density_value
-from .grid import channel_norms, divergence, gradient, pixel_norms
+from .grid import _bool_mask, _finite, channel_norms, divergence, gradient, pixel_norms
 
 __all__ = ["ModelParams", "fidelity", "primal_energy", "euler_residual"]
 
@@ -74,9 +74,15 @@ def _fsum(values) -> float:
 
 
 def _shape_check(u, f, mask):
-    u = np.asarray(u, dtype=float)
-    f = np.asarray(f, dtype=float)
-    mask = np.asarray(mask)
+    """u and f finite and of one shape, mask 2-d bool on their grid.
+
+    The rules of ``grid.validate_image`` and ``grid.validate_mask``, except
+    that a mask damaging every pixel is accepted: the energies are defined
+    for it.
+    """
+    u = _finite(np.asarray(u, dtype=float), "u")
+    f = _finite(np.asarray(f, dtype=float), "f")
+    mask = _bool_mask(mask)
     if u.shape != f.shape:
         raise ValueError(f"u shape {u.shape} != f shape {f.shape}")
     if mask.shape != u.shape[:2]:

@@ -43,6 +43,21 @@ def _planar(u) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(u, dtype=float).transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
+def _finite(u: np.ndarray, name: str) -> np.ndarray:
+    """u itself, if every entry is finite; ``validate_image``'s value rule."""
+    if not np.isfinite(u).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return u
+
+
+def _bool_mask(mask) -> np.ndarray:
+    """mask as an array, if it is 2-d bool; ``validate_mask``'s type rule."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.ndim != 2:
+        raise ValueError(f"mask must be a 2-d bool array, got {mask.dtype}/{mask.ndim}d")
+    return mask
+
+
 def validate_image(u, name="image") -> np.ndarray:
     """Check an (H, W, M) finite image; return it channel-planar (``_planar``)."""
     u = np.asarray(u, dtype=float)
@@ -50,15 +65,11 @@ def validate_image(u, name="image") -> np.ndarray:
         raise ValueError(
             f"{name} must have shape (height, width, channels), got {u.shape}"
         )
-    if not np.isfinite(u).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return _planar(u)
+    return _planar(_finite(u, name))
 
 
 def validate_mask(mask, image=None) -> np.ndarray:
-    mask = np.asarray(mask)
-    if mask.dtype != bool or mask.ndim != 2:
-        raise ValueError(f"mask must be a 2-d bool array, got {mask.dtype}/{mask.ndim}d")
+    mask = _bool_mask(mask)
     if mask.all():
         raise ValueError("mask damages the entire domain; at least one pixel must be known")
     if image is not None and mask.shape != np.shape(image)[:2]:

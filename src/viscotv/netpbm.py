@@ -5,12 +5,19 @@ binary samples above 255 are two bytes, big endian.  The writer emits the
 canonical single-line header ``magic\\nwidth height\\nmaxval\\n`` so that a
 binary file written by this module round-trips bit for bit.
 
+Header fields and plain (P2/P3) samples are tokens of ASCII decimal digits
+(no sign, no underscore); a ``#`` comment runs to the end of its line and may
+sit between any two tokens.  The plain raster is split into tokens and their
+count and digits are checked before any sample array is allocated, so a
+header claiming more samples than the file holds fails at once.
+
 Parse failures raise :class:`NetpbmError` carrying the byte offset at which
 the problem was detected.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +26,6 @@ __all__ = ["NetpbmError", "NetpbmImage", "read", "write"]
 
 _MAGICS = {b"P2": 1, b"P3": 3, b"P5": 1, b"P6": 3}
 _BINARY = {b"P5", b"P6"}
-_WHITESPACE = b" \t\r\n\x0b\x0c"
 
 
 class NetpbmError(ValueError):
@@ -47,93 +53,76 @@ class NetpbmImage:
         return self.samples.shape[2]
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]*)")
+_COMMENT = re.compile(rb"#[^\n]*")
 
-    def skip_space_and_comments(self):
-        data = self.data
-        while self.pos < len(data):
-            c = data[self.pos : self.pos + 1]
-            if c in (b"#",):
-                nl = data.find(b"\n", self.pos)
-                self.pos = len(data) if nl < 0 else nl + 1
-            elif c and c in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
 
-    def next_token(self, what: str) -> bytes:
-        self.skip_space_and_comments()
-        if self.pos >= len(self.data):
-            raise NetpbmError(f"unexpected end of file while reading {what}", self.pos)
-        start = self.pos
-        while self.pos < len(self.data):
-            c = self.data[self.pos : self.pos + 1]
-            if c in _WHITESPACE or c == b"#":
-                break
-            self.pos += 1
-        return self.data[start : self.pos]
+def _next_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    """The decimal token after ``pos``, skipping whitespace and comments, and its end."""
+    m = _TOKEN.match(data, pos)
+    token = m.group(1)
+    if not token:
+        raise NetpbmError(f"unexpected end of file while reading {what}", m.end())
+    if not token.isdigit():
+        raise NetpbmError(f"expected an integer for {what}, got {token!r}", pos)
+    return int(token), m.end()
 
-    def next_int(self, what: str) -> int:
-        start_before = self.pos
-        token = self.next_token(what)
-        try:
-            return int(token)
-        except ValueError:
-            raise NetpbmError(
-                f"expected an integer for {what}, got {token!r}", start_before
-            ) from None
+
+def _plain_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
+    """The first ``count`` tokens after ``pos`` as uint16, checked before conversion."""
+    # maxsplit is capped: a header may claim more samples than the file has bytes.
+    tokens = _COMMENT.sub(b"", data[pos:]).split(None, min(count, len(data)))[:count]
+    if len(tokens) < count:
+        raise NetpbmError("unexpected end of file while reading sample", len(data))
+    if not b"".join(tokens).isdigit():
+        bad = next(i for i, token in enumerate(tokens) if not token.isdigit())
+        start = pos
+        for _ in range(bad):
+            start = _TOKEN.match(data, start).end()
+        raise NetpbmError(f"expected an integer for sample, got {tokens[bad]!r}", start)
+    try:
+        return np.array(tokens).astype(np.uint16)
+    except OverflowError:  # a sample above 65535
+        raise NetpbmError(f"sample exceeds maxval {maxval}", pos) from None
 
 
 def read(path) -> NetpbmImage:
     with open(path, "rb") as handle:
         data = handle.read()
-    cur = _Cursor(data)
     if len(data) < 2:
         raise NetpbmError("file too short for a netpbm magic number", 0)
     magic = data[0:2]
     if magic not in _MAGICS:
         raise NetpbmError(f"unsupported magic {magic!r}", 0)
-    cur.pos = 2
     channels = _MAGICS[magic]
 
-    width = cur.next_int("width")
-    height = cur.next_int("height")
-    maxval = cur.next_int("maxval")
+    width, pos = _next_int(data, 2, "width")
+    height, pos = _next_int(data, pos, "height")
+    maxval, pos = _next_int(data, pos, "maxval")
     if width < 1 or height < 1:
-        raise NetpbmError(f"invalid dimensions {width}x{height}", cur.pos)
+        raise NetpbmError(f"invalid dimensions {width}x{height}", pos)
     if not 0 < maxval <= 65535:
-        raise NetpbmError(f"maxval {maxval} out of range (1..65535)", cur.pos)
+        raise NetpbmError(f"maxval {maxval} out of range (1..65535)", pos)
 
     count = width * height * channels
     if magic in _BINARY:
-        if cur.pos >= len(data):
-            raise NetpbmError("missing whitespace after maxval", cur.pos)
-        if data[cur.pos : cur.pos + 1] not in _WHITESPACE:
-            raise NetpbmError("expected single whitespace after maxval", cur.pos)
-        cur.pos += 1
+        if not data[pos : pos + 1].isspace():
+            raise NetpbmError("expected single whitespace after maxval", pos)
+        pos += 1
         bytes_per = 2 if maxval > 255 else 1
         need = count * bytes_per
-        payload = data[cur.pos : cur.pos + need]
+        payload = data[pos : pos + need]
         if len(payload) < need:
             raise NetpbmError(
                 f"truncated payload: expected {need} bytes, found {len(payload)}",
-                cur.pos + len(payload),
+                pos + len(payload),
             )
         dtype = ">u2" if bytes_per == 2 else "u1"
         flat = np.frombuffer(payload, dtype=dtype).astype(np.uint16)
     else:
-        flat = np.empty(count, dtype=np.uint16)
-        for i in range(count):
-            at = cur.pos
-            value = cur.next_int("sample")
-            if value < 0:
-                raise NetpbmError(f"negative sample {value}", at)
-            flat[i] = value
+        flat = _plain_samples(data, pos, count, maxval)
     if int(flat.max(initial=0)) > maxval:
-        raise NetpbmError(f"sample exceeds maxval {maxval}", cur.pos)
+        raise NetpbmError(f"sample exceeds maxval {maxval}", pos)
     samples = flat.reshape(height, width, channels)
     return NetpbmImage(magic=magic.decode(), maxval=maxval, samples=samples)
 
@@ -156,7 +145,4 @@ def write(path, image: NetpbmImage) -> None:
             dtype = ">u2" if image.maxval > 255 else "u1"
             handle.write(samples.astype(dtype).tobytes())
         else:
-            lines = []
-            for row in samples.reshape(samples.shape[0], -1):
-                lines.append(" ".join(str(int(v)) for v in row))
-            handle.write(("\n".join(lines) + "\n").encode())
+            np.savetxt(handle, samples.reshape(samples.shape[0], -1), fmt="%d")

@@ -21,6 +21,7 @@ from viscotv.energy import (
     primal_energy,
 )
 from viscotv.grid import channel_norms, divergence, gradient
+from viscotv.solver import SolverConfig, minimize_smooth
 
 
 def single_pixel(u_val, f_val):
@@ -79,6 +80,58 @@ class TestFidelity:
         assert fidelity(u, f, mask, scaled) == pytest.approx(
             lam * fidelity(u, f, mask, base), rel=1e-12
         )
+
+
+VISCOUS = ModelParams(lam=10.0, zeta=2.0, density=DensityParams(2.0, 0.1))
+
+# The public (u, f, mask) entry points; sup_known_norm reads only f and mask.
+ENTRY_POINTS = {
+    "fidelity": lambda u, f, mask: fidelity(u, f, mask, VISCOUS),
+    "primal_energy": lambda u, f, mask: primal_energy(u, f, mask, VISCOUS),
+    "euler_residual": lambda u, f, mask: euler_residual(u, f, mask, VISCOUS),
+    "certify": lambda u, f, mask: certify(u, f, mask, VISCOUS, 2.0),
+    "minimize_smooth": lambda u, f, mask: minimize_smooth(
+        u, 0.1, f, mask, VISCOUS, SolverConfig()
+    ),
+    "sup_known_norm": lambda u, f, mask: sup_known_norm(f, mask),
+}
+
+
+def _int_mask(u, f, mask):
+    return u, f, mask.astype(np.int64)
+
+
+def _nan_in_u(u, f, mask):
+    u[2, 3, 0] = np.nan
+    return u, f, mask
+
+
+def _inf_in_known_f(u, f, mask):
+    f[0, 0, 1] = np.inf
+    return u, f, mask
+
+
+DEFECTS = {"int mask": _int_mask, "nan in u": _nan_in_u, "inf in known f": _inf_in_known_f}
+
+
+class TestMalformedArrays:
+    @pytest.mark.parametrize(
+        "entry,defect",
+        [
+            (entry, defect)
+            for entry in ENTRY_POINTS
+            for defect in DEFECTS
+            if not (entry == "sup_known_norm" and defect == "nan in u")
+        ],
+    )
+    def test_rejected(self, entry, defect):
+        rng = np.random.default_rng(3)
+        f, mask = random_instance(rng, shape=(6, 6), channels=3)
+        mask[0, 0] = False  # the pixel _inf_in_known_f corrupts
+        u = np.clip(f + rng.normal(0.0, 0.05, f.shape), 0.0, 1.0)
+        ENTRY_POINTS[entry](u, f, mask)  # the well-formed instance is accepted
+        with pytest.raises(ValueError, match="bool|non-finite"):
+            ENTRY_POINTS[entry](*DEFECTS[defect](u, f, mask))
 
 
 def hypot_norms(x):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from viscotv import netpbm
-from viscotv.cli import load_image, load_mask, save_image
+from viscotv.cli import load_image, load_mask, run, save_image
 
 
 def write_bytes(tmp_path, name, payload):
@@ -82,6 +82,90 @@ class TestRead:
     def test_non_integer_header(self, tmp_path):
         with pytest.raises(netpbm.NetpbmError):
             netpbm.read(write_bytes(tmp_path, "m.pgm", b"P2\nx 2\n255\n0 0\n"))
+
+    def test_comment_inside_plain_raster(self, tmp_path):
+        plain = netpbm.read(write_bytes(tmp_path, "a.ppm", b"P3\n2 1\n255\n1 2 3\n4 5 6\n"))
+        commented = netpbm.read(
+            write_bytes(tmp_path, "b.ppm", b"P3\n2 1\n255\n1 2#x 9\n3# y\n4 5 6#z")
+        )
+        assert commented.samples.tolist() == plain.samples.tolist()
+        assert plain.samples.dtype == commented.samples.dtype == np.uint16
+
+    def test_random_plain_files_read_their_samples(self, tmp_path):
+        seps = [b" ", b"\t", b"\n", b"\r\n", b"\x0b", b"\x0c"]
+        seps += [b" # note\n", b"#\n", b"\n#a#b\n "]
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            magic, channels = [(b"P2", 1), (b"P3", 3)][trial % 2]
+            maxval = int(rng.choice([1, 255, 65535]))
+            h, w = rng.integers(1, 6, size=2)
+            samples = rng.integers(0, maxval + 1, size=(h, w, channels))
+            tokens = [magic, b"%d" % w, b"%d" % h, b"%d" % maxval]
+            tokens += [b"%d" % v for v in samples.ravel()]
+            payload = b"".join(token + seps[rng.integers(len(seps))] for token in tokens)
+            if trial % 3 == 0:
+                payload += b"#no newline"
+            img = netpbm.read(write_bytes(tmp_path, "r.pnm", payload))
+            assert (img.magic, img.maxval) == (magic.decode(), maxval)
+            assert np.array_equal(img.samples, samples)
+
+    def test_bad_sample_reports_offset_before_it(self, tmp_path):
+        payload = b"P2\n3 1\n255\n1 #c\n2 x3\n"
+        with pytest.raises(netpbm.NetpbmError, match="x3") as err:
+            netpbm.read(write_bytes(tmp_path, "b.pgm", payload))
+        assert err.value.offset == payload.index(b" x3")
+
+    @pytest.mark.parametrize("token", [b"+5", b"5_0", b"-0", b"-3", b"0x1"])
+    def test_tokens_are_ascii_decimal(self, tmp_path, token):
+        for payload in (b"P2\n1 1\n255\n" + token + b"\n", b"P2\n1 1\n" + token + b"\n0\n"):
+            with pytest.raises(netpbm.NetpbmError, match="expected an integer"):
+                netpbm.read(write_bytes(tmp_path, "t.pgm", payload))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"P2\n1 1\n255\n70000\n",
+            b"P2\n1 1\n255\n" + str(10**23).encode() + b"\n",
+            b"P2\n1000000 1000000\n255\n0 0 0\n",
+        ],
+        ids=["above-65535", "above-int64", "header-claims-1e12-samples"],
+    )
+    def test_unrepresentable_plain_files_exit_one(self, tmp_path, payload, capsys):
+        path = write_bytes(tmp_path, "big.pgm", payload)
+        with pytest.raises(netpbm.NetpbmError):
+            netpbm.read(path)
+        assert run(["--input", str(path), "--output", str(tmp_path / "o.pgm")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestWrite:
+    @pytest.mark.parametrize(
+        "magic,maxval,samples,expected",
+        [
+            ("P3", 255, [[[1, 2, 3], [4, 5, 6]]], b"P3\n2 1\n255\n1 2 3 4 5 6\n"),
+            ("P2", 65535, [[[0], [65535]], [[7], [300]]], b"P2\n2 2\n65535\n0 65535\n7 300\n"),
+            ("P2", 1, [[[1]]], b"P2\n1 1\n1\n1\n"),
+            ("P6", 65535, [[[1, 256, 65535]]], b"P6\n1 1\n65535\n\0\1\1\0\xff\xff"),
+        ],
+    )
+    def test_exact_bytes(self, tmp_path, magic, maxval, samples, expected):
+        path = tmp_path / "w.pnm"
+        image = netpbm.NetpbmImage(magic, maxval, np.array(samples, dtype=np.uint16))
+        netpbm.write(path, image)
+        assert path.read_bytes() == expected
+        assert netpbm.read(path).samples.tolist() == samples
+
+    @pytest.mark.parametrize("magic,channels", [("P2", 1), ("P3", 3)])
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_plain_bytes_match_a_per_value_join(self, tmp_path, magic, channels, maxval):
+        rng = np.random.default_rng(maxval)
+        for h, w in [(1, 1), (7, 5), (2, 9)]:
+            samples = rng.integers(0, maxval + 1, size=(h, w, channels)).astype(np.uint16)
+            path = tmp_path / "w.pnm"
+            netpbm.write(path, netpbm.NetpbmImage(magic, maxval, samples))
+            rows = [" ".join(str(v) for v in row) for row in samples.reshape(h, -1).tolist()]
+            expected = f"{magic}\n{w} {h}\n{maxval}\n" + "\n".join(rows) + "\n"
+            assert path.read_bytes() == expected.encode()
 
 
 class TestRoundTrip:
