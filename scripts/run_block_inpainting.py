@@ -25,13 +25,14 @@ from viscotv import (
 
 
 def main():
+    defaults = SolverConfig()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--size", type=int, default=16)
     parser.add_argument("--mu", type=float, default=2.0)
     parser.add_argument("--zeta", type=float, default=2.0)
     parser.add_argument("--lam", type=float, default=10.0)
-    parser.add_argument("--gap-tol", type=float, default=1e-4)
-    parser.add_argument("--delta-min", type=float, default=1e-8)
+    parser.add_argument("--gap-tol", type=float, default=defaults.gap_tol)
+    parser.add_argument("--delta-min", type=float, default=defaults.delta_min)
     parser.add_argument("--full-schedule", action="store_true",
                         help="disable the gap stop and walk delta to the floor")
     args = parser.parse_args()

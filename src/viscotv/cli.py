@@ -36,10 +36,14 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
+def _intensities(img: netpbm.NetpbmImage) -> np.ndarray:
+    """The samples of img as an (H, W, M) field with intensities in [0, 1]."""
+    return img.samples.astype(float) / img.maxval
+
+
 def load_image(path) -> np.ndarray:
     """Read a PGM/PPM file as an (H, W, M) field with intensities in [0, 1]."""
-    img = netpbm.read(path)
-    return img.samples.astype(float) / img.maxval
+    return _intensities(netpbm.read(path))
 
 
 def load_mask(path, image_shape) -> np.ndarray:
@@ -177,7 +181,7 @@ def run(argv=None) -> int:
             gap_tol=args.tol,
         )
         source = netpbm.read(args.input)
-        f = source.samples.astype(float) / source.maxval
+        f = _intensities(source)
         if args.mask is not None:
             mask = load_mask(args.mask, f.shape)
         else:

@@ -15,7 +15,7 @@ the pointwise infimum over test images yields a rigorous lower bound
 the larger bound, which is then still a lower bound:
 
 * ``tau = DF(grad u)``, the viscosity-free part of the density gradient,
-  always strictly inside the ball;
+  inside the ball up to rounding;
 * ``theta sigma``, the paper's viscous flux ``sigma = DF_delta(grad u) =
   tau + delta grad u`` scaled by the theta in ``(0, cbar/max|sigma|]`` that
   maximizes ``R_hat(theta sigma)``.  At an iterate of level delta, div sigma
@@ -36,8 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import density_gradient, phi_conjugate, recession_constant
-from .energy import ModelParams, _fsum, _Point, _shape_check
-from .grid import _bool_mask, _finite, channel_norms, divergence, gradient, pixel_norms
+from .energy import ModelParams, _fsum, _Point
+from .grid import _check_bound, _field_check, _shape_check, _sup_known
+from .grid import channel_norms, divergence, gradient, pixel_norms
 
 __all__ = [
     "DualCertificate",
@@ -54,8 +55,9 @@ class DualCertificate:
 
     ``dual_value <= primal_value`` always (weak duality);
     ``relative_gap = (primal_value - dual_value)/max(1, |primal_value|)``.
-    ``dual_field`` (``"tau"`` or ``"sigma"``) and ``dual_scale`` (theta, 1.0
-    for tau) say which dual field gave ``dual_value``.
+    ``dual_field`` (``"tau"`` or ``"sigma"``) and ``dual_scale``, the theta
+    it was scaled by, say which dual field gave ``dual_value``.  tau's theta
+    is 1.0 except at the mu > 2 rounding edge (``certify``).
     """
 
     primal_value: float
@@ -68,13 +70,12 @@ class DualCertificate:
 
 
 def sup_known_norm(f, mask) -> float:
-    """Largest channel-Euclidean norm of f over known pixels.
+    """Largest channel-Euclidean norm of f over known pixels, L.
 
-    Rejects a non-finite f and a mask that is not 2-d bool.
+    Rejects f and mask unless f is finite and mask 2-d bool on its grid.
     """
-    f = _finite(np.asarray(f, dtype=float), "f")
-    mask = _bool_mask(mask)
-    return float(np.max(channel_norms(f)[~mask]))
+    _, f, mask = _shape_check(None, f, mask)
+    return _sup_known(f, mask)
 
 
 def dual_from_primal(u, params: ModelParams):
@@ -102,22 +103,15 @@ def dual_value(tau, f, mask, mparams: ModelParams, bound: float) -> float:
     """Certified lower bound on the minimal delta = 0 energy.
 
     Returns -inf when some |tau| leaves the domain of the conjugate
-    (|tau| > cbar, or |tau| >= cbar when mu <= 2).
+    (|tau| > cbar, or |tau| >= cbar when mu <= 2).  Rejects the inputs that
+    ``grid._shape_check``, ``grid._field_check`` and ``grid._check_bound`` do.
     """
-    tau = np.asarray(tau, dtype=float)
-    f = np.asarray(f, dtype=float)
-    mask = np.asarray(mask)
+    _, f, mask = _shape_check(None, f, mask)
+    tau = _field_check(tau, f)
     _check_bound(f, mask, bound)
     return _dual_value(
         pixel_norms(tau), *_split(-divergence(tau), f, mask), mparams, bound
     )
-
-
-def _check_bound(f, mask, bound: float):
-    """Reject a ball radius below the largest known-pixel norm."""
-    sup_f = sup_known_norm(f, mask)
-    if bound < sup_f * (1.0 - 1e-12):
-        raise ValueError(f"bound {bound} is below the largest known-pixel norm {sup_f}")
 
 
 def _split(d, f, mask):
@@ -147,24 +141,6 @@ def _dual_value(
     conj = phi_conjugate(dparams, tau_norms)
     known_terms = _known_infimum(dot_known, d_known, mparams.lam, mparams.zeta)
     return _fsum(-conj) + _fsum(known_terms) + _fsum(-bound * d_damaged)
-
-
-def _into_ball(tau, tau_norms, cbar: float):
-    """Scale each pixel with ``|tau| > cbar`` back into the closed cbar-ball.
-
-    Returns the scaled field and its recomputed norms.  Rounding can leave a
-    pixel scaled to radius cbar just outside it; those are scaled to
-    ``cbar (1 - 4 eps)`` instead.  Any field in the ball is dual-feasible at
-    mu > 2, where ``phi*(cbar)`` is finite.
-    """
-    over = tau_norms > cbar
-    for radius in (cbar, cbar * (1.0 - 4.0 * np.finfo(float).eps)):
-        scale = np.divide(radius, tau_norms, out=np.ones_like(tau_norms), where=over)
-        scaled = tau * scale[..., None, None]
-        scaled_norms = pixel_norms(scaled)
-        if not (scaled_norms > cbar).any():
-            break
-    return scaled, scaled_norms
 
 
 # Largest float below 1: the last scale short of the ball's edge.
@@ -267,9 +243,10 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     The dual side is the better of two dual-feasible fields, so by weak
     duality it is still a lower bound on the minimal energy:
 
-    * ``tau = DF(grad u)``, always.  At mu > 2, pixels where rounding puts
-      ``|tau|`` above cbar are scaled back into the ball first
-      (``feasibility_margin`` still reports the unscaled field).
+    * ``tau = DF(grad u)``, always.  Where rounding puts some ``|tau|``
+      above cbar at mu > 2, tau is scaled along its own ray into the ball
+      by ``_scaled_dual``, as sigma is, or to theta = 0 (bound 0) where
+      R_hat falls from there.  At mu <= 2 the bound is then -inf.
     * ``theta sigma`` with the paper's viscous flux
       ``sigma = DF_delta(grad u) = tau + delta grad u`` at the delta of
       ``mparams`` and theta maximizing ``R_hat(theta sigma)``
@@ -281,9 +258,10 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
       ``delta sum |grad u|^2`` and tau wins.
 
     ``dual_field`` names the winner (``"tau"`` on ties) and ``dual_scale``
-    is its theta (1.0 for tau); ``divergence_residual_on_D`` and
-    ``feasibility_margin`` describe tau.  The gap is inf when the primal
-    energy or the dual bound is infinite.
+    is its theta, for tau 1.0 except at the mu > 2 rounding edge;
+    ``divergence_residual_on_D`` and ``feasibility_margin`` describe the
+    unscaled tau.  The gap is inf when the primal energy or the dual bound
+    is infinite.
     """
     u, f, mask = _shape_check(u, f, mask)
     _check_bound(f, mask, bound)
@@ -297,21 +275,21 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     if viscous:
         sigma_norms = tau_norms + delta * point.grad_norms
         d_sigma = -divergence(tau + delta * point.grad)
-    del point  # its gradient field is as large as tau
-    cbar = recession_constant(target.density)
-    margin = cbar - float(np.max(tau_norms))
-    if margin < 0.0 and target.density.mu > 2.0:
-        tau, tau_norms = _into_ball(tau, tau_norms, cbar)
-    dot_known, d_known, d_damaged = _split(-divergence(tau), f, mask)
-    dval = _dual_value(tau_norms, dot_known, d_known, d_damaged, mparams, bound)
+    d_tau = -divergence(tau)
+    del point, tau  # each as large as a gradient field
+    margin = recession_constant(target.density) - float(np.max(tau_norms))
+    # A last Newton step predicted to gain 1e-6 of the gap's scale
+    # leaves ~1e-12 of it: far below any gap worth certifying.
+    tol = 1e-6 * max(1.0, abs(primal))
+    dot_known, d_known, d_damaged = _split(d_tau, f, mask)
     dual_field, dual_scale = "tau", 1.0
+    if margin < 0.0 and target.density.mu > 2.0:
+        scaled = _scaled_dual(tau_norms, d_tau, f, mask, mparams, bound, tol)
+        dual_scale, dval = scaled or (0.0, 0.0)
+    else:
+        dval = _dual_value(tau_norms, dot_known, d_known, d_damaged, mparams, bound)
     if viscous:
-        # A last Newton step predicted to gain 1e-6 of the gap's scale
-        # leaves ~1e-12 of it: far below any gap worth certifying.
-        scaled = _scaled_dual(
-            sigma_norms, d_sigma, f, mask, mparams, bound,
-            1e-6 * max(1.0, abs(primal)),
-        )
+        scaled = _scaled_dual(sigma_norms, d_sigma, f, mask, mparams, bound, tol)
         if scaled is not None and scaled[1] > dval:
             dual_field = "sigma"
             dual_scale, dval = scaled

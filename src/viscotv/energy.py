@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .density import DensityParams, density_gradient, density_value
-from .grid import _bool_mask, _finite, channel_norms, divergence, gradient, pixel_norms
+from .grid import _shape_check, channel_norms, divergence, gradient, pixel_norms
 
 __all__ = ["ModelParams", "fidelity", "primal_energy", "euler_residual"]
 
@@ -71,23 +71,6 @@ def _fsum(values) -> float:
         return math.fsum(parts)
     except OverflowError:  # a partial sum of finite parts overflowed
         return math.copysign(math.inf, math.fsum(p * 2.0**-64 for p in parts))
-
-
-def _shape_check(u, f, mask):
-    """u and f finite and of one shape, mask 2-d bool on their grid.
-
-    The rules of ``grid.validate_image`` and ``grid.validate_mask``, except
-    that a mask damaging every pixel is accepted: the energies are defined
-    for it.
-    """
-    u = _finite(np.asarray(u, dtype=float), "u")
-    f = _finite(np.asarray(f, dtype=float), "f")
-    mask = _bool_mask(mask)
-    if u.shape != f.shape:
-        raise ValueError(f"u shape {u.shape} != f shape {f.shape}")
-    if mask.shape != u.shape[:2]:
-        raise ValueError(f"mask shape {mask.shape} != grid shape {u.shape[:2]}")
-    return u, f, mask
 
 
 def _fidelity_field(dev_norms, mask, params: ModelParams) -> np.ndarray:
@@ -158,7 +141,7 @@ class _Point:
     sets ``density_residual``, the gradient ``-div DF_delta(grad u)`` of the
     density part alone.  A point kept after its residual holds only
     ``pixel_energy`` and these two fields.  u and f are kept by reference,
-    not copied; the arrays are taken as ``_shape_check`` returns them.
+    not copied; the arrays are taken as ``grid._shape_check`` returns them.
     """
 
     def __init__(self, u, f, mask, params: ModelParams):

@@ -18,6 +18,9 @@ of their inputs, so the fields derived from these stay planar, and the
 per-plane loops of the norms run over contiguous memory instead of 3-wide
 strided rows.  At M = 1 a planar image is the same memory as a row-major one.
 
+The public entry points check their arrays here, once per call
+(``_shape_check``, ``_field_check``, ``_check_bound``).
+
 ``divergence`` is the exact negative adjoint of ``gradient``:
 ``<gradient(u), p> == -<u, divergence(p)>`` for every u and p, which is the
 identity the discrete Euler equation and the dual functional are built on.
@@ -50,11 +53,13 @@ def _finite(u: np.ndarray, name: str) -> np.ndarray:
     return u
 
 
-def _bool_mask(mask) -> np.ndarray:
-    """mask as an array, if it is 2-d bool; ``validate_mask``'s type rule."""
+def _bool_mask(mask, shape=None) -> np.ndarray:
+    """mask as an array, if it is 2-d bool and on the grid of an image of the given shape."""
     mask = np.asarray(mask)
     if mask.dtype != bool or mask.ndim != 2:
         raise ValueError(f"mask must be a 2-d bool array, got {mask.dtype}/{mask.ndim}d")
+    if shape is not None and (len(shape) != 3 or mask.shape != shape[:2]):
+        raise ValueError(f"mask shape {mask.shape} is not the grid of image shape {shape}")
     return mask
 
 
@@ -69,14 +74,44 @@ def validate_image(u, name="image") -> np.ndarray:
 
 
 def validate_mask(mask, image=None) -> np.ndarray:
-    mask = _bool_mask(mask)
+    mask = _bool_mask(mask, None if image is None else np.shape(image))
     if mask.all():
         raise ValueError("mask damages the entire domain; at least one pixel must be known")
-    if image is not None and mask.shape != np.shape(image)[:2]:
-        raise ValueError(
-            f"mask shape {mask.shape} does not match image shape {np.shape(image)[:2]}"
-        )
     return mask
+
+
+def _shape_check(u, f, mask):
+    """f finite, mask 2-d bool on f's grid and u, unless None, finite and of f's shape.
+
+    Unlike ``validate_mask``, accepts a mask damaging every pixel.
+    """
+    f = _finite(np.asarray(f, dtype=float), "f")
+    mask = _bool_mask(mask, f.shape)
+    if u is not None:
+        u = _finite(np.asarray(u, dtype=float), "u")
+        if u.shape != f.shape:
+            raise ValueError(f"u shape {u.shape} != f shape {f.shape}")
+    return u, f, mask
+
+
+def _field_check(p, f) -> np.ndarray:
+    """p as an array, if it is finite and of shape (H, W, 2, M) for f's (H, W, M)."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != f.shape[:2] + (2,) + f.shape[2:]:
+        raise ValueError(f"field shape {p.shape} is not (height, width, 2, M) of f {f.shape}")
+    return _finite(p, "field")
+
+
+def _sup_known(f, mask) -> float:
+    """L, the largest channel norm of f over known pixels; the arrays as checked."""
+    return float(np.max(channel_norms(f)[~mask]))
+
+
+def _check_bound(f, mask, bound: float) -> None:
+    """Reject a ball radius that is not finite or is below L (``_sup_known``)."""
+    sup_f = _sup_known(f, mask)
+    if not sup_f * (1.0 - 1e-12) <= bound < np.inf:
+        raise ValueError(f"bound {bound} is not finite or below the known-pixel sup {sup_f}")
 
 
 def _root_sum_squares(x) -> np.ndarray:

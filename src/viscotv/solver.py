@@ -25,9 +25,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dual import certify, sup_known_norm
-from .energy import ModelParams, _fidelity_prox, _Point, _shape_check
-from .grid import _planar, channel_norms, validate_image, validate_mask
+from .dual import certify
+from .energy import ModelParams, _fidelity_prox, _Point
+from .grid import _planar, _shape_check, _sup_known, channel_norms, validate_image, validate_mask
 
 __all__ = [
     "SolverConfig",
@@ -120,7 +120,8 @@ class MaxPrincipleCheck:
 
 def check_max_principle(u, f, mask) -> MaxPrincipleCheck:
     """Pass iff ``sup |u| <= L + 1e-8`` with L the largest known-pixel |f|."""
-    bound = sup_known_norm(f, mask)
+    u, f, mask = _shape_check(u, f, mask)
+    bound = _sup_known(f, mask)
     sup_u = float(np.max(channel_norms(u)))
     margin = bound - sup_u
     return MaxPrincipleCheck(passed=margin >= -1e-8, margin=margin, bound=bound)
@@ -133,8 +134,7 @@ def default_initial(f, mask) -> np.ndarray:
     fill the holes with exactly that constant: the minimizer itself.  The
     result has the memory layout of f.
     """
-    f = np.asarray(f, dtype=float)
-    mask = np.asarray(mask)
+    _, f, mask = _shape_check(None, f, mask)
     u0 = f.copy(order="K")
     if mask.any():
         known = f[~mask]
@@ -171,7 +171,7 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     u, f, mask = _shape_check(u0, f, mask)
     # Planar copies fix the memory order in which the step sums below reduce.
     u, f = np.array(_planar(u), copy=True), _planar(f)
-    tol = cfg.inner_tol * (1.0 + sup_known_norm(f, mask))
+    tol = cfg.inner_tol * (1.0 + _sup_known(f, mask))
     min_step = 1.0 / (8.0 * (1.0 + pd.density.delta))
 
     at_u = _Point(u, f, mask, pd)
@@ -243,7 +243,7 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
     """
     f = validate_image(f, name="f")
     mask = validate_mask(mask, image=f)
-    bound = sup_known_norm(f, mask)
+    bound = _sup_known(f, mask)
 
     u = default_initial(f, mask) if u0 is None else validate_image(u0, name="u0")
     records = []

@@ -35,6 +35,7 @@ class TestValidation:
         [
             ("--mu", "nan"),
             ("--lambda", "inf"),
+            ("--lambda", "0"),
             ("--inner-max-iters", "0"),
             ("--tol", "nan"),
             ("--delta0", "inf"),
@@ -104,6 +105,14 @@ class TestRuns:
             "delta0", "delta_min", "delta_factor", "inner_tol", "inner_max_iters", "gap_tol"
         ):
             assert keys[field] == repr(getattr(defaults, field)), field
+
+    def test_unwritable_output_exits_one(self, tmp_path, capsys):
+        src = tmp_path / "const.pgm"
+        write_pgm(src, np.full((4, 4, 1), 77))
+        out = tmp_path / "missing" / "o.pgm"
+        assert run(["--input", str(src), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
 
     def test_inpainting_run_certifies(self, tmp_path, board):
         src, mask = board

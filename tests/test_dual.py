@@ -189,6 +189,31 @@ class TestDualValue:
         with pytest.raises(ValueError):
             dual_value(tau, f, mask, params_for(), 0.5)
 
+    @pytest.mark.parametrize("entry", ["certify", "dual_value"])
+    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    def test_non_finite_bound_rejected(self, entry, bound):
+        # The damaged pixels would weigh |div tau| by the bound: NaN or -inf.
+        f, mask = checkerboard_instance(n=8, block=(3, 5))
+        u = f.copy()
+        u[mask] = 0.5
+        tau, _ = dual_from_primal(u, params_for())
+        with pytest.raises(ValueError, match="bound"):
+            if entry == "certify":
+                certify(u, f, mask, params_for(), bound)
+            else:
+                dual_value(tau, f, mask, params_for(), bound)
+
+    def test_gray_field_against_color_f_rejected(self):
+        # Broadcast against f's three channels, this one-channel field would
+        # give R_hat = 1.06, above the energy 0.727 of u = f: no lower bound.
+        f = np.array([[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]])
+        mask = np.zeros((1, 2), dtype=bool)
+        tau = np.zeros((1, 2, 2, 1))
+        tau[0, 0, 0, 0] = 0.5
+        assert primal_energy(f, f, mask, params_for()) == pytest.approx(0.727, abs=1e-3)
+        with pytest.raises(ValueError, match="field shape"):
+            dual_value(tau, f, mask, params_for(), math.sqrt(3.0))
+
     def test_weak_duality_fuzz(self):
         rng = np.random.default_rng(42)
         for zeta in (1.5, 2.0, 3.0):
@@ -245,7 +270,7 @@ class TestCertify:
     @pytest.mark.parametrize("scale", [255.0, 1e6])
     def test_rounding_past_cbar_is_scaled_back_at_large_mu(self, mu, scale):
         # phi' of these gradients rounds to just above cbar on some pixels.
-        # At mu > 2 phi*(cbar) is finite, so those pixels are scaled back into
+        # At mu > 2 phi*(cbar) is finite, so tau is scaled along its ray into
         # the ball and the certificate stays finite; the margin still reports
         # the unscaled field.
         f, mask = checkerboard_instance(n=8, block=(3, 5))
@@ -257,6 +282,8 @@ class TestCertify:
         assert cert.feasibility_margin < 0.0
         assert math.isfinite(cert.relative_gap)
         assert cert.dual_value <= cert.primal_value
+        assert cert.dual_field == "tau"
+        assert 0.0 < cert.dual_scale <= 1.0
 
     def test_rounding_to_cbar_stays_infeasible_at_mu_2(self):
         # At mu <= 2 the conjugate is +inf already at |tau| = cbar, so no

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import layouts, random_instance
 from oracle import fd_gradient, phi_by_quadrature
 from viscotv.density import DensityParams, density_gradient, density_value
-from viscotv.dual import certify, sup_known_norm
+from viscotv.dual import certify, dual_from_primal, dual_value, sup_known_norm
 from viscotv.energy import (
     ModelParams,
     _fidelity_prox,
@@ -21,7 +21,7 @@ from viscotv.energy import (
     primal_energy,
 )
 from viscotv.grid import channel_norms, divergence, gradient
-from viscotv.solver import SolverConfig, minimize_smooth
+from viscotv.solver import SolverConfig, check_max_principle, minimize_smooth
 
 
 def single_pixel(u_val, f_val):
@@ -84,7 +84,8 @@ class TestFidelity:
 
 VISCOUS = ModelParams(lam=10.0, zeta=2.0, density=DensityParams(2.0, 0.1))
 
-# The public (u, f, mask) entry points; sup_known_norm reads only f and mask.
+# The public (u, f, mask) entry points; sup_known_norm reads only f and mask,
+# dual_value the dual field of u.
 ENTRY_POINTS = {
     "fidelity": lambda u, f, mask: fidelity(u, f, mask, VISCOUS),
     "primal_energy": lambda u, f, mask: primal_energy(u, f, mask, VISCOUS),
@@ -94,6 +95,10 @@ ENTRY_POINTS = {
         u, 0.1, f, mask, VISCOUS, SolverConfig()
     ),
     "sup_known_norm": lambda u, f, mask: sup_known_norm(f, mask),
+    "dual_value": lambda u, f, mask: dual_value(
+        dual_from_primal(u, VISCOUS)[0], f, mask, VISCOUS, 2.0
+    ),
+    "check_max_principle": check_max_principle,
 }
 
 
@@ -111,7 +116,16 @@ def _inf_in_known_f(u, f, mask):
     return u, f, mask
 
 
-DEFECTS = {"int mask": _int_mask, "nan in u": _nan_in_u, "inf in known f": _inf_in_known_f}
+def _mask_on_another_grid(u, f, mask):
+    return u, f, mask[:, :-1]
+
+
+DEFECTS = {
+    "int mask": _int_mask,
+    "nan in u": _nan_in_u,
+    "inf in known f": _inf_in_known_f,
+    "mask on another grid": _mask_on_another_grid,
+}
 
 
 class TestMalformedArrays:
@@ -130,7 +144,7 @@ class TestMalformedArrays:
         mask[0, 0] = False  # the pixel _inf_in_known_f corrupts
         u = np.clip(f + rng.normal(0.0, 0.05, f.shape), 0.0, 1.0)
         ENTRY_POINTS[entry](u, f, mask)  # the well-formed instance is accepted
-        with pytest.raises(ValueError, match="bool|non-finite"):
+        with pytest.raises(ValueError, match="bool|non-finite|grid"):
             ENTRY_POINTS[entry](*DEFECTS[defect](u, f, mask))
 
 
