@@ -18,6 +18,10 @@ Inputs and settings are perfbench/run.py's instances, imported by path, so
 the fixture has one source.  Two checkouts that print the same digest give
 the same bits on all of these, which is how a change that should move no bit
 is checked against its parent.
+
+For each solve set it also prints a census to stderr: the mean inner
+iterations per solve and the candidate evaluations per inner iteration.  The
+digest stays the last line on stdout.
 """
 
 import argparse
@@ -66,6 +70,7 @@ def main(argv=None):
     ]
     digest = hashlib.sha256()
     for name, wl in sets:
+        solves = iterations = evaluations = 0
         for instance in run.make_instances(mods, name, wl, SEED):
             result = instance.call()
             if wl.kind == "audit":
@@ -75,6 +80,15 @@ def main(argv=None):
             digest.update(np.ascontiguousarray(u).tobytes())
             for record in records:
                 digest.update(repr(replace(record, wall_seconds=0.0)).encode())
+            solves += 1
+            iterations += sum(record.inner_iterations for record in records)
+            evaluations += sum(record.evaluations for record in records)
+        if solves:
+            print(
+                f"{name}: {solves} solves, {iterations / solves:.1f} inner iterations per solve, "
+                f"{evaluations / iterations:.2f} evaluations per iteration",
+                file=sys.stderr,
+            )
     print(digest.hexdigest())
 
 

@@ -76,14 +76,15 @@ def validate_image(u, name="image") -> np.ndarray:
 def validate_mask(mask, image=None) -> np.ndarray:
     mask = _bool_mask(mask, None if image is None else np.shape(image))
     if mask.all():
-        raise ValueError("mask damages the entire domain; at least one pixel must be known")
+        raise ValueError(_ALL_DAMAGED)
     return mask
 
 
 def _shape_check(u, f, mask):
     """f finite, mask 2-d bool on f's grid and u, unless None, finite and of f's shape.
 
-    Unlike ``validate_mask``, accepts a mask damaging every pixel.
+    Unlike ``validate_mask``, accepts a mask damaging every pixel; the
+    entry points that need L or the known values reject it through ``_known``.
     """
     f = _finite(np.asarray(f, dtype=float), "f")
     mask = _bool_mask(mask, f.shape)
@@ -102,9 +103,20 @@ def _field_check(p, f) -> np.ndarray:
     return _finite(p, "field")
 
 
+_ALL_DAMAGED = "mask damages the entire domain; at least one pixel must be known"
+
+
+def _known(x, mask) -> np.ndarray:
+    """``x[~mask]``, the known pixels of x; rejects a mask that damages every pixel."""
+    known = x[~mask]
+    if len(known) == 0:
+        raise ValueError(_ALL_DAMAGED)
+    return known
+
+
 def _sup_known(f, mask) -> float:
     """L, the largest channel norm of f over known pixels; the arrays as checked."""
-    return float(np.max(channel_norms(f)[~mask]))
+    return float(np.max(_known(channel_norms(f), mask)))
 
 
 def _check_bound(f, mask, bound: float) -> None:

@@ -4,9 +4,11 @@ The viscous objective (delta > 0) splits into the density part D, whose
 gradient is Lipschitz with ``L <= 8(1 + delta)``, and the pixel-separable
 fidelity G, whose prox is exact (``energy._fidelity_prox``), also across the
 unbounded curvature of ``|u - f|^zeta`` at u = f for zeta < 2.  The inner
-solver is proximal gradient with Barzilai-Borwein steps on D and
-backtracking, one step path for every zeta > 1; the contract is descent plus
-a residual tolerance, not a step count.  A trial step at or below 1/L that
+solver is proximal gradient with backtracking from Barzilai-Borwein steps on
+D, the long step BB1 and the short step BB2 on alternate iterations (Dai and
+Fletcher 2005; inside proximal gradient, SpaRSA: Wright, Nowak and
+Figueiredo 2009), one step path for every zeta > 1; the contract is descent
+plus a residual tolerance, not a step count.  A trial step at or below 1/L that
 finds no descent, which only rounding can cause, ends the solve as
 ``stagnated`` at the last accepted iterate.
 
@@ -27,7 +29,8 @@ import numpy as np
 
 from .dual import certify
 from .energy import ModelParams, _fidelity_prox, _Point
-from .grid import _planar, _shape_check, _sup_known, channel_norms, validate_image, validate_mask
+from .grid import _known, _planar, _shape_check, _sup_known
+from .grid import channel_norms, validate_image, validate_mask
 
 __all__ = [
     "SolverConfig",
@@ -137,7 +140,7 @@ def default_initial(f, mask) -> np.ndarray:
     _, f, mask = _shape_check(None, f, mask)
     u0 = f.copy(order="K")
     if mask.any():
-        known = f[~mask]
+        known = _known(f, mask)
         u0[mask] = np.clip(known.mean(axis=0), known.min(axis=0), known.max(axis=0))
     return u0
 
@@ -155,8 +158,7 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     energy (flagged through ``converged`` and ``stop_reason``).
 
     Each iteration takes ``cand = prox_{gamma G}(u - gamma grad D(u))`` and
-    halves gamma, from the last Barzilai-Borwein step (1.0 at first) capped
-    at 1e4, until the energy falls by at least ``|cand - u|^2/(2 gamma)``.
+    halves gamma until the energy falls by at least ``|cand - u|^2/(2 gamma)``.
     By the descent lemma that holds for every gamma <= 1/L in exact
     arithmetic, ``L = 8(1 + delta)``, so a trial at or below 1/L that fails
     ends the solve instead of halving further.  The test runs on the sum of the
@@ -164,6 +166,12 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     totals; a candidate that passes it is accepted only if its exact total is
     also strictly below the current one, so every accepted step strictly
     decreases the energy.
+
+    The first iteration starts from gamma = 1.0, each later one from a
+    Barzilai-Borwein step on the last accepted move ``s = cand - u`` and
+    ``y = grad D(cand) - grad D(u)``, capped at 1e4: ``BB1 = s.s/s.y``
+    after an odd iteration, ``BB2 = s.y/y.y <= BB1`` after an even one, and
+    twice the accepted gamma when ``s.y <= 0``.
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
@@ -203,9 +211,16 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
 
         res = _linf(at_cand.residual())
         # Barzilai-Borwein trial step from the density curvature alone; the
-        # fidelity is handled exactly by the prox.
-        sq = float(np.sum(s * (at_cand.density_residual - at_u.density_residual)))
-        step = ss / sq if sq > 0.0 else 2.0 * step
+        # fidelity is handled exactly by the prox.  s.y > 0 implies y.y > 0.
+        # Deleting s and y keeps them from staying allocated through the next
+        # iteration's trial points, which otherwise fault in fresh pages.
+        y = at_cand.density_residual - at_u.density_residual
+        sy = float(np.sum(s * y))
+        if sy > 0.0:
+            step = ss / sy if iters % 2 else sy / float(np.sum(y * y))
+        else:
+            step = 2.0 * step
+        del s, y
         u, at_u, e_u = cand, at_cand, at_cand.total
         history.append(e_u)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from viscotv.energy import (
     primal_energy,
 )
 from viscotv.grid import channel_norms, divergence, gradient
-from viscotv.solver import SolverConfig, check_max_principle, minimize_smooth
+from viscotv.solver import SolverConfig, check_max_principle, default_initial, minimize_smooth
 
 
 def single_pixel(u_val, f_val):
@@ -146,6 +147,41 @@ class TestMalformedArrays:
         ENTRY_POINTS[entry](u, f, mask)  # the well-formed instance is accepted
         with pytest.raises(ValueError, match="bool|non-finite|grid"):
             ENTRY_POINTS[entry](*DEFECTS[defect](u, f, mask))
+
+
+class TestAllDamagedMask:
+    """The energies are defined when no pixel is known; L and the hole fill are not."""
+
+    NEEDS_KNOWN = {
+        "sup_known_norm": ENTRY_POINTS["sup_known_norm"],
+        "certify": ENTRY_POINTS["certify"],
+        "dual_value": ENTRY_POINTS["dual_value"],
+        "check_max_principle": ENTRY_POINTS["check_max_principle"],
+        "minimize_smooth": ENTRY_POINTS["minimize_smooth"],
+        "default_initial": lambda u, f, mask: default_initial(f, mask),
+    }
+
+    @staticmethod
+    def instance():
+        f = np.random.default_rng(4).uniform(size=(3, 4, 2))
+        return f + 0.1, f, np.ones((3, 4), bool)
+
+    @pytest.mark.parametrize("entry", NEEDS_KNOWN)
+    def test_rejected(self, entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "Mean of empty slice" on the way
+            with pytest.raises(ValueError, match="damages the entire domain"):
+                self.NEEDS_KNOWN[entry](*self.instance())
+
+    @pytest.mark.parametrize("entry", ["fidelity", "primal_energy", "euler_residual"])
+    def test_energies_still_defined(self, entry):
+        # No pixel is known, so f is never read: the value is the density term alone.
+        u, f, mask = self.instance()
+        value = np.asarray(ENTRY_POINTS[entry](u, f, mask))
+        assert np.all(np.isfinite(value))
+        assert np.array_equal(value, ENTRY_POINTS[entry](u, f + 1.0, mask))
+        if entry == "fidelity":
+            assert value == 0.0
 
 
 def hypot_norms(x):

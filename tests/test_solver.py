@@ -165,6 +165,53 @@ class TestMinimizeSmooth:
         assert res.evaluations == calls["points"] - 1
         assert res.evaluations > res.iterations
 
+    def test_trial_steps_alternate_bb1_and_bb2(self, monkeypatch):
+        # Each iteration starts from a Barzilai-Borwein step on the accepted
+        # iterates, y the change in the density gradient: BB1 = s.s/s.y after
+        # an odd iteration, BB2 = s.y/y.y after an even one.
+        trials = []
+        prox = solver._fidelity_prox
+
+        def spy(w, *args):
+            cand = prox(w, *args)
+            trials.append((args[-1], cand.copy(order="K")))
+            return cand
+
+        monkeypatch.setattr(solver, "_fidelity_prox", spy)
+        f, mask = random_instance(np.random.default_rng(11), shape=(8, 8))
+        params, delta = params_for(zeta=2.0), 1e-2
+        u0 = default_initial(f, mask)
+        res = minimize_smooth(u0, delta, f, mask, params, SolverConfig(inner_tol=1e-6))
+        assert res.stop_reason == "residual" and res.iterations >= 6
+
+        # The accepted candidates are those whose energy is the next history entry.
+        pd = params.with_delta(delta)
+        iterates, firsts = [u0], [0]
+        for i, (_, cand) in enumerate(trials):
+            if energy._Point(cand, f, mask, pd).total == res.energy_history[len(iterates)]:
+                iterates.append(cand)
+                firsts.append(i + 1)
+                if len(iterates) == len(res.energy_history):
+                    break
+        assert len(iterates) == res.iterations + 1
+        assert firsts[-1] == len(trials)  # the last accepted candidate is the last trial
+
+        points = [energy._Point(u, f, mask, pd) for u in iterates]
+        for point in points:
+            point.residual()
+        shorter = 0
+        for j in range(1, res.iterations):  # iteration j is done, j + 1 starts
+            s = iterates[j] - iterates[j - 1]
+            y = points[j].density_residual - points[j - 1].density_residual
+            ss, sy, yy = (float(np.sum(a * b)) for a, b in ((s, s), (s, y), (y, y)))
+            assert sy > 0.0  # D is convex
+            bb1, bb2 = ss / sy, sy / yy
+            assert bb2 <= bb1 * (1.0 + 1e-12)
+            shorter += j % 2 == 0 and bb2 < 0.99 * bb1
+            expected = bb1 if j % 2 else bb2
+            assert trials[firsts[j]][0] == pytest.approx(min(expected, solver._STEP_MAX), rel=1e-12)
+        assert shorter >= 1  # BB2 and BB1 are told apart
+
     def test_iterates_do_not_depend_on_blas_threads(self):
         # Inner products taken by BLAS (np.vdot) sum in an order that depends
         # on the thread count; the solver's must not.
