@@ -1,8 +1,10 @@
 """Dual variables, the dual functional, and the duality-gap certificate.
 
 Any field p with ``|p| < cbar`` per pixel (``<= cbar`` when mu > 2) is
-feasible for the Fenchel dual.  Plugging it into the Lagrangian and taking
-the pointwise infimum over test images yields a rigorous lower bound
+feasible for the Fenchel dual; that set is the domain of
+``density.phi_conjugate``, which is +inf outside it and so makes
+``R_hat[p]`` -inf there.  Plugging a feasible p into the Lagrangian and
+taking the pointwise infimum over test images yields a rigorous lower bound
 ``R_hat[p]`` on the minimal energy (weak duality):
 
 * on known pixels the infimum of ``d . v + (lam/zeta)|v - f|^zeta`` over all
@@ -37,7 +39,7 @@ import numpy as np
 
 from .density import density_gradient, phi_conjugate, recession_constant
 from .energy import ModelParams, _fsum, _Point
-from .grid import _check_bound, _field_check, _shape_check, _sup_known
+from .grid import _check_bound, _field_check, _shape_check, _sum_products, _sup_known
 from .grid import channel_norms, divergence, gradient, pixel_norms
 
 __all__ = [
@@ -72,7 +74,8 @@ class DualCertificate:
 def sup_known_norm(f, mask) -> float:
     """Largest channel-Euclidean norm of f over known pixels, L.
 
-    Rejects f and mask unless f is finite and mask 2-d bool on its grid.
+    Rejects f and mask unless f is finite, mask 2-d bool on its grid and
+    L finite (``grid._sup_known``).
     """
     _, f, mask = _shape_check(None, f, mask)
     return _sup_known(f, mask)
@@ -103,44 +106,36 @@ def dual_value(tau, f, mask, mparams: ModelParams, bound: float) -> float:
     """Certified lower bound on the minimal delta = 0 energy.
 
     Returns -inf when some |tau| leaves the domain of the conjugate
-    (|tau| > cbar, or |tau| >= cbar when mu <= 2).  Rejects the inputs that
+    (``phi_conjugate`` is +inf there).  Rejects the inputs that
     ``grid._shape_check``, ``grid._field_check`` and ``grid._check_bound`` do.
     """
     _, f, mask = _shape_check(None, f, mask)
     tau = _field_check(tau, f)
     _check_bound(f, mask, bound)
-    return _dual_value(
-        pixel_norms(tau), *_split(-divergence(tau), f, mask), mparams, bound
-    )
+    return _dual_value(pixel_norms(tau), _split(-divergence(tau), f, mask), mparams, bound)
 
 
 def _split(d, f, mask):
     """``d . f`` and ``|d|`` on the known pixels, ``|d|`` on the damaged ones."""
     d_norms = channel_norms(d)
     known = ~mask
-    return np.sum(d * f, axis=-1)[known], d_norms[known], d_norms[mask]
+    return _sum_products(d, f)[known], d_norms[known], d_norms[mask]
 
 
-def _dual_value(
-    tau_norms, dot_known, d_known, d_damaged, mparams: ModelParams, bound: float
-) -> float:
-    """``dual_value`` from ``pixel_norms(tau)`` and ``_split(-divergence(tau), ...)``.
+def _dual_value(norms, split, mparams: ModelParams, bound: float) -> float:
+    """``dual_value`` of a field p from ``pixel_norms(p)`` and ``_split(-divergence(p), ...)``.
 
     ``bound`` has passed ``_check_bound``.  The damaged pixels contribute
     ``-bound |d|``, the infimum of ``d . v`` over the ball ``|v| <= bound``.
+    The bound is -inf as soon as the conjugate's sum is, before the other
+    terms can turn it into nan.
     """
-    dparams = mparams.density.without_viscosity()
-    cbar = recession_constant(dparams)
-    if dparams.mu <= 2.0:
-        infeasible = tau_norms >= cbar
-    else:
-        infeasible = tau_norms > cbar
-    if infeasible.any():
-        return -math.inf
-
-    conj = phi_conjugate(dparams, tau_norms)
+    dot_known, d_known, d_damaged = split
+    value = _fsum(-phi_conjugate(mparams.density.without_viscosity(), norms))
+    if value == -math.inf:
+        return value
     known_terms = _known_infimum(dot_known, d_known, mparams.lam, mparams.zeta)
-    return _fsum(-conj) + _fsum(known_terms) + _fsum(-bound * d_damaged)
+    return value + _fsum(known_terms) + _fsum(-bound * d_damaged)
 
 
 # Largest float below 1: the last scale short of the ball's edge.
@@ -148,11 +143,12 @@ _EDGE = 1.0 - 2.0**-53
 _NEWTON_STEPS = 60
 
 
-def _scaled_dual(norms, d, f, mask, mparams: ModelParams, bound: float, tol: float):
+def _scaled_dual(norms, split, mparams: ModelParams, bound: float, tol: float):
     """Maximize ``R_hat(theta sigma)`` over ``0 < theta <= theta_max``.
 
-    ``norms`` is ``|sigma|`` per pixel and ``d = -div sigma``.  Norms and
-    divergence are linear in theta, so with ``zc = zeta/(zeta-1)``
+    ``norms`` is ``|sigma|`` per pixel and ``split`` is ``_split(d, f, mask)``
+    with ``d = -div sigma``.  Norms and divergence are linear in theta, so
+    with ``zc = zeta/(zeta-1)``
 
         R_hat(theta) = -sum phi*(theta |sigma|) + theta A - theta^zc B - theta C,
 
@@ -180,7 +176,7 @@ def _scaled_dual(norms, d, f, mask, mparams: ModelParams, bound: float, tol: flo
     w = norms / n_max  # theta |sigma| / cbar = (theta/theta_max) w
     sq = norms * norms
 
-    dot_known, d_known, d_damaged = _split(d, f, mask)
+    dot_known, d_known, d_damaged = split
     a_minus_c = np.sum(dot_known) - bound * np.sum(d_damaged)
     if not a_minus_c > 0.0:  # R_hat falls from R_hat(0) = 0
         return None
@@ -227,7 +223,7 @@ def _scaled_dual(norms, d, f, mask, mparams: ModelParams, bound: float, tol: flo
             rho = new
         theta = rho * theta_max
         value = _dual_value(
-            cbar * (rho * w), theta * dot_known, theta * d_known, theta * d_damaged,
+            cbar * (rho * w), (theta * dot_known, theta * d_known, theta * d_damaged),
             mparams, bound,
         )
     return float(theta), value
@@ -274,22 +270,21 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     viscous = delta > 0.0 and bool(mask.any())
     if viscous:
         sigma_norms = tau_norms + delta * point.grad_norms
-        d_sigma = -divergence(tau + delta * point.grad)
-    d_tau = -divergence(tau)
+        sigma_split = _split(-divergence(tau + delta * point.grad), f, mask)
+    tau_split = _split(-divergence(tau), f, mask)
     del point, tau  # each as large as a gradient field
     margin = recession_constant(target.density) - float(np.max(tau_norms))
     # A last Newton step predicted to gain 1e-6 of the gap's scale
     # leaves ~1e-12 of it: far below any gap worth certifying.
     tol = 1e-6 * max(1.0, abs(primal))
-    dot_known, d_known, d_damaged = _split(d_tau, f, mask)
     dual_field, dual_scale = "tau", 1.0
     if margin < 0.0 and target.density.mu > 2.0:
-        scaled = _scaled_dual(tau_norms, d_tau, f, mask, mparams, bound, tol)
+        scaled = _scaled_dual(tau_norms, tau_split, mparams, bound, tol)
         dual_scale, dval = scaled or (0.0, 0.0)
     else:
-        dval = _dual_value(tau_norms, dot_known, d_known, d_damaged, mparams, bound)
+        dval = _dual_value(tau_norms, tau_split, mparams, bound)
     if viscous:
-        scaled = _scaled_dual(sigma_norms, d_sigma, f, mask, mparams, bound, tol)
+        scaled = _scaled_dual(sigma_norms, sigma_split, mparams, bound, tol)
         if scaled is not None and scaled[1] > dval:
             dual_field = "sigma"
             dual_scale, dval = scaled
@@ -300,7 +295,7 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
             RuntimeWarning,
             stacklevel=2,
         )
-    div_residual = float(np.max(d_damaged)) if d_damaged.size else 0.0
+    div_residual = float(np.max(tau_split[2], initial=0.0))  # |div tau| on D
 
     if dval == -math.inf or primal == math.inf:
         gap = math.inf

@@ -17,8 +17,9 @@ Scalar reductions use ``_fsum``, a compensated sum in a fixed block order for
 a given size: ``np.sum`` over consecutive 64-element blocks of the row-major
 values, then ``math.fsum`` over the block totals and the tail.  The per-pixel
 norms (``grid.channel_norms``, ``grid.pixel_norms``) sum the squares of their
-components one by one in a fixed order.  Energies are therefore reproducible
-bit for bit for a given grid, whatever the memory layout of u.
+components one by one in a fixed order (``grid._sum_products``).  Energies are
+therefore reproducible bit for bit for a given grid, whatever the memory
+layout of u.
 """
 
 from __future__ import annotations

@@ -15,11 +15,12 @@ one, and each returns the transposed view with the public shape, so every
 ``validate_image`` and ``solver.minimize_smooth`` take a solve's inputs
 planar (``_planar``).  numpy's elementwise operations keep the memory order
 of their inputs, so the fields derived from these stay planar, and the
-per-plane loops of the norms run over contiguous memory instead of 3-wide
-strided rows.  At M = 1 a planar image is the same memory as a row-major one.
+per-plane loop of ``_sum_products`` (every norm, the dual's ``d . f``) runs
+over contiguous memory instead of 3-wide strided rows.  At M = 1 a planar
+image is the same memory as a row-major one.
 
 The public entry points check their arrays here, once per call
-(``_shape_check``, ``_field_check``, ``_check_bound``).
+(``_shape_check``, ``_field_check``, ``_check_bound``; L by ``_sup_known``).
 
 ``divergence`` is the exact negative adjoint of ``gradient``:
 ``<gradient(u), p> == -<u, divergence(p)>`` for every u and p, which is the
@@ -115,8 +116,12 @@ def _known(x, mask) -> np.ndarray:
 
 
 def _sup_known(f, mask) -> float:
-    """L, the largest channel norm of f over known pixels; the arrays as checked."""
-    return float(np.max(_known(channel_norms(f), mask)))
+    """L, the largest channel norm of f over known pixels, if finite; the arrays as checked."""
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        sup_f = float(np.max(_known(channel_norms(f), mask)))
+    if sup_f == np.inf:
+        raise ValueError("known-pixel norm L of f overflows: |f|^2 must stay below the float max")
+    return sup_f
 
 
 def _check_bound(f, mask, bound: float) -> None:
@@ -126,16 +131,21 @@ def _check_bound(f, mask, bound: float) -> None:
         raise ValueError(f"bound {bound} is not finite or below the known-pixel sup {sup_f}")
 
 
-def _root_sum_squares(x) -> np.ndarray:
-    """``sqrt(sum_k x[..., k]**2)``, summed in the order k = 0, 1, ...
+def _sum_products(x, y) -> np.ndarray:
+    """``sum_k x[..., k] y[..., k]``, summed in the order k = 0, 1, ...
 
-    The sum is elementwise in a fixed order, so its bits do not depend on the
-    memory layout of x.
+    The package's one per-pixel sum over the last axis.  It is elementwise in
+    a fixed order, so its bits do not depend on the memory layout of x and y.
     """
-    acc = x[..., 0] * x[..., 0]
+    acc = x[..., 0] * y[..., 0]
     for k in range(1, x.shape[-1]):
-        acc += x[..., k] * x[..., k]
-    return np.sqrt(acc)
+        acc += x[..., k] * y[..., k]
+    return acc
+
+
+def _root_sum_squares(x) -> np.ndarray:
+    """``sqrt(sum_k x[..., k]**2)``, the sum by ``_sum_products``."""
+    return np.sqrt(_sum_products(x, x))
 
 
 def channel_norms(u) -> np.ndarray:

@@ -131,6 +131,8 @@ def write(path, image: NetpbmImage) -> None:
     magic = image.magic.encode()
     if magic not in _MAGICS:
         raise ValueError(f"unsupported magic {image.magic!r}")
+    if not 0 < image.maxval <= 65535:
+        raise ValueError(f"maxval {image.maxval} out of range (1..65535)")
     samples = np.asarray(image.samples)
     if samples.ndim != 3 or samples.shape[2] != _MAGICS[magic]:
         raise ValueError(

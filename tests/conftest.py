@@ -1,8 +1,11 @@
 import numpy as np
 from hypothesis import HealthCheck, settings
 
+# derandomize: every run draws the same examples, so a clean checkout (the
+# example database under .hypothesis/ is not kept in git) reruns the same cases.
 settings.register_profile(
     "numeric",
+    derandomize=True,
     deadline=None,
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],

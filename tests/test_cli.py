@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from viscotv import SolverConfig, netpbm, solver
+from viscotv import SolverConfig, cli, netpbm, solver
 from viscotv.cli import run
 
 
@@ -203,6 +203,18 @@ class TestRuns:
         keys = dict(line.split("=", 1) for line in report.read_text().splitlines())
         assert float(keys["relative_gap"]) > 1e-4
         assert (tmp_path / "o.pgm").exists()
+
+    def test_solver_exception_exits_two(self, tmp_path, board, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("no certificate")
+
+        monkeypatch.setattr(cli, "continuation", broken)
+        src, mask = board
+        out = tmp_path / "o.pgm"
+        code = run(["--input", str(src), "--mask", str(mask), "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "solver error: no certificate\n"
+        assert not out.exists()
 
     def test_inner_cap_hits_reported(self, tmp_path, board):
         src, mask = board

@@ -8,6 +8,7 @@ from viscotv.density import DensityParams, phi_conjugate, recession_constant
 from viscotv.dual import (
     _known_infimum,
     _scaled_dual,
+    _split,
     certify,
     dual_from_primal,
     dual_value,
@@ -181,6 +182,17 @@ class TestDualValue:
         assert dual_value(tau, f, mask, params_for(mu=3.0), 0.5) > -math.inf
         tau[0, 0, 0, 0] = 0.50001
         assert dual_value(tau, f, mask, params_for(mu=3.0), 0.5) == -math.inf
+
+    def test_huge_infeasible_tau_is_minus_infinity_not_nan(self):
+        # |div tau| ~ 2e300 against f = 1e10: d . f and the known infimum
+        # overflow to inf - inf, which the conjugate's +inf must outrank.
+        f = np.full((3, 3, 1), 1e10)
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[1, 1] = True
+        tau = np.zeros((3, 3, 2, 1))
+        tau[0, 0, 0, 0], tau[0, 1, 0, 0], tau[1, 0, 1, 0] = 1e300, -1e300, 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert dual_value(tau, f, mask, params_for(lam=10.0), 1e10) == -math.inf
 
     def test_bound_below_known_sup_rejected(self):
         f = np.full((2, 2, 1), 0.8)
@@ -378,9 +390,8 @@ class TestViscousCertificate:
             for theta in np.linspace(0.0, theta_max, 2001)
         )
         primal = primal_energy(u, f, mask, params)
-        theta, value = _scaled_dual(
-            norms, -divergence(sigma), f, mask, viscous, bound, 1e-6 * primal
-        )
+        split = _split(-divergence(sigma), f, mask)
+        theta, value = _scaled_dual(norms, split, viscous, bound, 1e-6 * primal)
         assert 0.0 < theta <= theta_max
         assert value >= scan - 1e-9 * abs(scan)
         if mu == 15.0:

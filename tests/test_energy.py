@@ -22,7 +22,13 @@ from viscotv.energy import (
     primal_energy,
 )
 from viscotv.grid import channel_norms, divergence, gradient
-from viscotv.solver import SolverConfig, check_max_principle, default_initial, minimize_smooth
+from viscotv.solver import (
+    SolverConfig,
+    check_max_principle,
+    continuation,
+    default_initial,
+    minimize_smooth,
+)
 
 
 def single_pixel(u_val, f_val):
@@ -66,8 +72,8 @@ class TestFidelity:
 
     def test_shape_mismatch(self):
         params = ModelParams(lam=1.0, zeta=2.0, density=DensityParams(2.0))
-        with pytest.raises(ValueError):
-            fidelity(np.zeros((2, 2, 1)), np.zeros((2, 3, 1)), np.zeros((2, 2), bool), params)
+        with pytest.raises(ValueError, match="u shape"):  # mask on f's grid
+            fidelity(np.zeros((2, 2, 1)), np.zeros((2, 3, 1)), np.zeros((2, 3), bool), params)
         with pytest.raises(ValueError):
             fidelity(np.zeros((2, 2, 1)), np.zeros((2, 2, 1)), np.zeros((3, 2), bool), params)
 
@@ -182,6 +188,50 @@ class TestAllDamagedMask:
         assert np.array_equal(value, ENTRY_POINTS[entry](u, f + 1.0, mask))
         if entry == "fidelity":
             assert value == 0.0
+
+
+class TestOverflowingSupNorm:
+    """L, the largest known-pixel norm of f, must be finite where it is read.
+
+    A known value of 1e160 squares past the float range, so L would be inf;
+    at 1e150 every entry point still returns.
+    """
+
+    READS_L = {
+        "sup_known_norm": lambda f, mask, bound: sup_known_norm(f, mask),
+        "dual_value": lambda f, mask, bound: dual_value(
+            np.zeros((4, 4, 2, 1)), f, mask, VISCOUS, bound
+        ),
+        "certify": lambda f, mask, bound: certify(f, f, mask, VISCOUS, bound),
+        "check_max_principle": lambda f, mask, bound: check_max_principle(f, f, mask),
+        "minimize_smooth": lambda f, mask, bound: minimize_smooth(
+            f, 0.1, f, mask, VISCOUS, SolverConfig()
+        ),
+        "continuation": lambda f, mask, bound: continuation(
+            f, mask, VISCOUS, SolverConfig()
+        ),
+    }
+
+    @staticmethod
+    def instance(peak):
+        f = np.random.default_rng(5).uniform(size=(4, 4, 1))
+        f[0, 0, 0] = peak
+        mask = np.zeros((4, 4), bool)
+        mask[2, 2] = True
+        return f, mask
+
+    @pytest.mark.parametrize("entry", READS_L)
+    def test_rejected(self, entry):
+        f, mask = self.instance(1e160)
+        with pytest.raises(ValueError, match="known-pixel norm L of f overflows"):
+            self.READS_L[entry](f, mask, 1e161)
+
+    @pytest.mark.parametrize("entry", READS_L)
+    def test_large_finite_accepted(self, entry):
+        f, mask = self.instance(1e150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow on the way
+            self.READS_L[entry](f, mask, sup_known_norm(f, mask))
 
 
 def hypot_norms(x):

@@ -75,6 +75,20 @@ class TestRead:
         with pytest.raises(netpbm.NetpbmError):
             netpbm.read(write_bytes(tmp_path, "m.pgm", b"P2\n1 1\n70000\n0\n"))
 
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            (b"P2\n2 2\n", "unexpected end of file while reading maxval"),
+            (b"P2\n0 2\n255\n", "invalid dimensions 0x2"),
+            (b"P2\n2 0\n255\n", "invalid dimensions 2x0"),
+            # The token ends at the comment, so the raster would start at '#'.
+            (b"P5\n1 1\n255#c\n\x07", "expected single whitespace after maxval"),
+        ],
+    )
+    def test_header_errors(self, tmp_path, payload, message):
+        with pytest.raises(netpbm.NetpbmError, match=message):
+            netpbm.read(write_bytes(tmp_path, "h.pnm", payload))
+
     def test_sample_exceeding_maxval(self, tmp_path):
         with pytest.raises(netpbm.NetpbmError):
             netpbm.read(write_bytes(tmp_path, "m.pgm", b"P2\n1 1\n255\n300\n"))
@@ -166,6 +180,28 @@ class TestWrite:
             rows = [" ".join(str(v) for v in row) for row in samples.reshape(h, -1).tolist()]
             expected = f"{magic}\n{w} {h}\n{maxval}\n" + "\n".join(rows) + "\n"
             assert path.read_bytes() == expected.encode()
+
+
+    @pytest.mark.parametrize(
+        "image,message",
+        [
+            (netpbm.NetpbmImage("P7", 255, np.zeros((1, 1, 1), np.uint16)), "unsupported magic"),
+            (netpbm.NetpbmImage("P3", 255, np.zeros((1, 1, 1), np.uint16)), "expects 3 channel"),
+            (netpbm.NetpbmImage("P5", 255, np.array([[[256]]])), "samples out of range"),
+            (netpbm.NetpbmImage("P2", 255, np.array([[[-1]]])), "samples out of range"),
+        ],
+    )
+    def test_malformed_image_rejected(self, tmp_path, image, message):
+        with pytest.raises(ValueError, match=message):
+            netpbm.write(tmp_path / "w.pnm", image)
+
+    @pytest.mark.parametrize("magic", ["P2", "P5"])
+    @pytest.mark.parametrize("maxval", [0, 65536, 70000])
+    def test_maxval_out_of_range_rejected(self, tmp_path, magic, maxval):
+        # Unchecked, a P5 sample of 70000 would wrap to 4464 in two bytes.
+        image = netpbm.NetpbmImage(magic, maxval, np.array([[[maxval]]], dtype=np.uint32))
+        with pytest.raises(ValueError, match=rf"maxval {maxval} out of range \(1\.\.65535\)"):
+            netpbm.write(tmp_path / "w.pnm", image)
 
 
 class TestRoundTrip:
