@@ -106,9 +106,13 @@ def density_value(params: DensityParams, P, *, norms=None):
 
     P has shape (..., 2, M); the result drops the trailing two axes.
     ``norms``, if given, is ``pixel_norms(P)`` already computed by the caller.
+    The viscous term is skipped at delta = 0.
     """
     r = pixel_norms(P) if norms is None else norms
-    return 0.5 * params.delta * r * r + _phi(params.mu, r)
+    value = _phi(params.mu, r)
+    if params.delta > 0.0:
+        value += 0.5 * params.delta * r * r
+    return value
 
 
 def _radial_quotient(params: DensityParams, r):
@@ -125,16 +129,22 @@ def _radial_quotient(params: DensityParams, r):
     return np.where(small, 1.0 - 0.5 * params.mu * r, q)
 
 
-def density_gradient(params: DensityParams, P, *, norms=None):
+def density_gradient(params: DensityParams, P, *, norms=None, out=None):
     """Gradient ``delta*P + phi'(|P|) P/|P|`` with the value 0 at P = 0.
 
     ``norms``, if given, is ``pixel_norms(P)`` already computed by the caller.
+    ``out``, if given, receives the result and is returned.  It may be P
+    itself, which is then overwritten by the flux.  The sum is taken as
+    ``q*P + delta*P``, the viscous part skipped at delta = 0, so the bits are
+    the same with and without ``out``.
     """
     P = np.asarray(P, dtype=float)
     r = (pixel_norms(P) if norms is None else norms)[..., None, None]
     q = _radial_quotient(params, r)
-    grad = q * P  # += delta*P: the bits of delta*P + q*P, one temporary fewer
-    grad += params.delta * P
+    visc = params.delta * P if params.delta > 0.0 else None  # before out overwrites P
+    grad = np.multiply(q, P, out=out)
+    if visc is not None:
+        grad += visc
     return grad
 
 

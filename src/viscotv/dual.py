@@ -39,8 +39,8 @@ import numpy as np
 
 from .density import density_gradient, phi_conjugate, recession_constant
 from .energy import ModelParams, _fsum, _Point
-from .grid import _check_bound, _field_check, _shape_check, _sum_products, _sup_known
-from .grid import channel_norms, divergence, gradient, pixel_norms
+from .grid import _check_bound, _field_check, _negative_divergence, _shape_check
+from .grid import _sum_products, _sup_known, channel_norms, gradient, pixel_norms
 
 __all__ = [
     "DualCertificate",
@@ -82,10 +82,10 @@ def sup_known_norm(f, mask) -> float:
 
 
 def dual_from_primal(u, params: ModelParams):
-    """Return ``(tau, sigma) = (DF(grad u), delta*grad u + tau)``."""
+    """Return ``(tau, sigma) = (DF(grad u), DF_delta(grad u))``; ``sigma = tau + delta grad u``."""
     g = gradient(u)
     tau = density_gradient(params.density.without_viscosity(), g)
-    sigma = params.density.delta * g + tau
+    sigma = density_gradient(params.density, g)
     return tau, sigma
 
 
@@ -112,7 +112,8 @@ def dual_value(tau, f, mask, mparams: ModelParams, bound: float) -> float:
     _, f, mask = _shape_check(None, f, mask)
     tau = _field_check(tau, f)
     _check_bound(f, mask, bound)
-    return _dual_value(pixel_norms(tau), _split(-divergence(tau), f, mask), mparams, bound)
+    split = _split(_negative_divergence(tau), f, mask)
+    return _dual_value(pixel_norms(tau), split, mparams, bound)
 
 
 def _split(d, f, mask):
@@ -258,6 +259,12 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     ``divergence_residual_on_D`` and ``feasibility_margin`` describe the
     unscaled tau.  The gap is inf when the primal energy or the dual bound
     is infinite.
+
+    Both fields come from ``density_gradient``, the flux rule of the
+    residual.  sigma is built first in a buffer of its own, split and
+    dropped; tau is then written over the primal point's gradient of u, and
+    each divergence is negated in its own buffer, so no gradient-sized array
+    outlives its split.
     """
     u, f, mask = _shape_check(u, f, mask)
     _check_bound(f, mask, bound)
@@ -265,14 +272,20 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     delta = mparams.density.delta
     point = _Point(u, f, mask, target)
     primal = point.total
-    tau = density_gradient(target.density, point.grad, norms=point.grad_norms)
-    tau_norms = pixel_norms(tau)
     viscous = delta > 0.0 and bool(mask.any())
     if viscous:
+        sigma = density_gradient(mparams.density, point.grad, norms=point.grad_norms)
+        sigma_split = _split(_negative_divergence(sigma), f, mask)
+        del sigma
+    # tau is written over the gradient, which nothing reads after it.
+    tau = density_gradient(
+        target.density, point.grad, norms=point.grad_norms, out=point.grad
+    )
+    tau_norms = pixel_norms(tau)
+    if viscous:
         sigma_norms = tau_norms + delta * point.grad_norms
-        sigma_split = _split(-divergence(tau + delta * point.grad), f, mask)
-    tau_split = _split(-divergence(tau), f, mask)
-    del point, tau  # each as large as a gradient field
+    tau_split = _split(_negative_divergence(tau), f, mask)
+    del point, tau  # tau is the point's gradient buffer
     margin = recession_constant(target.density) - float(np.max(tau_norms))
     # A last Newton step predicted to gain 1e-6 of the gap's scale
     # leaves ~1e-12 of it: far below any gap worth certifying.

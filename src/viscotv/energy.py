@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .density import DensityParams, density_gradient, density_value
-from .grid import _shape_check, channel_norms, divergence, gradient, pixel_norms
+from .grid import _negative_divergence, _shape_check, channel_norms, gradient, pixel_norms
 
 __all__ = ["ModelParams", "fidelity", "primal_energy", "euler_residual"]
 
@@ -137,12 +137,17 @@ class _Point:
     """The energy of one point u, with the fields its residual needs.
 
     ``pixel_energy`` is the energy per pixel, shape (H, W); ``total`` is its
-    exact sum, taken on first use.  ``residual()`` builds the exact gradient
-    of the energy from the cached ``grad`` and norms and drops them; it also
-    sets ``density_residual``, the gradient ``-div DF_delta(grad u)`` of the
-    density part alone.  A point kept after its residual holds only
-    ``pixel_energy`` and these two fields.  u and f are kept by reference,
-    not copied; the arrays are taken as ``grid._shape_check`` returns them.
+    exact sum, taken on first use, and +inf where that sum is nan: for finite
+    u and f a pixel energy is nan only where a norm overflowed (``inf - inf``
+    in ``phi``, ``0*inf`` in the viscous term), so the energy is beyond the
+    float range.  ``residual()`` builds the exact gradient of the energy from
+    the cached ``grad`` and norms: the flux ``DF_delta(grad u)`` is written
+    over ``grad``, the divergence negated in its own buffer, and the point
+    then drops ``grad`` and the norms.  It also sets ``density_residual``,
+    the gradient ``-div DF_delta(grad u)`` of the density part alone.  A
+    point kept after its residual holds only ``pixel_energy`` and these two
+    fields.  u and f are kept by reference, not copied; the arrays are taken
+    as ``grid._shape_check`` returns them.
     """
 
     def __init__(self, u, f, mask, params: ModelParams):
@@ -161,18 +166,20 @@ class _Point:
     @property
     def total(self) -> float:
         if self._total is None:
-            self._total = _fsum(self.pixel_energy)
+            total = _fsum(self.pixel_energy)
+            self._total = math.inf if math.isnan(total) else total
         return self._total
 
     def residual(self) -> np.ndarray:
         if self._residual is None:
             params = self.params
-            flux = density_gradient(params.density, self.grad, norms=self.grad_norms)
+            flux = density_gradient(
+                params.density, self.grad, norms=self.grad_norms, out=self.grad
+            )
             norms = self.dev_norms
             self.grad = self.grad_norms = self.dev_norms = None
-            div = divergence(flux)
+            self.density_residual = _negative_divergence(flux)
             del flux
-            self.density_residual = np.negative(div, out=div)
             coef = params.lam * (~self.mask)[..., None]
             if params.zeta != 2.0:  # |u - f|^(zeta - 2) is 1 at zeta = 2
                 with np.errstate(divide="ignore", invalid="ignore"):

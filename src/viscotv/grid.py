@@ -191,6 +191,12 @@ def divergence(p) -> np.ndarray:
     return div.transpose(1, 2, 0)
 
 
+def _negative_divergence(p) -> np.ndarray:
+    """``-divergence(p)``, negated in place of the divergence's own buffer."""
+    div = divergence(p)
+    return np.negative(div, out=div)
+
+
 def clamp_to_ball(u, radius: float) -> np.ndarray:
     """Project each pixel's channel vector onto the ball of the given radius."""
     if radius < 0.0:

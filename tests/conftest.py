@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 from hypothesis import HealthCheck, settings
+
+from viscotv.grid import validate_image
 
 # derandomize: every run draws the same examples, so a clean checkout (the
 # example database under .hypothesis/ is not kept in git) reruns the same cases.
@@ -50,3 +54,36 @@ def layouts(u):
     order = (*range(2, u.ndim), 0, 1)
     planar = np.ascontiguousarray(u.transpose(order)).transpose(np.argsort(order))
     return [np.ascontiguousarray(u), np.asfortranarray(u), shifted, planar]
+
+
+def hole_instance_color128(seed=15):
+    """Seeded 128x128x3 f with a central 32x32 hole and an iterate near f.
+
+    f and u are channel-planar, the layout the solver keeps its images in.
+    """
+    rng = np.random.default_rng(seed)
+    f = validate_image(rng.uniform(size=(128, 128, 3)))
+    mask = np.zeros((128, 128), dtype=bool)
+    mask[48:80, 48:80] = True
+    u = validate_image(np.clip(f + rng.normal(0.0, 0.01, size=f.shape), 0.0, 1.0))
+    return u, f, mask
+
+
+def peak_allocation(call):
+    """Peak bytes that ``call()`` holds allocated at once, by tracemalloc.
+
+    numpy reports its data buffers to tracemalloc, so this counts every array
+    the call makes, the returned one included.  Memory traced before the call
+    is subtracted, so an outer trace does not count.
+    """
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not outer:
+            tracemalloc.stop()

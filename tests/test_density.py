@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import layouts
 from oracle import phi_by_quadrature
 from viscotv.density import (
     DensityParams,
@@ -18,6 +19,7 @@ from viscotv.density import (
     phi_prime,
     recession_constant,
 )
+from viscotv.grid import pixel_norms
 
 MUS = (1.5, 2.0, 3.0)
 
@@ -169,6 +171,39 @@ class TestDensityGradient:
         p = DensityParams(2.0)
         small = density_gradient(p, mat(1e-13, 0.0, 0.0, 0.0))
         assert small[0, 0] == pytest.approx(1e-13, rel=1e-6)
+
+
+class TestDensityGradientOut:
+    """``out=P`` writes the flux over its own argument with the same bits.
+
+    The norms are given on the in-place side, as ``_Point`` and ``certify``
+    give them.
+    """
+
+    @staticmethod
+    def fields(channels):
+        # Gradient-shaped (4, 5, 2, M) fields with a zero pixel, one in the
+        # Taylor range of the radial quotient and one far out on the ray.
+        rng = np.random.default_rng(channels)
+        P = rng.normal(size=(4, 5, 2, channels))
+        P[0, 0] = 0.0
+        P[1, 2] *= 1e-14
+        P[3, 4] *= 1e8
+        return layouts(P)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3])
+    @pytest.mark.parametrize("mu", [2.0, 3.0])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_in_place_bits_equal_fresh(self, delta, mu, channels):
+        p = DensityParams(mu, delta)
+        # Two sets of the same layouts: one read, one written over.
+        for P, target in zip(self.fields(channels), self.fields(channels)):
+            before = P.copy()
+            fresh = density_gradient(p, P)
+            assert np.array_equal(P, before)  # out=None leaves P as it was
+            result = density_gradient(p, target, norms=pixel_norms(target), out=target)
+            assert result is target
+            assert np.array_equal(result, fresh)
 
 
 class TestRadialQuotient:

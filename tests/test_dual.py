@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import checkerboard_instance, random_instance
-from viscotv.density import DensityParams, phi_conjugate, recession_constant
+from conftest import (
+    checkerboard_instance,
+    hole_instance_color128,
+    peak_allocation,
+    random_instance,
+)
+from viscotv.density import DensityParams, density_gradient, phi_conjugate, recession_constant
 from viscotv.dual import (
+    _dual_value,
     _known_infimum,
     _scaled_dual,
     _split,
@@ -43,11 +49,13 @@ class TestDualFromPrimal:
         assert np.array_equal(tau, sigma)
 
     def test_sigma_adds_viscous_part(self):
+        # Bit for bit: sigma is delta grad u + tau, the sum in either order.
         rng = np.random.default_rng(1)
-        u = rng.normal(size=(4, 5, 1))
-        params = params_for(delta=0.25)
-        tau, sigma = dual_from_primal(u, params)
-        assert np.allclose(sigma, tau + 0.25 * gradient(u))
+        for channels in (1, 3):
+            u = rng.normal(size=(4, 5, channels))
+            for mu in (1.5, 2.0, 3.0):
+                tau, sigma = dual_from_primal(u, params_for(mu=mu, delta=0.25))
+                assert np.array_equal(sigma, 0.25 * gradient(u) + tau)
 
     def test_strict_feasibility(self):
         rng = np.random.default_rng(2)
@@ -316,6 +324,18 @@ class TestCertify:
         assert cert.primal_value == math.inf
         assert cert.relative_gap == math.inf
 
+    @pytest.mark.parametrize("delta,limit", [(0.0, 3.2), (0.01, 4.1)])
+    def test_peak_in_gradient_fields(self, delta, limit):
+        # tau is written over the primal point's gradient and sigma is
+        # dropped once split: ~2.7 gradient fields at delta = 0 and ~3.7 at
+        # delta = 0.01; a buffer per flux would make them ~3.7 and ~4.6.
+        u, f, mask = hole_instance_color128()
+        bound = sup_known_norm(f, mask)
+        params = params_for(delta=delta, lam=10.0)
+        certify(u, f, mask, params, bound)  # warm-up
+        peak = peak_allocation(lambda: certify(u, f, mask, params, bound))
+        assert peak < limit * gradient(u).nbytes
+
     def test_viscous_iterate_uses_viscosity_free_primal(self):
         rng = np.random.default_rng(11)
         f, mask = random_instance(rng)
@@ -371,6 +391,29 @@ class TestViscousCertificate:
         ):
             assert cert.dual_field == "tau"
             assert cert.dual_scale == 1.0
+
+    @pytest.mark.parametrize("mu,zeta", [(2.0, 2.0), (2.0, 1.5), (3.0, 3.0), (1.5, 2.0)])
+    def test_same_bits_as_sigma_built_from_tau(self, mu, zeta):
+        # The reference builds sigma the way certify did before its fluxes
+        # came from density_gradient: tau plus delta grad u.
+        f, mask = checkerboard_instance()
+        bound = sup_known_norm(f, mask)
+        *_, (delta, u, params) = board_iterate(mu, zeta, (1e-1, 1e-2))
+        viscous = params.with_delta(delta)
+        cert = certify(u, f, mask, viscous, bound)
+
+        g = gradient(u)
+        tau = density_gradient(params.density, g)
+        tau_norms = pixel_norms(tau)
+        sigma_norms = tau_norms + delta * pixel_norms(g)
+        sigma_split = _split(-divergence(tau + delta * g), f, mask)
+        tol = 1e-6 * max(1.0, abs(cert.primal_value))
+        theta, value = _scaled_dual(sigma_norms, sigma_split, viscous, bound, tol)
+        tau_value = _dual_value(tau_norms, _split(-divergence(tau), f, mask), viscous, bound)
+        assert value > tau_value
+        assert cert.dual_field == "sigma"
+        assert cert.dual_value == value
+        assert cert.dual_scale == theta
 
     @pytest.mark.parametrize(
         "mu,zeta", [(2.0, 2.0), (2.0, 1.5), (3.0, 3.0), (1.5, 2.0), (15.0, 2.0)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import layouts, random_instance
+from conftest import hole_instance_color128, layouts, peak_allocation, random_instance
 from oracle import fd_gradient, phi_by_quadrature
 from viscotv.density import DensityParams, density_gradient, density_value
 from viscotv.dual import certify, dual_from_primal, dual_value, sup_known_norm
@@ -440,6 +440,59 @@ class TestCompensatedSum:
         params = ModelParams(lam=1.0, zeta=2.0, density=DensityParams(2.0))
         assert primal_energy(np.full(f.shape, 1.7e153), f, mask, params) == math.inf
 
+
+class TestOverflowingGradientNorm:
+    """A finite u whose gradient norm overflows has energy +inf, not nan.
+
+    The norm is inf there, so ``phi(inf)`` evaluates ``inf - inf``.
+    """
+
+    @staticmethod
+    def spike():
+        u = np.zeros((2, 2, 1))
+        u[0, 0, 0] = 1e155
+        return u, np.zeros_like(u), np.zeros((2, 2), dtype=bool)
+
+    @pytest.mark.parametrize("mu", [1.5, 2.0, 3.0])
+    def test_primal_energy_is_inf(self, mu):
+        params = ModelParams(lam=10.0, zeta=2.0, density=DensityParams(mu))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert primal_energy(*self.spike(), params) == math.inf
+
+    @pytest.mark.parametrize("mu", [1.5, 2.0, 3.0])
+    def test_certify_gap_is_inf(self, mu):
+        params = ModelParams(lam=10.0, zeta=2.0, density=DensityParams(mu))
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cert = certify(*self.spike(), params, 0.0)
+        assert cert.primal_value == math.inf
+        assert cert.relative_gap == math.inf
+
+    def test_continuation_reports_inf(self):
+        # L = 1e154 is finite, but the gradient at the known spike is not.
+        f = np.zeros((4, 4, 1))
+        f[0, 0, 0] = 1e154
+        mask = np.zeros((4, 4), dtype=bool)
+        mask[3, 3] = True
+        params = ModelParams(lam=10.0, zeta=2.0, density=DensityParams(2.0))
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, cert, _ = continuation(f, mask, params, SolverConfig())
+        assert cert.primal_value == math.inf
+        assert cert.relative_gap == math.inf
+
+
+class TestResidualBuffers:
+    def test_peak_below_two_gradient_fields(self):
+        # The flux is written over the point's gradient: the residual's own
+        # arrays peak at ~1.2 gradient fields (flux, divergence and residual);
+        # a flux in a buffer of its own would make it ~2.2.
+        u, f, mask = hole_instance_color128()
+        params = ModelParams(lam=10.0, zeta=2.0, density=DensityParams(2.0, 0.01))
+        _Point(u, f, mask, params).residual()  # warm-up
+        point = _Point(u, f, mask, params)
+        field = gradient(u).nbytes
+        assert peak_allocation(point.residual) < 1.7 * field
 
 class TestLayoutIndependence:
     @pytest.mark.parametrize("channels", [1, 3])
