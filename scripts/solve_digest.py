@@ -12,7 +12,12 @@ in this order:
   ``continuation`` on the 36 seed-7 ``inpaint_gray48`` inputs, on 5 inputs
   each of 32x32 inpainting at zeta = 1.5 and zeta = 3, and on 10 seed-7
   96x96x3 denoising inputs (no mask);
-* the 4 seed-7 ``certify_audit_color512`` certificates.
+* the 4 seed-7 ``certify_audit_color512`` certificates;
+* the ``CliInstance`` fingerprint of the first 10 seed-7
+  ``denoise_color96_cli`` inputs: the output image, the report and the CSV
+  without its trailing ``seconds`` column.  The report names the input
+  files, which perfbench writes under this script's own checkout, so
+  compare two ``--src`` directories with one copy of the script.
 
 Inputs and settings are perfbench/run.py's instances, imported by path, so
 the fixture has one source.  Two checkouts that print the same digest give
@@ -67,6 +72,7 @@ def main(argv=None):
         ("inpaint_zeta3_gray32", solve("solve", 32, 1, True, 3.0, 5)),
         ("denoise_color96", solve("solve", 96, 3, False, 2.0, 10)),
         ("certify_audit_color512", run.WORKLOADS["certify_audit_color512"]),
+        ("denoise_color96_cli", replace(run.WORKLOADS["denoise_color96_cli"], instances=10)),
     ]
     digest = hashlib.sha256()
     for name, wl in sets:
@@ -75,6 +81,9 @@ def main(argv=None):
             result = instance.call()
             if wl.kind == "audit":
                 digest.update(repr(result).encode())
+                continue
+            if wl.kind == "cli":
+                digest.update(instance.check(result).fingerprint)
                 continue
             u, _, records = result
             digest.update(np.ascontiguousarray(u).tobytes())

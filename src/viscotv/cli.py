@@ -138,29 +138,28 @@ def _write_report(path, pairs) -> None:
             handle.write(f"{key}={_fmt(value)}\n")
 
 
+# The CSV's columns in order: header name and value of outer step i's record.
+_CSV_COLUMNS = (
+    ("outer_iter", lambda i, rec: i),
+    ("delta", lambda i, rec: rec.delta),
+    ("inner_iters", lambda i, rec: rec.inner_iterations),
+    ("I_delta", lambda i, rec: rec.I_delta_value),
+    ("I", lambda i, rec: rec.I_value),
+    ("R_hat", lambda i, rec: rec.dual_value),
+    ("gap_rel", lambda i, rec: rec.relative_gap),
+    ("grad_inf_norm", lambda i, rec: rec.residual_inf_norm),
+    ("max_abs_u", lambda i, rec: rec.max_abs_u),
+    ("stop_reason", lambda i, rec: rec.stop_reason),
+    ("evaluations", lambda i, rec: rec.evaluations),
+    ("seconds", lambda i, rec: f"{rec.wall_seconds:.6f}"),
+)
+
+
 def _write_csv(path, records) -> None:
-    header = (
-        "outer_iter,delta,inner_iters,I_delta,I,R_hat,gap_rel,grad_inf_norm,max_abs_u,"
-        "stop_reason,evaluations,seconds"
-    )
     with open(path, "w", newline="\n") as handle:
-        handle.write(header + "\n")
+        handle.write(",".join(name for name, _ in _CSV_COLUMNS) + "\n")
         for i, rec in enumerate(records, start=1):
-            row = [
-                str(i),
-                _fmt(rec.delta),
-                str(rec.inner_iterations),
-                _fmt(rec.I_delta_value),
-                _fmt(rec.I_value),
-                _fmt(rec.dual_value),
-                _fmt(rec.relative_gap),
-                _fmt(rec.residual_inf_norm),
-                _fmt(rec.max_abs_u),
-                rec.stop_reason,
-                str(rec.evaluations),
-                f"{rec.wall_seconds:.6f}",
-            ]
-            handle.write(",".join(row) + "\n")
+            handle.write(",".join(_fmt(value(i, rec)) for _, value in _CSV_COLUMNS) + "\n")
 
 
 def run(argv=None) -> int:

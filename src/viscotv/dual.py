@@ -39,7 +39,7 @@ import numpy as np
 
 from .density import density_gradient, phi_conjugate, recession_constant
 from .energy import ModelParams, _fsum, _Point
-from .grid import _check_bound, _field_check, _negative_divergence, _shape_check
+from .grid import _check_bound, _field_check, _image_check, _negative_divergence, _shape_check
 from .grid import _sum_products, _sup_known, channel_norms, gradient, pixel_norms
 
 __all__ = [
@@ -83,7 +83,7 @@ def sup_known_norm(f, mask) -> float:
 
 def dual_from_primal(u, params: ModelParams):
     """Return ``(tau, sigma) = (DF(grad u), DF_delta(grad u))``; ``sigma = tau + delta grad u``."""
-    g = gradient(u)
+    g = gradient(_image_check(u, "u"))
     tau = density_gradient(params.density.without_viscosity(), g)
     sigma = density_gradient(params.density, g)
     return tau, sigma

@@ -19,8 +19,8 @@ per-plane loop of ``_sum_products`` (every norm, the dual's ``d . f``) runs
 over contiguous memory instead of 3-wide strided rows.  At M = 1 a planar
 image is the same memory as a row-major one.
 
-The public entry points check their arrays here, once per call
-(``_shape_check``, ``_field_check``, ``_check_bound``; L by ``_sup_known``).
+The public entry points check their arrays here, once per call (``_image_check``
+for every image, ``_shape_check``, ``_field_check``, ``_check_bound``; L by ``_sup_known``).
 
 ``divergence`` is the exact negative adjoint of ``gradient``:
 ``<gradient(u), p> == -<u, divergence(p)>`` for every u and p, which is the
@@ -48,7 +48,7 @@ def _planar(u) -> np.ndarray:
 
 
 def _finite(u: np.ndarray, name: str) -> np.ndarray:
-    """u itself, if every entry is finite; ``validate_image``'s value rule."""
+    """u itself, if every entry is finite."""
     if not np.isfinite(u).all():
         raise ValueError(f"{name} contains non-finite entries")
     return u
@@ -64,14 +64,17 @@ def _bool_mask(mask, shape=None) -> np.ndarray:
     return mask
 
 
-def validate_image(u, name="image") -> np.ndarray:
-    """Check an (H, W, M) finite image; return it channel-planar (``_planar``)."""
+def _image_check(u, name: str) -> np.ndarray:
+    """u as an array, if it is a finite (H, W, M) image with every side at least 1."""
     u = np.asarray(u, dtype=float)
     if u.ndim != 3 or min(u.shape) < 1:
-        raise ValueError(
-            f"{name} must have shape (height, width, channels), got {u.shape}"
-        )
-    return _planar(_finite(u, name))
+        raise ValueError(f"{name} must have shape (height, width, channels), got {u.shape}")
+    return _finite(u, name)
+
+
+def validate_image(u, name="image") -> np.ndarray:
+    """Check an image (``_image_check``); return it channel-planar (``_planar``)."""
+    return _planar(_image_check(u, name))
 
 
 def validate_mask(mask, image=None) -> np.ndarray:
@@ -82,15 +85,15 @@ def validate_mask(mask, image=None) -> np.ndarray:
 
 
 def _shape_check(u, f, mask):
-    """f finite, mask 2-d bool on f's grid and u, unless None, finite and of f's shape.
+    """f and u, unless None, images (``_image_check``) of one shape; mask 2-d bool on f's grid.
 
     Unlike ``validate_mask``, accepts a mask damaging every pixel; the
     entry points that need L or the known values reject it through ``_known``.
     """
-    f = _finite(np.asarray(f, dtype=float), "f")
+    f = _image_check(f, "f")
     mask = _bool_mask(mask, f.shape)
     if u is not None:
-        u = _finite(np.asarray(u, dtype=float), "u")
+        u = _image_check(u, "u")
         if u.shape != f.shape:
             raise ValueError(f"u shape {u.shape} != f shape {f.shape}")
     return u, f, mask
@@ -199,7 +202,7 @@ def _negative_divergence(p) -> np.ndarray:
 
 def clamp_to_ball(u, radius: float) -> np.ndarray:
     """Project each pixel's channel vector onto the ball of the given radius."""
-    if radius < 0.0:
+    if not radius >= 0.0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     u = np.asarray(u, dtype=float)
     norms = channel_norms(u)

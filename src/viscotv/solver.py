@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,8 +70,9 @@ class SolverConfig:
             raise ValueError("need 0 < delta_factor < 1")
         if not (self.inner_tol > 0.0 and self.gap_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.inner_max_iters < 1:
-            raise ValueError("inner_max_iters must be >= 1")
+        n = self.inner_max_iters
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"inner_max_iters must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -101,33 +103,40 @@ class InnerResult:
     (``inner_max_iters`` reached) or ``stagnated`` (a trial step at or below
     ``1/L = 1/(8(1 + delta))`` failed to lower the energy, which only
     rounding can cause; ``u`` is the last accepted iterate).  ``evaluations``
-    counts the candidate points evaluated, accepted or not.
+    counts the candidate points evaluated, accepted or not; ``energy_history``
+    the energy at the start and after each accepted step, the last that of
+    ``u``.  Derived: ``converged``, i.e. ``stop_reason == "residual"``.
     """
 
     u: np.ndarray
     iterations: int
     residual_inf: float
-    converged: bool
-    energy: float
     stop_reason: str
     evaluations: int
-    energy_history: list = field(default_factory=list)
+    energy_history: list
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "residual"
 
 
 @dataclass(frozen=True)
 class MaxPrincipleCheck:
-    passed: bool
+    """``margin = L - sup |u|``, ``bound = L``; derived: ``passed``, i.e. ``margin >= -1e-8``."""
+
     margin: float
     bound: float
 
+    @property
+    def passed(self) -> bool:
+        return self.margin >= -1e-8
+
 
 def check_max_principle(u, f, mask) -> MaxPrincipleCheck:
-    """Pass iff ``sup |u| <= L + 1e-8`` with L the largest known-pixel |f|."""
+    """Compare ``sup |u|`` with L, the largest known-pixel |f| (``MaxPrincipleCheck``)."""
     u, f, mask = _shape_check(u, f, mask)
     bound = _sup_known(f, mask)
-    sup_u = float(np.max(channel_norms(u)))
-    margin = bound - sup_u
-    return MaxPrincipleCheck(passed=margin >= -1e-8, margin=margin, bound=bound)
+    return MaxPrincipleCheck(margin=bound - float(np.max(channel_norms(u))), bound=bound)
 
 
 def default_initial(f, mask) -> np.ndarray:
@@ -155,7 +164,7 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     Stops when the sup-norm of the residual falls below
     ``inner_tol * (1 + sup_known |f|)``, after ``inner_max_iters``
     iterations, or when a trial step at or below ``1/L`` fails to lower the
-    energy (flagged through ``converged`` and ``stop_reason``).
+    energy (``stop_reason`` says which); ``delta`` overrides ``params.density.delta``.
 
     Each iteration takes ``cand = prox_{gamma G}(u - gamma grad D(u))`` and
     halves gamma until the energy falls by at least ``|cand - u|^2/(2 gamma)``.
@@ -183,9 +192,8 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     min_step = 1.0 / (8.0 * (1.0 + pd.density.delta))
 
     at_u = _Point(u, f, mask, pd)
-    e_u = at_u.total
     res = _linf(at_u.residual())
-    history = [e_u]
+    history = [at_u.total]
 
     step = 1.0
     iters = evaluations = 0
@@ -200,7 +208,7 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
             at_cand = _Point(cand, f, mask, pd)
             evaluations += 1
             change = float(np.sum(at_cand.pixel_energy - at_u.pixel_energy))
-            if change <= -ss / (2.0 * step) and at_cand.total < e_u:
+            if change <= -ss / (2.0 * step) and at_cand.total < at_u.total:
                 break
             if not step > min_step:  # also ends on a non-finite step
                 stop_reason = "stagnated"
@@ -221,8 +229,8 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
         else:
             step = 2.0 * step
         del s, y
-        u, at_u, e_u = cand, at_cand, at_cand.total
-        history.append(e_u)
+        u, at_u = cand, at_cand
+        history.append(at_u.total)
 
     if stop_reason is None:
         stop_reason = "residual" if res <= tol else "cap"
@@ -230,8 +238,6 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
         u=u,
         iterations=iters,
         residual_inf=res,
-        converged=res <= tol,
-        energy=e_u,
         stop_reason=stop_reason,
         evaluations=evaluations,
         energy_history=history,
@@ -273,7 +279,7 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
             ConvergenceRecord(
                 delta=delta,
                 inner_iterations=inner.iterations,
-                I_delta_value=inner.energy,
+                I_delta_value=inner.energy_history[-1],
                 I_value=cert.primal_value,
                 dual_value=cert.dual_value,
                 relative_gap=cert.relative_gap,

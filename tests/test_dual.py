@@ -234,6 +234,15 @@ class TestDualValue:
         with pytest.raises(ValueError, match="field shape"):
             dual_value(tau, f, mask, params_for(), math.sqrt(3.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, bad):
+        f = np.full((2, 2, 1), 0.5)
+        mask = np.zeros((2, 2), dtype=bool)
+        tau = np.zeros((2, 2, 2, 1))
+        tau[1, 0, 1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            dual_value(tau, f, mask, params_for(), 0.5)
+
     def test_weak_duality_fuzz(self):
         rng = np.random.default_rng(42)
         for zeta in (1.5, 2.0, 3.0):

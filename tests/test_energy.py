@@ -127,22 +127,36 @@ def _mask_on_another_grid(u, f, mask):
     return u, f, mask[:, :-1]
 
 
+def _zero_channels(u, f, mask):
+    return u[:, :, :0], f[:, :, :0], mask
+
+
+def _zero_rows(u, f, mask):
+    return u[:0], f[:0], mask[:0]
+
+
+# Each defect with the wording its error must carry.
 DEFECTS = {
-    "int mask": _int_mask,
-    "nan in u": _nan_in_u,
-    "inf in known f": _inf_in_known_f,
-    "mask on another grid": _mask_on_another_grid,
+    "int mask": (_int_mask, "bool"),
+    "nan in u": (_nan_in_u, "non-finite"),
+    "inf in known f": (_inf_in_known_f, "non-finite"),
+    "mask on another grid": (_mask_on_another_grid, "grid"),
+    "zero channels": (_zero_channels, "shape"),
+    "zero rows": (_zero_rows, "shape"),
 }
 
 
 class TestMalformedArrays:
+    # default_initial reads f and mask only, as sup_known_norm does.
+    CHECKED = {**ENTRY_POINTS, "default_initial": lambda u, f, mask: default_initial(f, mask)}
+
     @pytest.mark.parametrize(
         "entry,defect",
         [
             (entry, defect)
-            for entry in ENTRY_POINTS
+            for entry in CHECKED
             for defect in DEFECTS
-            if not (entry == "sup_known_norm" and defect == "nan in u")
+            if not (entry in ("sup_known_norm", "default_initial") and defect == "nan in u")
         ],
     )
     def test_rejected(self, entry, defect):
@@ -150,9 +164,10 @@ class TestMalformedArrays:
         f, mask = random_instance(rng, shape=(6, 6), channels=3)
         mask[0, 0] = False  # the pixel _inf_in_known_f corrupts
         u = np.clip(f + rng.normal(0.0, 0.05, f.shape), 0.0, 1.0)
-        ENTRY_POINTS[entry](u, f, mask)  # the well-formed instance is accepted
-        with pytest.raises(ValueError, match="bool|non-finite|grid"):
-            ENTRY_POINTS[entry](*DEFECTS[defect](u, f, mask))
+        self.CHECKED[entry](u, f, mask)  # the well-formed instance is accepted
+        transform, match = DEFECTS[defect]
+        with pytest.raises(ValueError, match=match):
+            self.CHECKED[entry](*transform(u, f, mask))
 
 
 class TestAllDamagedMask:
@@ -425,6 +440,8 @@ class TestCompensatedSum:
         x = np.random.default_rng(3).normal(size=(48, 48))
         assert _fsum(x) == _fsum(np.asfortranarray(x)) == _fsum(x.ravel())
 
+    # A 64-value block sum overflows to inf in numpy, which warns.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("size", [3, 128, 200])
     def test_total_beyond_float_range_is_inf_of_its_sign(self, size):
         x = np.full(size, 1e308)

@@ -160,8 +160,9 @@ class TestClamp:
         assert np.allclose(clamp_to_ball(u, 1.0)[0, 0], [0.6, 0.8])
 
     def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            clamp_to_ball(np.zeros((1, 1, 1)), -1.0)
+        for radius in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                clamp_to_ball(np.zeros((1, 1, 1)), radius)
 
     def test_zero_radius_collapses(self):
         u = np.array([[[5.0], [-2.0]]])

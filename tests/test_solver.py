@@ -43,6 +43,9 @@ class TestConfig:
             SolverConfig(gap_tol=float("nan"))
         with pytest.raises(ValueError):
             SolverConfig(delta0=float("inf"))
+        for cap in (2.5, True, 0):
+            with pytest.raises(ValueError, match="inner_max_iters"):
+                SolverConfig(inner_max_iters=cap)
 
 
 class TestMinimizeSmooth:
@@ -70,7 +73,7 @@ class TestMinimizeSmooth:
         res = minimize_smooth(u0, 0.05, f, mask, params, SolverConfig())
         hist = np.array(res.energy_history)
         assert (np.diff(hist) < 0.0).all()
-        assert res.energy == hist[-1] == primal_energy(res.u, f, mask, params.with_delta(0.05))
+        assert hist[-1] == primal_energy(res.u, f, mask, params.with_delta(0.05))
 
     def test_two_random_starts_agree(self):
         f, mask = checkerboard_instance(n=8, block=(3, 5))
@@ -118,7 +121,7 @@ class TestMinimizeSmooth:
         assert res.stop_reason == "stagnated"
         assert not res.converged
         assert np.array_equal(res.u, u0)
-        assert res.energy_history == [res.energy]
+        assert res.energy_history == [primal_energy(u0, f, mask, params_for().with_delta(1e-2))]
         assert res.evaluations == 5
 
     @pytest.mark.parametrize("zeta", [1.5, 2.0])
@@ -395,6 +398,8 @@ class TestContinuation:
         assert len(recs) == 1  # schedule exhausted after one level
         assert np.isfinite(cert.relative_gap)
 
+    # certify warns of a tiny dual feasibility margin where gradients are enormous.
+    @pytest.mark.filterwarnings("ignore:dual feasibility margin:RuntimeWarning")
     @settings(max_examples=30)
     @given(
         st.floats(-6.0, 6.0),
