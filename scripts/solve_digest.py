@@ -16,8 +16,10 @@ in this order:
 * the ``CliInstance`` fingerprint of the first 10 seed-7
   ``denoise_color96_cli`` inputs: the output image, the report and the CSV
   without its trailing ``seconds`` column.  The report names the input
-  files, which perfbench writes under this script's own checkout, so
-  compare two ``--src`` directories with one copy of the script.
+  files, so the script runs in a fresh temporary directory and points
+  perfbench's ``WORK`` at the relative ``viscotv-solve-digest`` there: every
+  checkout of the script prints the same digest for the same ``src``, and
+  runs side by side do not share files.
 
 Inputs and settings are perfbench/run.py's instances, imported by path, so
 the fixture has one source.  Two checkouts that print the same digest give
@@ -33,7 +35,9 @@ import argparse
 import hashlib
 import importlib
 import importlib.util
+import os
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,6 +68,9 @@ def main(argv=None):
     origin = Path(mods["solver"].__file__).resolve()
     if src not in origin.parents:
         raise SystemExit(f"viscotv was imported from {origin}, not from {src}")
+    work = tempfile.TemporaryDirectory(prefix="viscotv-solve-digest-")  # removed at exit
+    os.chdir(work.name)
+    run.WORK = Path("viscotv-solve-digest")  # read by make_instance, named in the reports
 
     solve = run.Workload
     sets = [

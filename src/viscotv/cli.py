@@ -21,7 +21,7 @@ import numpy as np
 from . import netpbm
 from .density import DensityParams
 from .energy import ModelParams
-from .grid import validate_mask
+from .grid import _scalar_check, validate_mask
 from .solver import SolverConfig, check_max_principle, continuation
 
 __all__ = ["load_image", "load_mask", "save_image", "run", "main"]
@@ -118,12 +118,9 @@ def _build_parser() -> _Parser:
 
 
 def _validate(args):
-    if not args.mu > 1.0:
-        raise ValueError(f"--mu must be > 1, got {args.mu}")
-    if not args.zeta > 1.0:
-        raise ValueError(f"--zeta must be > 1, got {args.zeta}")
-    if not args.lam > 0.0:
-        raise ValueError(f"--lambda must be > 0, got {args.lam}")
+    _scalar_check(args.mu, "--mu", 1.0)
+    _scalar_check(args.zeta, "--zeta", 1.0)
+    _scalar_check(args.lam, "--lambda", 0.0)
 
 
 def _fmt(value) -> str:

@@ -14,12 +14,11 @@ leading axes for the tensor-valued ones).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import pixel_norms
+from .grid import _scalar_check, pixel_norms
 
 __all__ = [
     "DensityParams",
@@ -39,21 +38,16 @@ _RADIAL_TOL = 1e-12
 class DensityParams:
     """Ellipticity exponent ``mu`` (> 1) and viscosity weight ``delta`` (>= 0).
 
-    ``delta = 0`` selects the plain linear-growth density itself.
+    ``delta = 0`` selects the plain linear-growth density itself.  Each field
+    is a finite real, not a bool, stored as a float (``grid._scalar_check``).
     """
 
     mu: float
     delta: float = 0.0
 
     def __post_init__(self):
-        mu = float(self.mu)
-        delta = float(self.delta)
-        if not math.isfinite(mu) or mu <= 1.0:
-            raise ValueError(f"mu must be a finite real > 1, got {self.mu!r}")
-        if not math.isfinite(delta) or delta < 0.0:
-            raise ValueError(f"delta must be a finite real >= 0, got {self.delta!r}")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "mu", _scalar_check(self.mu, "mu", 1.0))
+        object.__setattr__(self, "delta", _scalar_check(self.delta, "delta", 0.0, closed=True))
 
     def without_viscosity(self) -> "DensityParams":
         return self if self.delta == 0.0 else DensityParams(self.mu, 0.0)
@@ -61,7 +55,7 @@ class DensityParams:
 
 def _check_nonneg(t, name="t"):
     t = np.asarray(t, dtype=float)
-    if t.size and np.min(t) < 0.0:
+    if t.size and not np.min(t) >= 0.0:  # also rejects nan
         raise ValueError(f"{name} must be nonnegative")
     return t
 

@@ -102,6 +102,7 @@ def _known_infimum(dot, d_norms, lam: float, zeta: float):
         return dot - (lam / zc) * (d_norms / lam) ** zc
 
 
+@np.errstate(over="ignore")  # an overflowing sum is inf (``energy._fsum``)
 def dual_value(tau, f, mask, mparams: ModelParams, bound: float) -> float:
     """Certified lower bound on the minimal delta = 0 energy.
 
@@ -111,7 +112,7 @@ def dual_value(tau, f, mask, mparams: ModelParams, bound: float) -> float:
     """
     _, f, mask = _shape_check(None, f, mask)
     tau = _field_check(tau, f)
-    _check_bound(f, mask, bound)
+    bound = _check_bound(f, mask, bound)
     split = _split(_negative_divergence(tau), f, mask)
     return _dual_value(pixel_norms(tau), split, mparams, bound)
 
@@ -166,12 +167,13 @@ def _scaled_dual(norms, split, mparams: ModelParams, bound: float, tol: float):
 
     Returns ``(theta, value)``, the value by ``_dual_value`` (every theta in
     range gives a valid bound, so theta need only be near-optimal), or None
-    when sigma is 0 or the slope at theta = 0 is not positive.
+    when sigma is 0 or has an infinite norm, or the slope at theta = 0 is
+    not positive.
     """
     mu, lam, zeta = mparams.density.mu, mparams.lam, mparams.zeta
     cbar = recession_constant(mparams.density)
     n_max = np.max(norms)
-    if not n_max > 0.0:
+    if not 0.0 < n_max < np.inf:  # theta_max = 0 for an overflowed norm
         return None
     theta_max = cbar / n_max
     w = norms / n_max  # theta |sigma| / cbar = (theta/theta_max) w
@@ -230,6 +232,7 @@ def _scaled_dual(norms, split, mparams: ModelParams, bound: float, tol: float):
     return float(theta), value
 
 
+@np.errstate(over="ignore")  # an overflowing sum is inf (``energy._fsum``)
 def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     """Evaluate both sides of the duality at u and the relative gap.
 
@@ -258,7 +261,8 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     is its theta, for tau 1.0 except at the mu > 2 rounding edge;
     ``divergence_residual_on_D`` and ``feasibility_margin`` describe the
     unscaled tau.  The gap is inf when the primal energy or the dual bound
-    is infinite.
+    is infinite; where a gradient entry overflows, tau's flux there is
+    ``0 * inf = nan`` and its bound is -inf.
 
     Both fields come from ``density_gradient``, the flux rule of the
     residual.  sigma is built first in a buffer of its own, split and
@@ -267,7 +271,7 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     outlives its split.
     """
     u, f, mask = _shape_check(u, f, mask)
-    _check_bound(f, mask, bound)
+    bound = _check_bound(f, mask, bound)
     target = mparams.without_viscosity()
     delta = mparams.density.delta
     point = _Point(u, f, mask, target)
@@ -291,7 +295,9 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     # leaves ~1e-12 of it: far below any gap worth certifying.
     tol = 1e-6 * max(1.0, abs(primal))
     dual_field, dual_scale = "tau", 1.0
-    if margin < 0.0 and target.density.mu > 2.0:
+    if math.isnan(margin):  # a 0 * inf flux where a gradient entry overflowed
+        dval = -math.inf
+    elif margin < 0.0 and target.density.mu > 2.0:
         scaled = _scaled_dual(tau_norms, tau_split, mparams, bound, tol)
         dual_scale, dval = scaled or (0.0, 0.0)
     else:

@@ -30,24 +30,27 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .density import DensityParams, density_gradient, density_value
-from .grid import _negative_divergence, _shape_check, channel_norms, gradient, pixel_norms
+from .grid import _negative_divergence, _scalar_check, _shape_check
+from .grid import channel_norms, gradient, pixel_norms
 
 __all__ = ["ModelParams", "fidelity", "primal_energy", "euler_residual"]
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Fidelity weight ``lam`` (> 0), exponent ``zeta`` (> 1) and the density."""
+    """Fidelity weight ``lam`` (> 0), exponent ``zeta`` (> 1) and the density.
+
+    ``lam`` and ``zeta`` are finite reals, not bools, stored as floats
+    (``grid._scalar_check``).
+    """
 
     lam: float
     zeta: float
     density: DensityParams
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be a finite real > 0, got {self.lam!r}")
-        if not (math.isfinite(self.zeta) and self.zeta > 1.0):
-            raise ValueError(f"zeta must be a finite real > 1, got {self.zeta!r}")
+        object.__setattr__(self, "lam", _scalar_check(self.lam, "lam", 0.0))
+        object.__setattr__(self, "zeta", _scalar_check(self.zeta, "zeta", 1.0))
 
     def with_delta(self, delta: float) -> "ModelParams":
         return replace(self, density=DensityParams(self.density.mu, delta))
@@ -62,7 +65,10 @@ _FSUM_BLOCK = 64
 def _fsum(values) -> float:
     """Sum in a fixed order: ``np.sum`` per 64-element block, ``math.fsum`` of those.
 
-    A total beyond the float range is returned as inf of its sign.
+    A total beyond the float range is returned as inf of its sign.  numpy
+    warns when a block sum overflows; the public entry points that sum ignore
+    that warning once per call (``np.errstate`` as a decorator), not here,
+    where the context would cost about half a block sum at every call.
     """
     x = np.asarray(values, dtype=float).ravel()
     cut = x.size - x.size % _FSUM_BLOCK
@@ -193,12 +199,14 @@ class _Point:
         return self._residual
 
 
+@np.errstate(over="ignore")  # an overflowing sum is inf (``_fsum``)
 def fidelity(u, f, mask, params: ModelParams) -> float:
     """``(lam/zeta) sum_{known pixels} |u - f|^zeta``; f is ignored on damaged pixels."""
     u, f, mask = _shape_check(u, f, mask)
     return _fsum(_fidelity_field(channel_norms(u - f), mask, params))
 
 
+@np.errstate(over="ignore")
 def primal_energy(u, f, mask, params: ModelParams) -> float:
     """Density term plus fidelity; with ``delta = 0`` this is the target energy."""
     return _Point(*_shape_check(u, f, mask), params).total

@@ -19,8 +19,9 @@ per-plane loop of ``_sum_products`` (every norm, the dual's ``d . f``) runs
 over contiguous memory instead of 3-wide strided rows.  At M = 1 a planar
 image is the same memory as a row-major one.
 
-The public entry points check their arrays here, once per call (``_image_check``
-for every image, ``_shape_check``, ``_field_check``, ``_check_bound``; L by ``_sup_known``).
+The public entry points check all their inputs here, once per call: arrays by
+``_image_check`` (every image), ``_shape_check`` and ``_field_check``, L by
+``_sup_known``, and every scalar setting or argument by ``_scalar_check``.
 
 ``divergence`` is the exact negative adjoint of ``gradient``:
 ``<gradient(u), p> == -<u, divergence(p)>`` for every u and p, which is the
@@ -28,6 +29,9 @@ identity the discrete Euler equation and the dual functional are built on.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 
@@ -52,6 +56,18 @@ def _finite(u: np.ndarray, name: str) -> np.ndarray:
     if not np.isfinite(u).all():
         raise ValueError(f"{name} contains non-finite entries")
     return u
+
+
+def _scalar_check(x, name: str, low: float, closed: bool = False) -> float:
+    """float(x), if x is a finite real number, not a bool, above low (at least low if closed)."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        try:
+            value = float(x)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        if math.isfinite(value) and (value >= low if closed else value > low):
+            return value
+    raise ValueError(f"{name} must be a finite real {'>=' if closed else '>'} {low!r}, got {x!r}")
 
 
 def _bool_mask(mask, shape=None) -> np.ndarray:
@@ -127,11 +143,9 @@ def _sup_known(f, mask) -> float:
     return sup_f
 
 
-def _check_bound(f, mask, bound: float) -> None:
-    """Reject a ball radius that is not finite or is below L (``_sup_known``)."""
-    sup_f = _sup_known(f, mask)
-    if not sup_f * (1.0 - 1e-12) <= bound < np.inf:
-        raise ValueError(f"bound {bound} is not finite or below the known-pixel sup {sup_f}")
+def _check_bound(f, mask, bound) -> float:
+    """The ball radius as a float, if at least L (``_sup_known``) up to rounding."""
+    return _scalar_check(bound, "bound", _sup_known(f, mask) * (1.0 - 1e-12), closed=True)
 
 
 def _sum_products(x, y) -> np.ndarray:

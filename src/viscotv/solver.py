@@ -21,7 +21,6 @@ its inner solve stopped, ends in a certificate, and so does every call.
 
 from __future__ import annotations
 
-import math
 import time
 import numbers
 from dataclasses import dataclass, replace
@@ -30,7 +29,7 @@ import numpy as np
 
 from .dual import certify
 from .energy import ModelParams, _fidelity_prox, _Point
-from .grid import _known, _planar, _shape_check, _sup_known
+from .grid import _known, _planar, _scalar_check, _shape_check, _sup_known
 from .grid import channel_norms, validate_image, validate_mask
 
 __all__ = [
@@ -54,6 +53,10 @@ class SolverConfig:
     ``inner_tol`` is the floor of the inner residual tolerance:
     ``continuation`` solves level delta to ``max(inner_tol, gap_tol * delta)``
     times ``1 + sup_known |f|``, ``minimize_smooth`` to ``inner_tol`` itself.
+    The float settings are finite reals, not bools, stored as floats
+    (``grid._scalar_check``): ``0 < delta_min <= delta0``,
+    ``0 < delta_factor < 1``, ``inner_tol > 0`` and ``gap_tol > 0``.
+    ``inner_max_iters`` is an integer >= 1, not a bool.
     """
 
     delta0: float = 0.1
@@ -64,12 +67,15 @@ class SolverConfig:
     gap_tol: float = 1e-4
 
     def __post_init__(self):
-        if not (0.0 < self.delta_min <= self.delta0 < math.inf):
-            raise ValueError("need 0 < delta_min <= delta0 < inf")
-        if not (0.0 < self.delta_factor < 1.0):
-            raise ValueError("need 0 < delta_factor < 1")
-        if not (self.inner_tol > 0.0 and self.gap_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        object.__setattr__(self, "delta_min", _scalar_check(self.delta_min, "delta_min", 0.0))
+        delta0 = _scalar_check(self.delta0, "delta0", self.delta_min, closed=True)
+        object.__setattr__(self, "delta0", delta0)
+        factor = _scalar_check(self.delta_factor, "delta_factor", 0.0)
+        object.__setattr__(self, "delta_factor", factor)
+        object.__setattr__(self, "inner_tol", _scalar_check(self.inner_tol, "inner_tol", 0.0))
+        object.__setattr__(self, "gap_tol", _scalar_check(self.gap_tol, "gap_tol", 0.0))
+        if not self.delta_factor < 1.0:
+            raise ValueError(f"delta_factor must be < 1, got {self.delta_factor!r}")
         n = self.inner_max_iters
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"inner_max_iters must be an integer >= 1, got {n!r}")
@@ -158,6 +164,7 @@ def _linf(g) -> float:
     return float(np.max(np.abs(g)))
 
 
+@np.errstate(over="ignore")  # an overflowing sum is inf (``energy._fsum``)
 def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) -> InnerResult:
     """Minimize the viscous energy at fixed delta > 0 from the start u0.
 
@@ -182,9 +189,7 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     after an odd iteration, ``BB2 = s.y/y.y <= BB1`` after an even one, and
     twice the accepted gamma when ``s.y <= 0``.
     """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    pd = params.with_delta(float(delta))
+    pd = params.with_delta(_scalar_check(delta, "delta", 0.0))
     u, f, mask = _shape_check(u0, f, mask)
     # Planar copies fix the memory order in which the step sums below reduce.
     u, f = np.array(_planar(u), copy=True), _planar(f)

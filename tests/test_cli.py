@@ -50,6 +50,14 @@ class TestValidation:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--mu", "--zeta", "--lambda"])
+    def test_infinite_model_flag_named(self, tmp_path, board, capsys, flag):
+        code = run(
+            ["--input", str(board[0]), "--output", str(tmp_path / "o.pgm"), flag, "inf"]
+        )
+        assert code == 1
+        assert flag in capsys.readouterr().err
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = run(
             ["--input", str(tmp_path / "nope.pgm"), "--output", str(tmp_path / "o.pgm")]

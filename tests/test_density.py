@@ -30,13 +30,15 @@ def mat(*entries):
 
 class TestParams:
     def test_rejects_mu_at_or_below_one(self):
-        for bad in (1.0, 0.5, -2.0, float("nan")):
-            with pytest.raises(ValueError):
+        for bad in (1.0, 0.5, -2.0, float("nan"), "3"):
+            with pytest.raises(ValueError, match="mu"):
                 DensityParams(bad)
 
     def test_rejects_negative_delta(self):
-        with pytest.raises(ValueError):
-            DensityParams(2.0, -1e-9)
+        # A bool is no delta either, though True compares as 1.
+        for bad in (-1e-9, True, np.bool_(True)):
+            with pytest.raises(ValueError, match="delta"):
+                DensityParams(2.0, bad)
 
     def test_recession_is_finite_positive(self):
         for mu in MUS:
@@ -61,6 +63,12 @@ class TestPhi:
             phi(DensityParams(2.0), -0.1)
         with pytest.raises(ValueError):
             phi_prime(DensityParams(2.0), np.array([0.5, -1.0]))
+
+    @pytest.mark.parametrize("fn", [phi, phi_prime, phi_conjugate])
+    @pytest.mark.parametrize("t", [math.nan, np.array([0.5, math.nan])], ids=["scalar", "array"])
+    def test_nan_argument_rejected(self, fn, t):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(DensityParams(2.0), t)
 
     def test_derivatives_by_finite_differences(self):
         h = 1e-6

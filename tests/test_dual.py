@@ -210,9 +210,10 @@ class TestDualValue:
             dual_value(tau, f, mask, params_for(), 0.5)
 
     @pytest.mark.parametrize("entry", ["certify", "dual_value"])
-    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, True])
     def test_non_finite_bound_rejected(self, entry, bound):
         # The damaged pixels would weigh |div tau| by the bound: NaN or -inf.
+        # True compares as 1, at least L = 1 here, but is no radius either.
         f, mask = checkerboard_instance(n=8, block=(3, 5))
         u = f.copy()
         u[mask] = 0.5

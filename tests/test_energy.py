@@ -45,8 +45,13 @@ class TestModelParams:
                 ModelParams(lam=1.0, zeta=bad, density=DensityParams(2.0))
 
     def test_rejects_nonpositive_lambda(self):
-        with pytest.raises(ValueError):
-            ModelParams(lam=0.0, zeta=2.0, density=DensityParams(2.0))
+        for bad in (0.0, True):
+            with pytest.raises(ValueError, match="lam"):
+                ModelParams(lam=bad, zeta=2.0, density=DensityParams(2.0))
+
+    def test_stores_floats(self):
+        params = ModelParams(lam=10, zeta=np.int64(2), density=DensityParams(2))
+        assert [type(x) for x in (params.lam, params.zeta, params.density.mu)] == [float] * 3
 
 
 class TestFidelity:
@@ -457,6 +462,34 @@ class TestCompensatedSum:
         params = ModelParams(lam=1.0, zeta=2.0, density=DensityParams(2.0))
         assert primal_energy(np.full(f.shape, 1.7e153), f, mask, params) == math.inf
 
+    @pytest.mark.parametrize(
+        "entry", ["primal_energy", "fidelity", "certify", "minimize_smooth", "dual_value"]
+    )
+    def test_entry_points_return_inf_without_warning(self, entry):
+        # Each pixel's 0.5 * (2.5e153)^2 is finite; a 64-value block sum is
+        # not, and numpy's overflow warning must not reach the caller.
+        u = np.full((8, 16, 1), 2.5e153)
+        f = np.zeros_like(u)
+        mask = np.zeros((8, 16), dtype=bool)
+        params = ModelParams(lam=1.0, zeta=2.0, density=DensityParams(2.0))
+        if entry == "dual_value":
+            # 127 damaged pixels each weigh |div tau| <= 0.26 by the finite
+            # bound 1e308: finite terms, but not their block sums.
+            mask[:] = True
+            mask[0, 0] = False
+            tau, _ = dual_from_primal(np.random.default_rng(3).normal(size=u.shape), params)
+            value = -dual_value(0.1 * tau, f, mask, params, 1e308)
+        elif entry == "certify":
+            value = certify(u, f, mask, params, 0.0).relative_gap
+        elif entry == "minimize_smooth":
+            cfg = SolverConfig(inner_max_iters=1)
+            value = minimize_smooth(u, 0.1, f, mask, params, cfg).energy_history[0]
+        else:
+            value = {"primal_energy": primal_energy, "fidelity": fidelity}[entry](
+                u, f, mask, params
+            )
+        assert value == math.inf
+
 
 class TestOverflowingGradientNorm:
     """A finite u whose gradient norm overflows has energy +inf, not nan.
@@ -476,14 +509,23 @@ class TestOverflowingGradientNorm:
         with np.errstate(over="ignore", invalid="ignore"):
             assert primal_energy(*self.spike(), params) == math.inf
 
+    @staticmethod
+    def neighbours():
+        # Here a gradient entry itself overflows (-2e308 is -inf), and the
+        # flux there is phi'(inf)/inf * inf = 0 * inf = nan.
+        u = np.zeros((2, 2, 1))
+        u[0, 0, 0], u[0, 1, 0] = 1e308, -1e308
+        return u, np.zeros_like(u), np.zeros((2, 2), dtype=bool)
+
     @pytest.mark.parametrize("mu", [1.5, 2.0, 3.0])
     def test_certify_gap_is_inf(self, mu):
         params = ModelParams(lam=10.0, zeta=2.0, density=DensityParams(mu))
-        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            cert = certify(*self.spike(), params, 0.0)
-        assert cert.primal_value == math.inf
-        assert cert.relative_gap == math.inf
+        for u, f, mask in (self.spike(), self.neighbours()):
+            with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                cert = certify(u, f, mask, params, 0.0)
+            assert cert.primal_value == math.inf
+            assert cert.relative_gap == math.inf
 
     def test_continuation_reports_inf(self):
         # L = 1e154 is finite, but the gradient at the known spike is not.

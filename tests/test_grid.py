@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import layouts
 from viscotv.grid import (
+    _scalar_check,
     channel_norms,
     clamp_to_ball,
     divergence,
@@ -144,6 +145,27 @@ class TestNorms:
             assert (np.abs(got - expected) <= 4.0 * ulp).all()
             for copy in layouts(field):
                 assert norms(copy).tobytes() == got.tobytes()
+
+
+class TestScalarCheck:
+    def test_returns_float(self):
+        for x in (3, np.int64(3), np.float32(3.0), 3.0):
+            got = _scalar_check(x, "x", 1.0)
+            assert type(got) is float and got == 3.0
+
+    def test_closed_admits_the_limit(self):
+        assert _scalar_check(0, "x", 0.0, closed=True) == 0.0
+        with pytest.raises(ValueError, match="x must be a finite real > 0.0, got 0"):
+            _scalar_check(0, "x", 0.0)
+
+    @pytest.mark.parametrize(
+        "x",
+        [True, np.bool_(True), "3", None, float("nan"), float("inf"), -float("inf"), 10**400],
+        ids=["True", "np.True_", "str", "None", "nan", "inf", "-inf", "10**400"],
+    )
+    def test_rejected(self, x):
+        with pytest.raises(ValueError, match="x must be a finite real >= 0.5"):
+            _scalar_check(x, "x", 0.5, closed=True)
 
 
 class TestClamp:

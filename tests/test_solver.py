@@ -43,6 +43,15 @@ class TestConfig:
             SolverConfig(gap_tol=float("nan"))
         with pytest.raises(ValueError):
             SolverConfig(delta0=float("inf"))
+        # Each setting is a finite real and not a bool, though True compares as 1.
+        for name, bad in (
+            ("delta_min", dict(delta0=2.0, delta_min=True)),
+            ("gap_tol", dict(gap_tol=True)),
+            ("inner_tol", dict(inner_tol=math.inf)),
+            ("gap_tol", dict(gap_tol=math.inf)),
+        ):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**bad)
         for cap in (2.5, True, 0):
             with pytest.raises(ValueError, match="inner_max_iters"):
                 SolverConfig(inner_max_iters=cap)
@@ -51,8 +60,9 @@ class TestConfig:
 class TestMinimizeSmooth:
     def test_requires_positive_delta(self):
         f, mask = bridge_instance()
-        with pytest.raises(ValueError):
-            minimize_smooth(f, 0.0, f, mask, params_for(), SolverConfig())
+        for delta in (0.0, True):
+            with pytest.raises(ValueError, match="delta"):
+                minimize_smooth(f, delta, f, mask, params_for(), SolverConfig())
 
     def test_constant_data_converges_to_constant(self):
         f = np.full((6, 6, 1), 0.3)
