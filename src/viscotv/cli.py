@@ -1,9 +1,9 @@
 """Batch front end: netpbm ingestion, solver invocation, report/log emission.
 
-Mask polarity: bright pixels (value >= 128) mark the damaged region, i.e.
-"paint the hole white".  Pixel intensities are mapped to [0, 1] on load and
-quantized back with round-half-even on save, preserving the input's format
-and maxval.
+Mask polarity: bright pixels (value > maxval // 2, i.e. >= 128 at maxval 255)
+mark the damaged region, i.e. "paint the hole white".  Pixel intensities are
+mapped to [0, 1] on load and quantized back with round-half-even on save,
+preserving the input's format and maxval.
 
 The report and CSV are byte-deterministic for identical inputs and seed;
 wall-clock timing is therefore confined to stdout and the CSV's ``seconds``
@@ -13,6 +13,7 @@ column.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import netpbm
 from .density import DensityParams
 from .energy import ModelParams
-from .grid import _scalar_check, validate_mask
+from .grid import validate_mask
 from .solver import SolverConfig, check_max_principle, continuation
 
 __all__ = ["load_image", "load_mask", "save_image", "run", "main"]
@@ -47,7 +48,7 @@ def load_image(path) -> np.ndarray:
 
 
 def load_mask(path, image_shape) -> np.ndarray:
-    """Read a PGM damage mask; sample >= 128 means damaged (in D).
+    """Read a PGM damage mask; sample > maxval // 2 means damaged (in D).
 
     Rejects masks whose dimensions disagree with the image and masks that
     damage every pixel.
@@ -60,7 +61,7 @@ def load_mask(path, image_shape) -> np.ndarray:
             f"mask is {img.width}x{img.height} but image is "
             f"{image_shape[1]}x{image_shape[0]}"
         )
-    return validate_mask(img.samples[:, :, 0] >= 128)
+    return validate_mask(img.samples[:, :, 0] > img.maxval // 2)
 
 
 def save_image(path, u, magic: str, maxval: int) -> None:
@@ -70,8 +71,26 @@ def save_image(path, u, magic: str, maxval: int) -> None:
     netpbm.write(path, netpbm.NetpbmImage(magic=magic, maxval=maxval, samples=samples))
 
 
+_DEFAULT = SolverConfig()
+
+# One row per settings flag: the flag, the DensityParams, ModelParams or
+# SolverConfig field it fills, its type, default and help.  The ranges are
+# those classes' own checks; each ValueError they raise starts with the field.
+_SETTINGS = (
+    ("--mu", "mu", float, 2.0, "ellipticity exponent"),
+    ("--zeta", "zeta", float, 2.0, "fidelity exponent"),
+    ("--lambda", "lam", float, 10.0, "fidelity weight"),
+    ("--delta0", "delta0", float, _DEFAULT.delta0, "initial viscosity"),
+    ("--delta-min", "delta_min", float, _DEFAULT.delta_min, "final viscosity"),
+    ("--delta-factor", "delta_factor", float, _DEFAULT.delta_factor, "viscosity shrink factor"),
+    ("--tol", "gap_tol", float, _DEFAULT.gap_tol, "relative duality-gap target"),
+    ("--inner-max-iters", "inner_max_iters", int, _DEFAULT.inner_max_iters,
+     "iteration cap per inner smooth solve"),
+)
+_FLAG_OF = {field: flag for flag, field, *_ in _SETTINGS}
+
+
 def _build_parser() -> _Parser:
-    defaults = SolverConfig()
     p = _Parser(
         prog="viscotv",
         description=(
@@ -83,44 +102,35 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--mask",
         default=None,
-        help="damage mask PGM; bright (>=128) = damaged; absent = pure denoising",
+        help="damage mask PGM; bright (> maxval/2) = damaged; absent = pure denoising",
     )
     p.add_argument("--output", required=True, help="restored image path")
-    p.add_argument("--mu", type=float, default=2.0, help="ellipticity exponent (> 1)")
-    p.add_argument("--zeta", type=float, default=2.0, help="fidelity exponent (> 1)")
-    p.add_argument("--lambda", dest="lam", type=float, default=10.0, help="fidelity weight")
-    p.add_argument("--delta0", type=float, default=defaults.delta0, help="initial viscosity")
-    p.add_argument(
-        "--delta-min", type=float, default=defaults.delta_min, help="final viscosity"
-    )
-    p.add_argument(
-        "--delta-factor",
-        type=float,
-        default=defaults.delta_factor,
-        help="viscosity shrink factor",
-    )
-    p.add_argument(
-        "--tol", type=float, default=defaults.gap_tol, help="relative duality-gap target"
-    )
+    for flag, field, kind, default, text in _SETTINGS:
+        p.add_argument(flag, dest=field, type=kind, default=default, help=text)
     p.add_argument(
         "--seed", type=int, default=0, help="echoed in the report; the solve does not read it"
     )
     p.add_argument("--report", default=None, help="write key=value run report here")
     p.add_argument("--log-csv", dest="log_csv", default=None, help="per-outer-step CSV log")
-    p.add_argument(
-        "--inner-max-iters",
-        dest="inner_max_iters",
-        type=int,
-        default=defaults.inner_max_iters,
-        help="iteration cap per inner smooth solve",
-    )
     return p
 
 
-def _validate(args):
-    _scalar_check(args.mu, "--mu", 1.0)
-    _scalar_check(args.zeta, "--zeta", 1.0)
-    _scalar_check(args.lam, "--lambda", 0.0)
+def _fill(cls, args, **given):
+    """cls built from given and the settings fields of args that cls has."""
+    for f in dataclasses.fields(cls):
+        if f.name in _FLAG_OF:
+            given[f.name] = getattr(args, f.name)
+    return cls(**given)
+
+
+def _settings(args) -> tuple[ModelParams, SolverConfig]:
+    """The model and solver settings of args; a rejected value is named by its flag."""
+    try:
+        params = _fill(ModelParams, args, density=_fill(DensityParams, args))
+        return params, _fill(SolverConfig, args)
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        raise ValueError(f"{_FLAG_OF.get(field, field)} {rest}") from None
 
 
 def _fmt(value) -> str:
@@ -163,19 +173,7 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _validate(args)
-        params = ModelParams(
-            lam=args.lam,
-            zeta=args.zeta,
-            density=DensityParams(mu=args.mu),
-        )
-        cfg = SolverConfig(
-            delta0=args.delta0,
-            delta_min=args.delta_min,
-            delta_factor=args.delta_factor,
-            inner_max_iters=args.inner_max_iters,
-            gap_tol=args.tol,
-        )
+        params, cfg = _settings(args)
         source = netpbm.read(args.input)
         f = _intensities(source)
         if args.mask is not None:
@@ -204,15 +202,10 @@ def run(argv=None) -> int:
                     ("input", args.input),
                     ("mask", args.mask if args.mask is not None else "none"),
                     ("output", args.output),
-                    ("mu", args.mu),
-                    ("zeta", args.zeta),
-                    ("lambda", args.lam),
-                    ("delta0", cfg.delta0),
-                    ("delta_min", cfg.delta_min),
-                    ("delta_factor", cfg.delta_factor),
-                    ("inner_tol", cfg.inner_tol),
-                    ("inner_max_iters", cfg.inner_max_iters),
-                    ("gap_tol", cfg.gap_tol),
+                    ("mu", params.density.mu),
+                    ("zeta", params.zeta),
+                    ("lambda", params.lam),
+                    *dataclasses.asdict(cfg).items(),
                     ("seed", args.seed),
                     ("final_I", cert.primal_value),
                     ("dual_value", cert.dual_value),
@@ -230,7 +223,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    converged = cert.relative_gap <= args.tol and mp.passed
+    converged = cert.relative_gap <= cfg.gap_tol and mp.passed
     print(
         f"viscotv: I={cert.primal_value:.9g} R_hat={cert.dual_value:.9g} "
         f"gap_rel={cert.relative_gap:.3e} max_principle="

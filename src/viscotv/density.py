@@ -71,7 +71,7 @@ def phi(params: DensityParams, t):
     ``t/(mu-1) - ((1+t)**(2-mu) - 1)/((mu-1)(2-mu))``, evaluated via
     expm1/log1p so the mu -> 2 limit stays well conditioned.
     """
-    scalar_in = np.isscalar(t) or np.ndim(t) == 0
+    scalar_in = np.ndim(t) == 0
     return _maybe_scalar(_phi(params.mu, _check_nonneg(t)), scalar_in)
 
 
@@ -86,7 +86,7 @@ def _phi(mu, t):
 
 def phi_prime(params: DensityParams, t):
     """First derivative ``(1 - (1+t)**(1-mu))/(mu - 1)``; increases from 0 to cbar."""
-    scalar_in = np.isscalar(t) or np.ndim(t) == 0
+    scalar_in = np.ndim(t) == 0
     return _maybe_scalar(_phi_prime(params.mu, _check_nonneg(t)), scalar_in)
 
 
@@ -157,7 +157,7 @@ def phi_conjugate(params: DensityParams, s):
     """
     if params.delta != 0.0:
         raise ValueError("phi_conjugate is defined for the delta = 0 density only")
-    scalar_in = np.isscalar(s) or np.ndim(s) == 0
+    scalar_in = np.ndim(s) == 0
     s = _check_nonneg(s, name="s")
     mu = params.mu
     cbar = recession_constant(params)

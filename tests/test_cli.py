@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,33 +25,32 @@ def board(tmp_path):
     return path, mask_path
 
 
-class TestValidation:
-    def test_zeta_one_rejected(self, tmp_path, board, capsys):
-        code = run(
-            ["--input", str(board[0]), "--output", str(tmp_path / "o.pgm"), "--zeta", "1.0"]
-        )
-        assert code == 1
-        assert "--zeta" in capsys.readouterr().err
+# (flag, value, the flag the error names): one row or more per settings flag.
+_INVALID = [
+    ("--mu", "nan", "--mu"),
+    ("--zeta", "1.0", "--zeta"),
+    ("--lambda", "inf", "--lambda"),
+    ("--lambda", "0", "--lambda"),
+    ("--inner-max-iters", "0", "--inner-max-iters"),
+    ("--tol", "nan", "--tol"),
+    ("--delta0", "inf", "--delta0"),
+    ("--delta-factor", "1.5", "--delta-factor"),
+    ("--delta-min", "0", "--delta-min"),
+    ("--delta-min", "1", "--delta0"),  # the default delta0 = 0.1 is then below the floor
+    ("--tol", "0", "--tol"),
+]
 
+
+class TestValidation:
     @pytest.mark.parametrize(
-        "flag, value",
-        [
-            ("--mu", "nan"),
-            ("--lambda", "inf"),
-            ("--lambda", "0"),
-            ("--inner-max-iters", "0"),
-            ("--tol", "nan"),
-            ("--delta0", "inf"),
-            ("--delta-factor", "1.5"),
-            ("--delta-min", "1"),
-            ("--tol", "0"),
-        ],
+        "flag, value, named", _INVALID, ids=[f"{flag}-{value}" for flag, value, _ in _INVALID]
     )
-    def test_invalid_number_rejected(self, tmp_path, board, flag, value):
+    def test_invalid_number_rejected(self, tmp_path, board, capsys, flag, value, named):
         code = run(
             ["--input", str(board[0]), "--output", str(tmp_path / "o.pgm"), flag, value]
         )
         assert code == 1
+        assert f"error: {named} " in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--mu", "--zeta", "--lambda"])
     def test_infinite_model_flag_named(self, tmp_path, board, capsys, flag):
@@ -249,6 +251,21 @@ class TestRuns:
             ["--input", str(src), "--output", str(tmp_path / "o.pgm"), "--lambda", "5"]
         )
         assert code == 0
+
+
+class TestReadme:
+    def test_flag_table_matches_parser(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = dict(re.findall(r"^\| `(--[a-z0-9-]+)[^`]*` \| ([^|]*?) \|", readme, re.M))
+        parser = cli._build_parser()
+        defaults = {a.option_strings[-1]: a.default for a in parser._actions if a.dest != "help"}
+        assert sorted(rows) == sorted(defaults)
+        for flag, text in rows.items():
+            try:
+                documented = float(text)
+            except ValueError:  # a path flag, or one without a default
+                continue
+            assert documented == float(defaults[flag]), flag
 
 
 class TestDeterminism:

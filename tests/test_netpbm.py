@@ -236,6 +236,19 @@ class TestMask:
         mask = load_mask(path, (2, 2, 1))
         assert mask.tolist() == [[True, False], [False, True]]
 
+    @pytest.mark.parametrize(
+        "maxval, row, damaged",
+        [
+            (1, b"1 0 1 0", [True, False, True, False]),
+            (255, b"127 128 0 255", [False, True, False, True]),
+            (65535, b"200 32767 32768 65535", [False, False, True, True]),
+        ],
+    )
+    def test_threshold_is_half_maxval(self, tmp_path, maxval, row, damaged):
+        path = write_bytes(tmp_path, "m.pgm", b"P2\n4 2\n%d\n%s 0 0 0 0\n" % (maxval, row))
+        mask = load_mask(path, (2, 4, 1))
+        assert mask.tolist() == [damaged, [False] * 4]
+
     def test_all_zero_is_pure_denoising(self, tmp_path):
         path = write_bytes(tmp_path, "m.pgm", b"P2\n2 2\n255\n0 0 0 0\n")
         assert not load_mask(path, (2, 2, 1)).any()
