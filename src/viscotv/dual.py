@@ -27,6 +27,8 @@ the larger bound, which is then still a lower bound:
   pixel is damaged, where tau is the better field.
 
 The reported relative gap upper-bounds the true suboptimality of u.
+``certify`` runs its per-pixel passes one row band of the grid at a time and
+its reductions over the whole grid, so the band size moves no bit.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import density_gradient, phi_conjugate, recession_constant
-from .energy import ModelParams, _fsum, _Point
+from .energy import ModelParams, _energy_total, _fsum, _Point
 from .grid import _check_bound, _field_check, _image_check, _negative_divergence, _shape_check
 from .grid import _sum_products, _sup_known, channel_norms, gradient, pixel_norms
 
@@ -232,6 +234,54 @@ def _scaled_dual(norms, split, mparams: ModelParams, bound: float, tol: float):
     return float(theta), value
 
 
+# About this many values of u make one row band of ``certify``.  A band's
+# gradient-sized fields are then ~2 MiB each, so its per-pixel passes run in a
+# 4 MiB L2 instead of streaming whole fields; grids up to this size are one band.
+_BAND = 2**17
+
+
+def _row_bands(shape):
+    """certify's row bands ``[r0, r1)``: n = ceil(h w M / _BAND) bands of ceil(h/n) rows."""
+    h = shape[0]
+    n = -(-math.prod(shape) // _BAND)
+    rows = -(-h // n)
+    return [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
+
+
+def _join(pieces):
+    """One array from its bands' pieces in band order; the piece itself for one band."""
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+def _certify_band(u, f, mask, mparams: ModelParams, viscous: bool, r0: int, r1: int):
+    """certify's per-pixel outputs on rows ``[r0, r1)``.
+
+    Returns the pixel energy, ``|tau|`` and ``_split(-div tau)``, then, when
+    viscous, ``|sigma|`` and ``_split(-div sigma)``.  The point is built on
+    the halo rows ``[r0 - 1, r1 + 1)``, clipped to the grid: ``-div`` of row
+    r0 reads the flux of row r0 - 1, and the gradient of row r1 - 1 reads u
+    of row r1.  Unless r1 = h, the point's last row, whose gradient and
+    divergence are truncated, is then row r1, which is not kept.  sigma is
+    built first in a buffer of its own, split and dropped; tau is then
+    written over the point's gradient.
+    """
+    a, b = max(r0 - 1, 0), min(r1 + 1, len(u))
+    keep = slice(r0 - a, r1 - a)
+    rows = f[r0:r1], mask[r0:r1]
+    target = mparams.without_viscosity()
+    point = _Point(u[a:b], f[a:b], mask[a:b], target)
+    if viscous:
+        sigma = density_gradient(mparams.density, point.grad, norms=point.grad_norms)
+        sigma_split = _split(_negative_divergence(sigma)[keep], *rows)
+        del sigma
+    tau = density_gradient(target.density, point.grad, norms=point.grad_norms, out=point.grad)
+    tau_norms = pixel_norms(tau[keep])
+    out = [point.pixel_energy[keep], tau_norms, *_split(_negative_divergence(tau)[keep], *rows)]
+    if viscous:
+        out += [tau_norms + mparams.density.delta * point.grad_norms[keep], *sigma_split]
+    return out
+
+
 @np.errstate(over="ignore")  # an overflowing sum is inf (``energy._fsum``)
 def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     """Evaluate both sides of the duality at u and the relative gap.
@@ -265,31 +315,26 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     ``0 * inf = nan`` and its bound is -inf.
 
     Both fields come from ``density_gradient``, the flux rule of the
-    residual.  sigma is built first in a buffer of its own, split and
-    dropped; tau is then written over the primal point's gradient of u, and
-    each divergence is negated in its own buffer, so no gradient-sized array
-    outlives its split.
+    residual.  Every per-pixel quantity is evaluated one row band at a time
+    (``_certify_band``): n = ceil(h w M / _BAND) bands of ceil(h/n) rows,
+    each on a point built with one halo row above and one below, so a
+    band's fields stay in L2 and no gradient-sized array covers the grid.
+    Row bands are contiguous in row-major order, so the bands' pixel
+    energies, norms and splits, joined in band order, are the whole-grid
+    arrays, and every reduction then runs on the whole grid: each output
+    has the same bits for every band size.  A grid of at most _BAND values
+    is one band.
     """
     u, f, mask = _shape_check(u, f, mask)
     bound = _check_bound(f, mask, bound)
     target = mparams.without_viscosity()
-    delta = mparams.density.delta
-    point = _Point(u, f, mask, target)
-    primal = point.total
-    viscous = delta > 0.0 and bool(mask.any())
-    if viscous:
-        sigma = density_gradient(mparams.density, point.grad, norms=point.grad_norms)
-        sigma_split = _split(_negative_divergence(sigma), f, mask)
-        del sigma
-    # tau is written over the gradient, which nothing reads after it.
-    tau = density_gradient(
-        target.density, point.grad, norms=point.grad_norms, out=point.grad
-    )
-    tau_norms = pixel_norms(tau)
-    if viscous:
-        sigma_norms = tau_norms + delta * point.grad_norms
-    tau_split = _split(_negative_divergence(tau), f, mask)
-    del point, tau  # tau is the point's gradient buffer
+    viscous = mparams.density.delta > 0.0 and bool(mask.any())
+    bands = [_certify_band(u, f, mask, mparams, viscous, *rows) for rows in _row_bands(u.shape)]
+    energy, tau_norms, *split = map(_join, zip(*bands))
+    del bands
+    primal = _energy_total(energy)
+    del energy
+    tau_split, sigma = split[:3], split[3:]  # sigma: |sigma| and its split
     margin = recession_constant(target.density) - float(np.max(tau_norms))
     # A last Newton step predicted to gain 1e-6 of the gap's scale
     # leaves ~1e-12 of it: far below any gap worth certifying.
@@ -303,7 +348,7 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     else:
         dval = _dual_value(tau_norms, tau_split, mparams, bound)
     if viscous:
-        scaled = _scaled_dual(sigma_norms, sigma_split, mparams, bound, tol)
+        scaled = _scaled_dual(sigma[0], sigma[1:], mparams, bound, tol)
         if scaled is not None and scaled[1] > dval:
             dual_field = "sigma"
             dual_scale, dval = scaled

@@ -80,6 +80,12 @@ def _fsum(values) -> float:
         return math.copysign(math.inf, math.fsum(p * 2.0**-64 for p in parts))
 
 
+def _energy_total(pixel_energy) -> float:
+    """The exact sum of a pixel energy field, +inf where that sum is nan (``_Point``)."""
+    total = _fsum(pixel_energy)
+    return math.inf if math.isnan(total) else total
+
+
 def _fidelity_field(dev_norms, mask, params: ModelParams) -> np.ndarray:
     """``(lam/zeta)|u - f|^zeta`` per known pixel, 0 on damaged pixels."""
     return np.where(mask, 0.0, (params.lam / params.zeta) * dev_norms**params.zeta)
@@ -172,8 +178,7 @@ class _Point:
     @property
     def total(self) -> float:
         if self._total is None:
-            total = _fsum(self.pixel_energy)
-            self._total = math.inf if math.isnan(total) else total
+            self._total = _energy_total(self.pixel_energy)
         return self._total
 
     def residual(self) -> np.ndarray:

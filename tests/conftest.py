@@ -56,15 +56,15 @@ def layouts(u):
     return [np.ascontiguousarray(u), np.asfortranarray(u), shifted, planar]
 
 
-def hole_instance_color128(seed=15):
-    """Seeded 128x128x3 f with a central 32x32 hole and an iterate near f.
+def hole_instance_color(n=128, seed=15):
+    """Seeded n x n x 3 f with the central hole [3n/8, 5n/8)^2 and an iterate near f.
 
     f and u are channel-planar, the layout the solver keeps its images in.
     """
     rng = np.random.default_rng(seed)
-    f = validate_image(rng.uniform(size=(128, 128, 3)))
-    mask = np.zeros((128, 128), dtype=bool)
-    mask[48:80, 48:80] = True
+    f = validate_image(rng.uniform(size=(n, n, 3)))
+    mask = np.zeros((n, n), dtype=bool)
+    mask[3 * n // 8 : 5 * n // 8, 3 * n // 8 : 5 * n // 8] = True
     u = validate_image(np.clip(f + rng.normal(0.0, 0.01, size=f.shape), 0.0, 1.0))
     return u, f, mask
 

@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import (
     checkerboard_instance,
-    hole_instance_color128,
+    hole_instance_color,
     peak_allocation,
     random_instance,
 )
+from viscotv import dual
 from viscotv.density import DensityParams, density_gradient, phi_conjugate, recession_constant
 from viscotv.dual import (
     _dual_value,
@@ -339,9 +341,22 @@ class TestCertify:
         # tau is written over the primal point's gradient and sigma is
         # dropped once split: ~2.7 gradient fields at delta = 0 and ~3.7 at
         # delta = 0.01; a buffer per flux would make them ~3.7 and ~4.6.
-        u, f, mask = hole_instance_color128()
+        u, f, mask = hole_instance_color()
         bound = sup_known_norm(f, mask)
         params = params_for(delta=delta, lam=10.0)
+        certify(u, f, mask, params, bound)  # warm-up
+        peak = peak_allocation(lambda: certify(u, f, mask, params, bound))
+        assert peak < limit * gradient(u).nbytes
+
+    @pytest.mark.parametrize("delta,limit", [(0.0, 2.0), (0.01, 3.5)])
+    def test_banded_peak_in_gradient_fields(self, delta, limit):
+        # At 512x512x3 certify runs in 6 row bands, so no gradient-sized
+        # array covers the grid: ~1.3 gradient fields at delta = 0 and ~2.3
+        # at delta = 0.01, where one band takes ~2.7 and ~3.7.
+        u, f, mask = hole_instance_color(n=512)
+        bound = sup_known_norm(f, mask)
+        params = params_for(delta=delta, lam=10.0)
+        assert len(dual._row_bands(u.shape)) == 6
         certify(u, f, mask, params, bound)  # warm-up
         peak = peak_allocation(lambda: certify(u, f, mask, params, bound))
         assert peak < limit * gradient(u).nbytes
@@ -506,3 +521,78 @@ class TestViscousCertificate:
                 )
                 assert cert.dual_field == "tau"
                 assert cert.dual_scale == 1.0
+
+
+def hole_case(delta):
+    u, f, mask = hole_instance_color()
+    return u, f, mask, params_for(delta=delta, lam=10.0), sup_known_norm(f, mask)
+
+
+def rounding_edge_case():
+    """At mu = 15 some |tau| rounds past cbar and tau is scaled back."""
+    f, mask = checkerboard_instance(n=8, block=(3, 5))
+    f = 255.0 * f
+    u = f.copy()
+    u[mask] = 127.5
+    return u, f, mask, params_for(mu=15.0, lam=10.0), sup_known_norm(f, mask)
+
+
+def overflow_case():
+    """A gradient entry overflows on an inner row: tau is nan there, so is the margin."""
+    u = np.zeros((5, 4, 1))
+    u[2, 1, 0], u[2, 2, 0] = 1e308, -1e308
+    return u, np.zeros_like(u), np.zeros((5, 4), dtype=bool), params_for(), 0.0
+
+
+def random_case(shape, channels, seed):
+    f, mask = random_instance(np.random.default_rng(seed), shape=shape, channels=channels)
+    u = f + np.random.default_rng(seed + 1).normal(0.0, 0.1, size=f.shape)
+    return u, f, mask, params_for(mu=3.0, delta=0.01, lam=5.0), sup_known_norm(f, mask)
+
+
+BAND_CASES = {
+    "hole128 delta=0": lambda: hole_case(0.0),
+    "hole128 delta=0.01": lambda: hole_case(0.01),
+    "rounding edge": rounding_edge_case,
+    "overflow": overflow_case,
+    "1xN": lambda: random_case((1, 23), 3, 50),
+    "Nx1": lambda: random_case((23, 1), 1, 52),
+    "odd height": lambda: random_case((13, 6), 3, 54),
+}
+
+
+def quiet_certify(*args):
+    """certify with its RuntimeWarnings ignored: two of the cases warn on purpose."""
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return certify(*args)
+
+
+class TestRowBands:
+    """certify evaluates its per-pixel passes in row bands (``dual._BAND``)."""
+
+    @pytest.mark.parametrize("rows", [0, 2, 3], ids=["band=1", "2 rows", "3 rows"])
+    @pytest.mark.parametrize("case", list(BAND_CASES))
+    def test_bands_keep_every_bit(self, monkeypatch, case, rows):
+        # repr tells every float apart, nan and -0.0 included.
+        u, f, mask, params, bound = BAND_CASES[case]()
+        h, w, m = u.shape
+        assert len(dual._row_bands(u.shape)) == 1
+        whole = quiet_certify(u, f, mask, params, bound)
+        monkeypatch.setattr(dual, "_BAND", max(rows * w * m, 1))
+        bands = dual._row_bands(u.shape)
+        assert max(r1 - r0 for r0, r1 in bands) == min(max(rows, 1), h)
+        assert repr(quiet_certify(u, f, mask, params, bound)) == repr(whole)
+
+    def test_cases_reach_their_paths(self):
+        assert quiet_certify(*hole_case(0.01)).dual_field == "sigma"
+        assert quiet_certify(*rounding_edge_case()).dual_scale < 1.0
+        assert math.isnan(quiet_certify(*overflow_case()).feasibility_margin)
+
+    def test_band_rule(self, monkeypatch):
+        # n = ceil(h w M / _BAND) bands of ceil(h / n) rows, the last one short.
+        assert dual._row_bands((512, 512, 3)) == [(r, min(r + 86, 512)) for r in range(0, 512, 86)]
+        for shape in ((48, 48, 1), (96, 96, 3), (128, 128, 3), (1, 10**6, 3)):
+            assert dual._row_bands(shape) == [(0, shape[0])]
+        monkeypatch.setattr(dual, "_BAND", 10)
+        assert dual._row_bands((7, 2, 1)) == [(0, 4), (4, 7)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import hole_instance_color128, layouts, peak_allocation, random_instance
+from conftest import hole_instance_color, layouts, peak_allocation, random_instance
 from oracle import fd_gradient, phi_by_quadrature
 from viscotv.density import DensityParams, density_gradient, density_value
 from viscotv.dual import certify, dual_from_primal, dual_value, sup_known_norm
@@ -546,7 +546,7 @@ class TestResidualBuffers:
         # The flux is written over the point's gradient: the residual's own
         # arrays peak at ~1.2 gradient fields (flux, divergence and residual);
         # a flux in a buffer of its own would make it ~2.2.
-        u, f, mask = hole_instance_color128()
+        u, f, mask = hole_instance_color()
         params = ModelParams(lam=10.0, zeta=2.0, density=DensityParams(2.0, 0.01))
         _Point(u, f, mask, params).residual()  # warm-up
         point = _Point(u, f, mask, params)
