@@ -128,18 +128,27 @@ def density_gradient(params: DensityParams, P, *, norms=None, out=None):
 
     ``norms``, if given, is ``pixel_norms(P)`` already computed by the caller.
     ``out``, if given, receives the result and is returned.  It may be P
-    itself, which is then overwritten by the flux.  The sum is taken as
-    ``q*P + delta*P``, the viscous part skipped at delta = 0, so the bits are
-    the same with and without ``out``.
+    itself, which is then overwritten by the flux.  With ``q = phi'(r)/r``
+    the flux is ``q*P`` at delta = 0; at delta > 0 each (component, channel)
+    plane k is built as ``t = q*P_k; out_k = delta*P_k; out_k += t`` with one
+    plane-sized t, so no field-sized temporary is made.  IEEE addition and
+    multiplication commute, so these are the bits of ``q*P + delta*P``.
     """
     P = np.asarray(P, dtype=float)
-    r = (pixel_norms(P) if norms is None else norms)[..., None, None]
+    r = pixel_norms(P) if norms is None else norms
     q = _radial_quotient(params, r)
-    visc = params.delta * P if params.delta > 0.0 else None  # before out overwrites P
-    grad = np.multiply(q, P, out=out)
-    if visc is not None:
-        grad += visc
-    return grad
+    if params.delta == 0.0:
+        return np.multiply(q[..., None, None], P, out=out)
+    if out is None:
+        out = np.empty_like(P)
+    t = np.empty(np.shape(r))
+    for i in range(P.shape[-2]):
+        for k in range(P.shape[-1]):
+            plane, into = P[..., i, k], out[..., i, k]
+            np.multiply(q, plane, out=t)
+            np.multiply(params.delta, plane, out=into)
+            into += t
+    return out
 
 
 def recession_constant(params: DensityParams) -> float:

@@ -6,12 +6,15 @@ fidelity.  ``euler_residual`` is its gradient with respect to every pixel
 value, exact to floating precision, so a vanishing residual characterizes the
 (unique, delta > 0) minimizer.
 
-``_Point`` evaluates one point: it computes ``gradient(u)``, the pixel norms
-and the deviation norms once and shares them between the per-pixel energy
-field, the gradient of the density part and the residual; ``primal_energy``
-and ``euler_residual`` are built on it.  ``_fidelity_prox`` is the exact
-proximal map of the fidelity, which is pixel-separable and radial, so it
-reduces to one scalar root per known pixel.
+``_Point`` evaluates one point: it computes ``gradient(u)``, ``u - f``, the
+pixel norms and the deviation norms once and shares them between the
+per-pixel energy field, the gradient of the density part and the residual;
+``primal_energy`` and ``euler_residual`` are built on it.  ``_fidelity_prox``
+is the exact proximal map of the fidelity, which is pixel-separable and
+radial, so it reduces to one scalar root per known pixel.  Both write their
+image- and gradient-sized results into buffers the caller may pass
+(``solver.minimize_smooth`` passes the same ones at every iteration) and
+allocate them otherwise, with the same bits either way.
 
 Scalar reductions use ``_fsum``, a compensated sum in a fixed block order for
 a given size: ``np.sum`` over consecutive 64-element blocks of the row-major
@@ -127,14 +130,16 @@ def _prox_shrink(a, c, zeta):
     return _newton_shrink(a, c, zeta)
 
 
-def _fidelity_prox(w, f, mask, params: ModelParams, gamma: float) -> np.ndarray:
+def _fidelity_prox(w, f, mask, params: ModelParams, gamma: float, *, out=None) -> np.ndarray:
     """``argmin_v gamma * fidelity(v) + |v - w|^2 / 2``, exact for every zeta > 1.
 
     On a known pixel ``v = f + (r/a)(w - f)`` with ``a = |w - f|`` and r the
     root of ``r + gamma*lam*r**(zeta-1) = a``; damaged pixels keep w.  The
     arrays are taken as given: w, f float of one shape, mask boolean (H, W).
+    ``out``, if given, is an array of that shape, not sharing memory with w
+    or f, that receives the result and is returned.
     """
-    prox = w - f  # the deviation, shrunk and shifted back in place
+    prox = np.subtract(w, f, out=out)  # the deviation, shrunk and shifted back in place
     c = gamma * params.lam
     if params.zeta == 2.0:  # one shrink for every pixel: no deviation norms
         prox *= _prox_shrink(None, c, 2.0)
@@ -153,24 +158,37 @@ class _Point:
     u and f a pixel energy is nan only where a norm overflowed (``inf - inf``
     in ``phi``, ``0*inf`` in the viscous term), so the energy is beyond the
     float range.  ``residual()`` builds the exact gradient of the energy from
-    the cached ``grad`` and norms: the flux ``DF_delta(grad u)`` is written
-    over ``grad``, the divergence negated in its own buffer, and the point
-    then drops ``grad`` and the norms.  It also sets ``density_residual``,
-    the gradient ``-div DF_delta(grad u)`` of the density part alone.  A
-    point kept after its residual holds only ``pixel_energy`` and these two
-    fields.  u and f are kept by reference, not copied; the arrays are taken
-    as ``grid._shape_check`` returns them.
+    the cached ``grad``, ``dev = u - f`` and norms: the flux
+    ``DF_delta(grad u)`` is written over ``grad``, the divergence negated in
+    a buffer of its own, the residual written over ``dev``, and the point
+    then drops ``grad``, ``dev`` and the norms.  It also sets
+    ``density_residual``, the gradient ``-div DF_delta(grad u)`` of the
+    density part alone.  A point kept after its residual holds only
+    ``pixel_energy`` and these two fields.  u and f are kept by reference,
+    not copied; the arrays are taken as ``grid._shape_check`` returns them.
+
+    ``grad_out`` (H, W, 2, M), ``dev_out`` and ``div_out`` (H, W, M), if
+    given, are the buffers that receive ``grad``, ``dev`` (then the residual)
+    and ``density_residual``; each is allocated, channel-planar, when None.
+    The caller must not reuse a buffer while the point still reads it.  A
+    ``dev`` the point allocated itself is dropped once its norms are taken,
+    so the per-pixel temporaries after it reuse its memory, and ``residual()``
+    takes ``u - f`` again (kept through ``certify``'s bands, it read slower
+    on 512x512x3 audits in process pairs; ``BENCH_20.json``).
     """
 
-    def __init__(self, u, f, mask, params: ModelParams):
+    def __init__(self, u, f, mask, params: ModelParams, grad_out=None, dev_out=None, div_out=None):
         self.u, self.f, self.mask = u, f, mask
         self.params = params
-        self.grad = gradient(self.u)
+        self.grad = gradient(u, grad_out)
         self.grad_norms = pixel_norms(self.grad)
-        self.dev_norms = channel_norms(self.u - self.f)
+        dev = np.subtract(u, f, out=dev_out)
+        self.dev_norms = channel_norms(dev)
+        self.dev = None if dev_out is None else dev
         self.pixel_energy = density_value(
             params.density, self.grad, norms=self.grad_norms
         ) + _fidelity_field(self.dev_norms, self.mask, params)
+        self._div_out = div_out
         self._total = None
         self._residual = None
         self.density_residual = None
@@ -187,9 +205,9 @@ class _Point:
             flux = density_gradient(
                 params.density, self.grad, norms=self.grad_norms, out=self.grad
             )
-            norms = self.dev_norms
-            self.grad = self.grad_norms = self.dev_norms = None
-            self.density_residual = _negative_divergence(flux)
+            dev, norms = self.dev, self.dev_norms
+            self.grad = self.grad_norms = self.dev = self.dev_norms = None
+            self.density_residual = _negative_divergence(flux, self._div_out)
             del flux
             coef = params.lam * (~self.mask)[..., None]
             if params.zeta != 2.0:  # |u - f|^(zeta - 2) is 1 at zeta = 2
@@ -197,7 +215,7 @@ class _Point:
                     scale = np.where(norms > 0.0, norms ** (params.zeta - 2.0), 0.0)
                 coef = coef * scale[..., None]
             # Built in place; the same bits as density_residual + coef*(u - f).
-            res = self.u - self.f
+            res = np.subtract(self.u, self.f) if dev is None else dev
             res *= coef
             res += self.density_residual
             self._residual = res

@@ -11,7 +11,9 @@ Conventions used throughout the package:
 In memory the fields are channel-planar: ``gradient`` fills a
 ``(2, M, height, width)`` buffer and ``divergence`` an ``(M, height, width)``
 one, and each returns the transposed view with the public shape, so every
-(component, channel) pair is one contiguous ``(height, width)`` plane.
+(component, channel) pair is one contiguous ``(height, width)`` plane
+(``_planar_empty``).  Both take an optional ``out`` of the public shape
+instead, which ``solver.minimize_smooth`` allocates planar once per call.
 ``validate_image`` and ``solver.minimize_smooth`` take a solve's inputs
 planar (``_planar``).  numpy's elementwise operations keep the memory order
 of their inputs, so the fields derived from these stay planar, and the
@@ -176,41 +178,57 @@ def pixel_norms(p) -> np.ndarray:
     return _root_sum_squares(p.reshape(p.shape[:-2] + (-1,)))
 
 
-def gradient(u) -> np.ndarray:
+def _planar_empty(shape) -> np.ndarray:
+    """An uninitialized float array of the given (H, W, ...) shape, channel-planar.
+
+    The axes after the two grid axes are outermost in memory, the layout of
+    ``_planar``: ``(M, H, W)`` for an image, ``(2, M, H, W)`` for a field.
+    """
+    n = len(shape)
+    return np.empty(shape[2:] + shape[:2]).transpose(n - 2, n - 1, *range(n - 2))
+
+
+def gradient(u, out=None) -> np.ndarray:
     """Forward differences with zero one-sided difference at the far edges.
 
-    Returns the (H, W, 2, M) view of a (2, M, H, W) buffer.
+    Returns the (H, W, 2, M) view of a (2, M, H, W) buffer (``_planar_empty``).
+    ``out``, if given, is an (H, W, 2, M) array that receives the result and
+    is returned; a channel-planar one keeps every plane contiguous.
     """
-    u = np.asarray(u, dtype=float).transpose(2, 0, 1)
-    m, h, w = u.shape
-    g = np.empty((2, m, h, w))
+    u = np.asarray(u, dtype=float)
+    if out is None:
+        out = _planar_empty(u.shape[:2] + (2,) + u.shape[2:])
+    u, g = u.transpose(2, 0, 1), out.transpose(2, 3, 0, 1)
     np.subtract(u[:, :, 1:], u[:, :, :-1], out=g[0, :, :, :-1])
     g[0, :, :, -1] = 0.0
     np.subtract(u[:, 1:, :], u[:, :-1, :], out=g[1, :, :-1, :])
     g[1, :, -1, :] = 0.0
-    return g.transpose(2, 3, 0, 1)
+    return out
 
 
-def divergence(p) -> np.ndarray:
+def divergence(p, out=None) -> np.ndarray:
     """Negative adjoint of ``gradient``; backward differences with truncation.
 
     Entries in the last column's x-component and last row's y-component are
     never read (the gradient's range has them zero).  Returns the (H, W, M)
-    view of an (M, H, W) buffer.
+    view of an (M, H, W) buffer; ``out``, if given, is an (H, W, M) array,
+    not sharing memory with p, that receives the result and is returned.
     """
-    px, py = np.asarray(p, dtype=float).transpose(2, 3, 0, 1)
-    div = np.empty(px.shape)
+    p = np.asarray(p, dtype=float)
+    if out is None:
+        out = _planar_empty(p.shape[:2] + p.shape[3:])
+    (px, py), div = p.transpose(2, 3, 0, 1), out.transpose(2, 0, 1)
     div[:, :, :-1] = px[:, :, :-1]
     div[:, :, -1] = 0.0
     div[:, :, 1:] -= px[:, :, :-1]
     div[:, :-1, :] += py[:, :-1, :]
     div[:, 1:, :] -= py[:, :-1, :]
-    return div.transpose(1, 2, 0)
+    return out
 
 
-def _negative_divergence(p) -> np.ndarray:
-    """``-divergence(p)``, negated in place of the divergence's own buffer."""
-    div = divergence(p)
+def _negative_divergence(p, out=None) -> np.ndarray:
+    """``-divergence(p)``, negated in place of the divergence's own buffer (or ``out``)."""
+    div = divergence(p, out)
     return np.negative(div, out=div)
 
 

@@ -10,7 +10,9 @@ Fletcher 2005; inside proximal gradient, SpaRSA: Wright, Nowak and
 Figueiredo 2009), one step path for every zeta > 1; the contract is descent
 plus a residual tolerance, not a step count.  A trial step at or below 1/L that
 finds no descent, which only rounding can cause, ends the solve as
-``stagnated`` at the last accepted iterate.
+``stagnated`` at the last accepted iterate.  Each inner solve allocates its
+image- and gradient-sized work buffers once and every iteration writes into
+them, so the loop makes no large temporaries (``minimize_smooth``).
 
 ``continuation`` drives delta down a geometric schedule with warm starts,
 solves each level only as accurately as its viscous bias warrants, and stops
@@ -29,7 +31,7 @@ import numpy as np
 
 from .dual import certify
 from .energy import ModelParams, _fidelity_prox, _Point
-from .grid import _known, _planar, _scalar_check, _shape_check, _sup_known
+from .grid import _known, _planar, _planar_empty, _scalar_check, _shape_check, _sup_known
 from .grid import channel_norms, validate_image, validate_mask
 
 __all__ = [
@@ -161,7 +163,8 @@ def default_initial(f, mask) -> np.ndarray:
 
 
 def _linf(g) -> float:
-    return float(np.max(np.abs(g)))
+    """``max |g|``, with |g| written over g: the residual it is taken of is not read again."""
+    return float(np.max(np.abs(g, out=g)))
 
 
 @np.errstate(over="ignore")  # an overflowing sum is inf (``energy._fsum``)
@@ -188,15 +191,32 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     ``y = grad D(cand) - grad D(u)``, capped at 1e4: ``BB1 = s.s/s.y``
     after an odd iteration, ``BB2 = s.y/y.y <= BB1`` after an even one, and
     twice the accepted gamma when ``s.y <= 0``.
+
+    The call allocates its image- and gradient-sized work buffers once, all
+    channel-planar (``grid._planar_empty``), and every iteration writes into
+    them: one gradient field; one buffer for the trial point
+    ``u - gamma grad D(u)`` and then s; one for ``u - f``, the residual and
+    the products summed into s.s, s.y and y.y; two slots for ``grad D``, the
+    old one overwritten by y; and two iterate slots, u and the candidate,
+    swapped on acceptance.  u0 is copied into an iterate slot and never
+    written, and the returned ``u`` is the accepted slot itself.
     """
     pd = params.with_delta(_scalar_check(delta, "delta", 0.0))
-    u, f, mask = _shape_check(u0, f, mask)
-    # Planar copies fix the memory order in which the step sums below reduce.
-    u, f = np.array(_planar(u), copy=True), _planar(f)
+    u0, f, mask = _shape_check(u0, f, mask)
+    # Planar buffers fix the memory order in which the step sums below reduce.
+    f = _planar(f)
     tol = cfg.inner_tol * (1.0 + _sup_known(f, mask))
     min_step = 1.0 / (8.0 * (1.0 + pd.density.delta))
+    # The iterate slots come last, so the slot returned as u tends to lie above
+    # the other buffers in the heap.  Freed together at return, those then do
+    # not join the free top of the heap, which malloc gives back to the system
+    # once it is large (glibc: at twice its mmap threshold, 1.6 MB in the
+    # benchmark process), and certify and the next level reuse their pages.
+    grad = _planar_empty(f.shape[:2] + (2,) + f.shape[2:])
+    trial, scratch, div_u, div_spare, spare, u = (_planar_empty(f.shape) for _ in range(6))
+    np.copyto(u, u0)
 
-    at_u = _Point(u, f, mask, pd)
+    at_u = _Point(u, f, mask, pd, grad, scratch, div_u)
     res = _linf(at_u.residual())
     history = [at_u.total]
 
@@ -207,10 +227,12 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
         iters += 1
         step = min(step, _STEP_MAX)
         while True:
-            cand = _fidelity_prox(u - step * at_u.density_residual, f, mask, pd, step)
-            s = cand - u
-            ss = float(np.sum(s * s))
-            at_cand = _Point(cand, f, mask, pd)
+            np.multiply(step, at_u.density_residual, out=trial)
+            np.subtract(u, trial, out=trial)
+            cand = _fidelity_prox(trial, f, mask, pd, step, out=spare)
+            s = np.subtract(cand, u, out=trial)
+            ss = float(np.sum(np.multiply(s, s, out=scratch)))
+            at_cand = _Point(cand, f, mask, pd, grad, scratch, div_spare)
             evaluations += 1
             change = float(np.sum(at_cand.pixel_energy - at_u.pixel_energy))
             if change <= -ss / (2.0 * step) and at_cand.total < at_u.total:
@@ -225,16 +247,16 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
         res = _linf(at_cand.residual())
         # Barzilai-Borwein trial step from the density curvature alone; the
         # fidelity is handled exactly by the prox.  s.y > 0 implies y.y > 0.
-        # Deleting s and y keeps them from staying allocated through the next
-        # iteration's trial points, which otherwise fault in fresh pages.
-        y = at_cand.density_residual - at_u.density_residual
-        sy = float(np.sum(s * y))
+        y = at_u.density_residual  # grad D(u), no longer needed
+        np.subtract(at_cand.density_residual, y, out=y)
+        sy = float(np.sum(np.multiply(s, y, out=scratch)))
         if sy > 0.0:
-            step = ss / sy if iters % 2 else sy / float(np.sum(y * y))
+            step = ss / sy if iters % 2 else sy / float(np.sum(np.multiply(y, y, out=scratch)))
         else:
             step = 2.0 * step
-        del s, y
-        u, at_u = cand, at_cand
+        # A prox that returns an array of its own (a test double) leaves the
+        # old u as the next candidate's slot all the same.
+        u, spare, div_spare, at_u = cand, u, y, at_cand
         history.append(at_u.total)
 
     if stop_reason is None:

@@ -56,6 +56,12 @@ def layouts(u):
     return [np.ascontiguousarray(u), np.asfortranarray(u), shifted, planar]
 
 
+def same_bits(a, b):
+    """a and b have one shape and the same bytes entry by entry, signed zeros included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def hole_instance_color(n=128, seed=15):
     """Seeded n x n x 3 f with the central hole [3n/8, 5n/8)^2 and an iterate near f.
 

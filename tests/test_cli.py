@@ -198,7 +198,7 @@ class TestRuns:
     def test_failed_line_search_exits_two_with_report(self, tmp_path, board, monkeypatch):
         # No trial step ever descends: every level stagnates at its start,
         # which is still certified and reported.
-        monkeypatch.setattr(solver, "_fidelity_prox", lambda w, *args: w + 1.0)
+        monkeypatch.setattr(solver, "_fidelity_prox", lambda w, *args, **kwargs: w + 1.0)
         src, mask = board
         report = tmp_path / "rep.txt"
         code = run(

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import layouts
+from conftest import layouts, same_bits
 from oracle import phi_by_quadrature
 from viscotv.density import (
+    _RADIAL_TOL,
     DensityParams,
     _phi_prime,
     _radial_quotient,
@@ -19,7 +20,7 @@ from viscotv.density import (
     phi_prime,
     recession_constant,
 )
-from viscotv.grid import pixel_norms
+from viscotv.grid import _planar_empty, pixel_norms
 
 MUS = (1.5, 2.0, 3.0)
 
@@ -197,6 +198,7 @@ class TestDensityGradientOut:
         P[0, 0] = 0.0
         P[1, 2] *= 1e-14
         P[3, 4] *= 1e8
+        assert pixel_norms(P)[1, 2] < _RADIAL_TOL
         return layouts(P)
 
     @pytest.mark.parametrize("delta", [0.0, 0.3])
@@ -209,9 +211,19 @@ class TestDensityGradientOut:
             before = P.copy()
             fresh = density_gradient(p, P)
             assert np.array_equal(P, before)  # out=None leaves P as it was
+            # At delta > 0 the flux is built one plane at a time, with the
+            # bits of the whole-field sum q*P + delta*P.
+            expected = _radial_quotient(p, pixel_norms(P))[..., None, None] * P
+            if delta > 0.0:
+                expected += delta * P
+            assert same_bits(fresh, expected)
+            buffer = _planar_empty(P.shape)
+            assert density_gradient(p, P, out=buffer) is buffer
+            assert same_bits(buffer, expected)
             result = density_gradient(p, target, norms=pixel_norms(target), out=target)
             assert result is target
             assert np.array_equal(result, fresh)
+            assert same_bits(result, expected)
 
 
 class TestRadialQuotient:

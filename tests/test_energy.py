@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import hole_instance_color, layouts, peak_allocation, random_instance
+from conftest import hole_instance_color, layouts, peak_allocation, random_instance, same_bits
 from oracle import fd_gradient, phi_by_quadrature
 from viscotv.density import DensityParams, density_gradient, density_value
 from viscotv.dual import certify, dual_from_primal, dual_value, sup_known_norm
@@ -21,7 +21,7 @@ from viscotv.energy import (
     fidelity,
     primal_energy,
 )
-from viscotv.grid import channel_norms, divergence, gradient
+from viscotv.grid import _planar_empty, channel_norms, divergence, gradient
 from viscotv.solver import (
     SolverConfig,
     check_max_principle,
@@ -277,8 +277,12 @@ class TestFidelityProx:
         mask[1, ::2] = True
         f = np.where(mask[..., None], rng.normal(size=w.shape), 0.0)
         params = ModelParams(lam=1.0, zeta=zeta, density=DensityParams(2.0))
+        out = _planar_empty(w.shape)  # the solver's iterate slot
         for c in np.logspace(-8, 4, 13):
             v = _fidelity_prox(w, f, mask, params, c)
+            out.fill(np.nan)
+            assert _fidelity_prox(w, f, mask, params, c, out=out) is out
+            assert same_bits(out, v)
             assert np.array_equal(v[mask], w[mask])
             assert (v[0, 0] == 0.0).all()  # known, a = 0
             r = hypot_norms(v)
@@ -595,6 +599,19 @@ class TestFusedEvaluation:
         assert np.array_equal(residual, euler_residual(u, f, mask, params))
         assert point.residual() is residual
         assert total == _fsum(point.pixel_energy)
+        # On the solver's buffers: the gradient, u - f (then the residual)
+        # and the density residual land in them, with the same bits.  A
+        # u - f of the point's own is dropped once its norms are taken.
+        assert _Point(u, f, mask, params).dev is None
+        buffers = [_planar_empty(s) for s in (u.shape[:2] + (2, channels), u.shape, u.shape)]
+        for buffer in buffers:
+            buffer.fill(np.nan)
+        given = _Point(u, f, mask, params, *buffers)
+        assert given.grad is buffers[0] and given.dev is buffers[1]
+        assert given.total == total and same_bits(given.pixel_energy, point.pixel_energy)
+        assert given.residual() is buffers[1] and same_bits(buffers[1], residual)
+        assert given.density_residual is buffers[2]
+        assert same_bits(buffers[2], point.density_residual)
 
     def test_total_is_density_plus_fidelity(self):
         rng = np.random.default_rng(43)

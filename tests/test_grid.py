@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import layouts
+from conftest import layouts, same_bits
 from viscotv.grid import (
+    _negative_divergence,
+    _planar_empty,
     _scalar_check,
     channel_norms,
     clamp_to_ball,
@@ -49,6 +51,12 @@ class TestGradient:
             g = gradient(v)
             assert g.shape == (*shape, 2, channels)
             assert (g == expected).all()
+            # Into a planar buffer, as the solver passes, and a row-major one;
+            # the NaN fill shows any entry left unwritten.
+            for out in (_planar_empty(g.shape), np.empty(g.shape)):
+                out.fill(np.nan)
+                assert gradient(v, out) is out
+                assert same_bits(out, g)
 
 
 class TestDivergence:
@@ -94,6 +102,12 @@ class TestDivergence:
             d = divergence(q)
             assert d.shape == (*shape, channels)
             assert (d == expected).all()
+            for out in (_planar_empty(d.shape), np.empty(d.shape)):
+                out.fill(np.nan)
+                assert divergence(q, out) is out
+                assert same_bits(out, d)
+                assert _negative_divergence(q, out) is out
+                assert same_bits(out, np.negative(d))
 
 
 class TestPlanarLayout:
@@ -102,7 +116,7 @@ class TestPlanarLayout:
         g = gradient(u)
         d = divergence(g)
         v = validate_image(u)
-        for field in (g, d, v):
+        for field in (g, d, v, _planar_empty(g.shape), _planar_empty(u.shape)):
             for plane in field.reshape(*field.shape[:2], -1).transpose(2, 0, 1):
                 assert plane.flags.c_contiguous
         assert np.array_equal(v, u)

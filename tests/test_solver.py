@@ -11,13 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bridge_instance, checkerboard_instance, layouts, random_instance
+from conftest import (
+    bridge_instance,
+    checkerboard_instance,
+    hole_instance_color,
+    layouts,
+    peak_allocation,
+    random_instance,
+    same_bits,
+)
 import viscotv
 from viscotv import energy, solver
 from viscotv.density import DensityParams
 from viscotv.dual import sup_known_norm
 from viscotv.energy import ModelParams, euler_residual, primal_energy
-from viscotv.grid import clamp_to_ball
+from viscotv.grid import clamp_to_ball, gradient
 from viscotv.solver import (
     SolverConfig,
     check_max_principle,
@@ -124,7 +132,7 @@ class TestMinimizeSmooth:
         # solve ends at its start instead of raising.  The line search stops
         # at the first failed trial at or below 1/L = 1/(8(1 + delta)) ~
         # 0.1238: trials 1, 1/2, 1/4, 1/8 and 1/16.
-        monkeypatch.setattr(solver, "_fidelity_prox", lambda w, *args: w + 1.0)
+        monkeypatch.setattr(solver, "_fidelity_prox", lambda w, *args, **kwargs: w + 1.0)
         f, mask = checkerboard_instance(n=8, block=(3, 5))
         u0 = default_initial(f, mask)
         res = minimize_smooth(u0, 1e-2, f, mask, params_for(), SolverConfig())
@@ -185,8 +193,8 @@ class TestMinimizeSmooth:
         trials = []
         prox = solver._fidelity_prox
 
-        def spy(w, *args):
-            cand = prox(w, *args)
+        def spy(w, *args, **kwargs):
+            cand = prox(w, *args, **kwargs)
             trials.append((args[-1], cand.copy(order="K")))
             return cand
 
@@ -257,6 +265,69 @@ class TestMinimizeSmooth:
             )
             digests.add(out.stdout.strip())
         assert len(digests) == 1
+
+
+class TestWorkBuffers:
+    """Each minimize_smooth call allocates its work buffers once and reuses them."""
+
+    @staticmethod
+    def spy_on_prox(monkeypatch, record):
+        prox = solver._fidelity_prox
+
+        def spy(w, *args, **kwargs):
+            cand = prox(w, *args, **kwargs)
+            record(kwargs.get("out"), cand)
+            return cand
+
+        monkeypatch.setattr(solver, "_fidelity_prox", spy)
+
+    def test_inputs_are_read_only_and_never_work_slots(self, monkeypatch):
+        u0, f, mask = hole_instance_color(n=24)  # planar, as continuation passes them
+        before = u0.copy(order="K"), f.copy(order="K")
+        slots = []
+        self.spy_on_prox(monkeypatch, lambda out, cand: slots.extend([out, cand]))
+        cfg = SolverConfig(inner_max_iters=5)
+        for start in (u0, f):  # started at f, u0 and f are one array
+            res = minimize_smooth(start, 1e-2, f, mask, params_for(), cfg)
+            assert res.iterations >= 1
+            for array in (start, f):
+                assert not np.shares_memory(res.u, array)
+                assert not any(np.shares_memory(slot, array) for slot in slots if slot is not None)
+        assert same_bits(u0, before[0]) and same_bits(f, before[1])
+        # A start at the minimizer is returned after no iteration, still a copy.
+        f = np.full((6, 6, 1), 0.3)
+        mask = np.zeros((6, 6), dtype=bool)
+        res = minimize_smooth(f, 1e-2, f, mask, params_for(), SolverConfig())
+        assert res.iterations == 0
+        assert not np.shares_memory(res.u, f) and (f == 0.3).all()
+
+    def test_candidates_live_in_two_buffers(self, monkeypatch):
+        # Candidates allocated per trial point landed in 8 distinct buffers here.
+        addresses = []
+        self.spy_on_prox(monkeypatch, lambda out, cand: addresses.append(cand.ctypes.data))
+        u0, f, mask = hole_instance_color(n=96)
+        cfg = SolverConfig(inner_tol=1e-12, inner_max_iters=8)
+        res = minimize_smooth(u0, 1e-2, f, mask, params_for(), cfg)
+        assert res.iterations >= 6
+        assert len(set(addresses)) <= 2
+        assert res.u.ctypes.data in addresses  # the accepted slot itself, not a copy
+
+    def test_calls_return_unshared_iterates(self):
+        u0, f, mask = hole_instance_color(n=16)
+        cfg = SolverConfig(inner_max_iters=4)
+        first, second = (minimize_smooth(u0, 1e-2, f, mask, params_for(), cfg) for _ in range(2))
+        assert not np.shares_memory(first.u, second.u)
+        assert same_bits(first.u, second.u)
+
+    def test_peak_in_gradient_fields(self):
+        # The buffers are 4 gradient fields (6 images and one field); with
+        # the per-pixel temporaries the call peaks at ~5.5.  Temporaries
+        # allocated per trial point peaked at 6.7 on this instance.
+        u0, f, mask = hole_instance_color(n=96)
+        cfg = SolverConfig(inner_tol=1e-12, inner_max_iters=8)
+        minimize_smooth(u0, 1e-2, f, mask, params_for(), cfg)  # warm-up
+        peak = peak_allocation(lambda: minimize_smooth(u0, 1e-2, f, mask, params_for(), cfg))
+        assert peak < 5.85 * gradient(u0).nbytes
 
 
 class TestContinuation:
