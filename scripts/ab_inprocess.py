@@ -20,6 +20,14 @@ per op, then the median and interquartile range of the per-pair ratios
 change/parent and in how many pairs the change was faster.  A pair whose two
 outputs differ in gap is counted and printed; for the CLI workload each
 side writes its files under a temporary directory of its own.
+
+The fault counts describe this process, not the benchmark's.  perfbench
+times its reference kernel before and after every op, and that kernel's
+large temporaries leave the heap trimmed, so each op there first-touches
+fresh pages; this script runs no kernel between ops, so its heap keeps
+pages from op to op and its faults per op differ from perfbench's (on the
+parent of ``BENCH_20.json``, 1765 here against 1336 there per
+``denoise_color96_cli`` op).  Compare its fault columns with each other only.
 """
 
 import argparse

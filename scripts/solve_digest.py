@@ -27,10 +27,14 @@ the same bits on all of these, which is how a change that should move no bit
 is checked against its parent.
 
 For each solve set it also prints a census to stderr: the mean inner
-iterations per solve, the candidate evaluations per inner iteration and the
+iterations per solve, the candidate evaluations per inner iteration, the
 minor page faults (``ru_minflt``) of the set's ``continuation`` calls per
 inner iteration, counted after one untimed call on the set's first input so
-that the process's first touch of numpy and of the heap is left out.  The
+that the process's first touch of numpy and of the heap is left out, how
+many solves returned the Richardson point instead of the last iterate, and
+the largest relative gap a solve returned.  A solve returned the Richardson
+point when its certificate's gap differs from its last record's, which
+describes the iterate; that reads 0 on a checkout without the point.  The
 digest stays the last line on stdout.
 """
 
@@ -87,7 +91,8 @@ def main(argv=None):
     ]
     digest = hashlib.sha256()
     for name, wl in sets:
-        solves = iterations = evaluations = faults = 0
+        solves = iterations = evaluations = faults = extrapolated = 0
+        largest_gap = 0.0
         instances = run.make_instances(mods, name, wl, SEED)
         if wl.kind == "solve":
             instances[0].call()  # warm-up, outside the census and the digest
@@ -101,18 +106,21 @@ def main(argv=None):
             if wl.kind == "cli":
                 digest.update(instance.check(result).fingerprint)
                 continue
-            u, _, records = result
+            u, cert, records = result
             digest.update(np.ascontiguousarray(u).tobytes())
             for record in records:
                 digest.update(repr(replace(record, wall_seconds=0.0)).encode())
             solves += 1
+            extrapolated += cert.relative_gap != records[-1].relative_gap
+            largest_gap = max(largest_gap, cert.relative_gap)
             iterations += sum(record.inner_iterations for record in records)
             evaluations += sum(record.evaluations for record in records)
         if solves:
             print(
                 f"{name}: {solves} solves, {iterations / solves:.1f} inner iterations per solve, "
                 f"{evaluations / iterations:.2f} evaluations per iteration, "
-                f"{faults / iterations:.2f} minor faults per iteration",
+                f"{faults / iterations:.2f} minor faults per iteration, "
+                f"{extrapolated} returned the Richardson point, largest gap {largest_gap:.2e}",
                 file=sys.stderr,
             )
     print(digest.hexdigest())

@@ -134,9 +134,10 @@ def _settings(args) -> tuple[ModelParams, SolverConfig]:
 
 
 def _fmt(value) -> str:
+    """A float by its repr, None as an empty field, anything else by str."""
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _write_report(path, pairs) -> None:
@@ -158,6 +159,7 @@ _CSV_COLUMNS = (
     ("max_abs_u", lambda i, rec: rec.max_abs_u),
     ("stop_reason", lambda i, rec: rec.stop_reason),
     ("evaluations", lambda i, rec: rec.evaluations),
+    ("extrapolated_gap", lambda i, rec: rec.extrapolated_gap),
     ("seconds", lambda i, rec: f"{rec.wall_seconds:.6f}"),
 )
 
@@ -210,6 +212,7 @@ def run(argv=None) -> int:
                     ("final_I", cert.primal_value),
                     ("dual_value", cert.dual_value),
                     ("relative_gap", cert.relative_gap),
+                    ("returned_point", records[-1].better_point),
                     ("max_principle_pass", "true" if mp.passed else "false"),
                     ("max_principle_margin", mp.margin),
                     ("outer_steps", len(records)),

@@ -253,7 +253,7 @@ def _join(pieces):
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
-def _certify_band(u, f, mask, mparams: ModelParams, viscous: bool, r0: int, r1: int):
+def _certify_band(u, f, mask, mparams: ModelParams, viscous: bool, r0: int, r1: int, work):
     """certify's per-pixel outputs on rows ``[r0, r1)``.
 
     Returns the pixel energy, ``|tau|`` and ``_split(-div tau)``, then, when
@@ -263,27 +263,31 @@ def _certify_band(u, f, mask, mparams: ModelParams, viscous: bool, r0: int, r1: 
     of row r1.  Unless r1 = h, the point's last row, whose gradient and
     divergence are truncated, is then row r1, which is not kept.  sigma is
     built first in a buffer of its own, split and dropped; tau is then
-    written over the point's gradient.
+    written over the point's gradient.  ``work``, certify's ``_work`` or
+    None, gives the halo rows of the point's gradient and ``u - f`` and of
+    tau's divergence.
     """
     a, b = max(r0 - 1, 0), min(r1 + 1, len(u))
     keep = slice(r0 - a, r1 - a)
     rows = f[r0:r1], mask[r0:r1]
+    grad_out, dev_out, div_out = (None,) * 3 if work is None else (w[a:b] for w in work)
     target = mparams.without_viscosity()
-    point = _Point(u[a:b], f[a:b], mask[a:b], target)
+    point = _Point(u[a:b], f[a:b], mask[a:b], target, grad_out, dev_out)
     if viscous:
         sigma = density_gradient(mparams.density, point.grad, norms=point.grad_norms)
         sigma_split = _split(_negative_divergence(sigma)[keep], *rows)
         del sigma
     tau = density_gradient(target.density, point.grad, norms=point.grad_norms, out=point.grad)
     tau_norms = pixel_norms(tau[keep])
-    out = [point.pixel_energy[keep], tau_norms, *_split(_negative_divergence(tau)[keep], *rows)]
+    out = [point.pixel_energy[keep], tau_norms]
+    out += _split(_negative_divergence(tau, div_out)[keep], *rows)
     if viscous:
         out += [tau_norms + mparams.density.delta * point.grad_norms[keep], *sigma_split]
     return out
 
 
 @np.errstate(over="ignore")  # an overflowing sum is inf (``energy._fsum``)
-def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
+def certify(u, f, mask, mparams: ModelParams, bound: float, *, _work=None) -> DualCertificate:
     """Evaluate both sides of the duality at u and the relative gap.
 
     The primal side is the delta = 0 energy even for iterates produced at
@@ -324,12 +328,20 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     arrays, and every reduction then runs on the whole grid: each output
     has the same bits for every band size.  A grid of at most _BAND values
     is one band.
+
+    ``_work``, private to ``solver.continuation``, is None or three arrays
+    the call may overwrite, a gradient field and two images of u's shape:
+    the bands then build their gradient, ``u - f`` and tau's divergence in
+    their rows of these instead of in arrays of their own.  The bits are the
+    same either way.
     """
     u, f, mask = _shape_check(u, f, mask)
     bound = _check_bound(f, mask, bound)
     target = mparams.without_viscosity()
     viscous = mparams.density.delta > 0.0 and bool(mask.any())
-    bands = [_certify_band(u, f, mask, mparams, viscous, *rows) for rows in _row_bands(u.shape)]
+    bands = [
+        _certify_band(u, f, mask, mparams, viscous, *rows, _work) for rows in _row_bands(u.shape)
+    ]
     energy, tau_norms, *split = map(_join, zip(*bands))
     del bands
     primal = _energy_total(energy)

@@ -233,11 +233,17 @@ def _negative_divergence(p, out=None) -> np.ndarray:
 
 
 def clamp_to_ball(u, radius: float) -> np.ndarray:
-    """Project each pixel's channel vector onto the ball of the given radius."""
-    if not radius >= 0.0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    u = np.asarray(u, dtype=float)
+    """Project each pixel's channel vector onto the ball of the given radius.
+
+    The radius is a finite real >= 0, not a bool (``_scalar_check``).
+    """
+    radius = _scalar_check(radius, "radius", 0.0, closed=True)
+    return _clamp_in_place(np.array(u, dtype=float), radius)
+
+
+def _clamp_in_place(u: np.ndarray, radius: float) -> np.ndarray:
+    """``clamp_to_ball(u, radius)`` written over the float array u, which is returned."""
     norms = channel_norms(u)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(norms > radius, radius / norms, 1.0)
-    return u * scale[..., None]
+    return np.multiply(u, scale[..., None], out=u)

@@ -19,6 +19,9 @@ solves each level only as accurately as its viscous bias warrants, and stops
 at the first certificate whose relative duality gap clears ``gap_tol``
 (or when the schedule bottoms out at ``delta_min``).  Every level, however
 its inner solve stopped, ends in a certificate, and so does every call.
+From the second level on it also certifies the Richardson point of the last
+two levels (``_Extrapolation``), keeps the better certificate, and on a
+level predicted to certify lets that point end the inner solve early.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import numpy as np
 
 from .dual import certify
 from .energy import ModelParams, _fidelity_prox, _Point
-from .grid import _known, _planar, _planar_empty, _scalar_check, _shape_check, _sup_known
-from .grid import channel_norms, validate_image, validate_mask
+from .grid import _clamp_in_place, _known, _planar, _planar_empty, _scalar_check
+from .grid import _shape_check, _sup_known, channel_norms, validate_image, validate_mask
 
 __all__ = [
     "SolverConfig",
@@ -87,7 +90,13 @@ class SolverConfig:
 class ConvergenceRecord:
     """One outer continuation step, for observability of the delta -> 0 limit.
 
-    ``stop_reason`` and ``evaluations`` are the level's ``InnerResult`` fields.
+    ``stop_reason`` and ``evaluations`` are the level's ``InnerResult`` fields;
+    every other field but the last describes the level's own iterate and its
+    certificate at the level's delta.  ``extrapolated_gap`` is the relative
+    gap of the level's Richardson point (``_Extrapolation``), None on the
+    first level.  Derived: ``better_point``, ``"extrapolated"`` when that gap
+    is strictly below ``relative_gap``, else ``"iterate"``: the point
+    ``continuation`` returns when it stops at this level.
     """
 
     delta: float
@@ -101,6 +110,12 @@ class ConvergenceRecord:
     wall_seconds: float
     stop_reason: str
     evaluations: int
+    extrapolated_gap: float | None
+
+    @property
+    def better_point(self) -> str:
+        gap = self.extrapolated_gap
+        return "extrapolated" if gap is not None and gap < self.relative_gap else "iterate"
 
 
 @dataclass
@@ -108,9 +123,11 @@ class InnerResult:
     """Outcome of one inner solve.
 
     ``stop_reason`` says why it stopped: ``residual`` (tolerance met), ``cap``
-    (``inner_max_iters`` reached) or ``stagnated`` (a trial step at or below
+    (``inner_max_iters`` reached), ``stagnated`` (a trial step at or below
     ``1/L = 1/(8(1 + delta))`` failed to lower the energy, which only
-    rounding can cause; ``u`` is the last accepted iterate).  ``evaluations``
+    rounding can cause; ``u`` is the last accepted iterate) or, in
+    ``continuation`` only, ``certified`` (the level's Richardson point
+    certified early, ``_Extrapolation.stop``).  ``evaluations``
     counts the candidate points evaluated, accepted or not; ``energy_history``
     the energy at the start and after each accepted step, the last that of
     ``u``.  Derived: ``converged``, i.e. ``stop_reason == "residual"``.
@@ -168,7 +185,9 @@ def _linf(g) -> float:
 
 
 @np.errstate(over="ignore")  # an overflowing sum is inf (``energy._fsum``)
-def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) -> InnerResult:
+def minimize_smooth(
+    u0, delta, f, mask, params: ModelParams, cfg: SolverConfig, *, _stop=None
+) -> InnerResult:
     """Minimize the viscous energy at fixed delta > 0 from the start u0.
 
     Stops when the sup-norm of the residual falls below
@@ -200,6 +219,15 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     old one overwritten by y; and two iterate slots, u and the candidate,
     swapped on acceptance.  u0 is copied into an iterate slot and never
     written, and the returned ``u`` is the accepted slot itself.
+
+    ``_stop``, private to ``continuation``, is called as
+    ``_stop(k, u, free)`` whenever the residual and the cap let iteration
+    k + 1 run, with u the iterate after k iterations, which it must not
+    write, and ``free`` the work buffers that iteration writes before it
+    reads them: the gradient field and the trial, scratch and spare images,
+    which it may use as its own.  When it returns True the solve stops there
+    as ``certified``; it changes nothing else, so a solve it stops after k
+    iterations has the bits of one capped at k.
     """
     pd = params.with_delta(_scalar_check(delta, "delta", 0.0))
     u0, f, mask = _shape_check(u0, f, mask)
@@ -224,6 +252,9 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     iters = evaluations = 0
     stop_reason = None
     while res > tol and iters < cfg.inner_max_iters:
+        if _stop is not None and _stop(iters, u, (grad, trial, scratch, spare)):
+            stop_reason = "certified"
+            break
         iters += 1
         step = min(step, _STEP_MAX)
         while True:
@@ -271,6 +302,65 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     )
 
 
+class _Extrapolation:
+    """The Richardson point of a level and its delta-free certificate.
+
+    The minimizer is smooth in delta, u(delta) = u* + delta u_1 + O(delta^2),
+    so the previous level's iterate u1 at delta1 and this level's iterate v at
+    delta2 < delta1 give ``(delta1 v - delta2 u1)/(delta1 - delta2) =
+    v + c (v - u1)``, ``c = delta2/(delta1 - delta2)``, whose error is
+    O(delta1 delta2) instead of O(delta2) (Richardson and Gaunt, 1927).  It
+    is formed in one image buffer and projected there pixelwise onto the ball
+    ``|v| <= L`` (``grid.clamp_to_ball``), which holds every known f, so the
+    projection raises neither energy term and keeps the maximum principle.
+    ``certify`` is rigorous at any point; with delta = 0 it takes tau's bound
+    alone, which needs no viscous flux.  ``point`` and ``cert`` are the last
+    point formed and its certificate; ``iterate_cert`` is the certificate of
+    the level's iterate at delta2 when the point stopped the level.
+    """
+
+    def __init__(self, u1, delta1, delta2, f, mask, params: ModelParams, bound: float):
+        self.u1, self.c = u1, delta2 / (delta1 - delta2)
+        self.f, self.mask, self.params, self.bound = f, mask, params.with_delta(delta2), bound
+        self.point = self.cert = self.iterate_cert = None
+
+    def certify(self, v, out, work=None):
+        """Form the point from v in ``out``, clamp it there and certify it at delta = 0.
+
+        ``out`` may be u1 itself, which is then spent; ``work`` is passed to
+        ``certify`` as its ``_work``.
+        """
+        point = np.subtract(v, self.u1, out=out)
+        point *= self.c
+        point += v
+        self.point = _clamp_in_place(point, self.bound)
+        target = self.params.without_viscosity()
+        self.cert = certify(point, self.f, self.mask, target, self.bound, _work=work)
+        return self.cert
+
+    def stop(self, gap_tol: float):
+        """``minimize_smooth``'s ``_stop``: certify after iterations 2, 6, 10, ...
+
+        The point is formed in the solve's free spare image and certified on
+        its other free buffers.  Once its gap is at most ``gap_tol / 4``, a
+        margin that keeps the certificates of levels stopped this way well
+        inside the tolerance, the iterate is certified on them as well and the
+        level stops.  The checks thus allocate only ``certify``'s per-pixel
+        ``(H, W)`` arrays.
+        """
+
+        def check(k, v, free):
+            grad, trial, scratch, spare = free
+            work = (grad, trial, scratch)
+            if k % 4 != 2 or self.certify(v, spare, work).relative_gap > gap_tol / 4.0:
+                return False
+            self.u1 = None
+            self.iterate_cert = certify(v, self.f, self.mask, self.params, self.bound, _work=work)
+            return True
+
+        return check
+
+
 def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
     """Solve along delta = delta0, delta0*factor, ... >= delta_min with warm starts.
 
@@ -286,6 +376,18 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
     is taken with the level's delta, so its dual side can use the viscous
     flux of that level (``dual.certify``).
 
+    From the second level on, the level's iterate and the previous level's
+    give a Richardson point (``_Extrapolation``), certified at delta = 0 when
+    the level stops; the level's certificate is the better of the two, the
+    point's only if its gap is strictly smaller, and the call returns that
+    point and certificate.  A level is predicted to certify when the better
+    gap of the level before, times ``delta_factor**2``, is at most
+    ``gap_tol``, as the gap shrinks like delta^2: its point is then also
+    certified during the inner solve, which stops as ``certified`` once the
+    point's gap is at most ``gap_tol / 4`` (``_Extrapolation.stop``).  The
+    next level starts from the level's own iterate, and the records describe
+    the iterates (``ConvergenceRecord``).
+
     f and u0 are taken channel-planar (``grid.validate_image``) for the
     solve; the returned u is C-contiguous.
     """
@@ -295,13 +397,26 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
 
     u = default_initial(f, mask) if u0 is None else validate_image(u0, name="u0")
     records = []
-    delta = cfg.delta0
+    delta, previous = cfg.delta0, None  # previous: the last level's delta and best gap
     while True:
         t0 = time.perf_counter()
         level_cfg = replace(cfg, inner_tol=max(cfg.inner_tol, cfg.gap_tol * delta))
-        inner = minimize_smooth(u, delta, f, mask, params, level_cfg)
+        extra = stop = None
+        if previous is not None:
+            extra = _Extrapolation(u, previous[0], delta, f, mask, params, bound)
+            if previous[1] * cfg.delta_factor**2 <= cfg.gap_tol:
+                stop = extra.stop(cfg.gap_tol)
+        inner = minimize_smooth(u, delta, f, mask, params, level_cfg, _stop=stop)
         u = inner.u
-        cert = certify(u, f, mask, params.with_delta(delta), bound)
+        if inner.stop_reason == "certified":
+            cert = extra.iterate_cert
+        else:
+            cert = certify(u, f, mask, params.with_delta(delta), bound)
+            if extra is not None:
+                extra.certify(u, extra.u1)  # formed over u1, which the level no longer needs
+        best, returned = cert, u
+        if extra is not None and extra.cert.relative_gap < cert.relative_gap:
+            best, returned = extra.cert, extra.point
         records.append(
             ConvergenceRecord(
                 delta=delta,
@@ -315,12 +430,13 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
                 wall_seconds=time.perf_counter() - t0,
                 stop_reason=inner.stop_reason,
                 evaluations=inner.evaluations,
+                extrapolated_gap=None if extra is None else extra.cert.relative_gap,
             )
         )
-        if cert.relative_gap <= cfg.gap_tol:
+        if best.relative_gap <= cfg.gap_tol:
             break
         next_delta = delta * cfg.delta_factor
         if next_delta < cfg.delta_min * (1.0 - 1e-12):
             break
-        delta = next_delta
-    return np.ascontiguousarray(u), cert, records
+        delta, previous = next_delta, (delta, best.relative_gap)
+    return np.ascontiguousarray(returned), best, records

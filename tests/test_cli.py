@@ -142,7 +142,7 @@ class TestRuns:
         lines = csv.read_text().splitlines()
         assert lines[0] == (
             "outer_iter,delta,inner_iters,I_delta,I,R_hat,gap_rel,"
-            "grad_inf_norm,max_abs_u,stop_reason,evaluations,seconds"
+            "grad_inf_norm,max_abs_u,stop_reason,evaluations,extrapolated_gap,seconds"
         )
         report_text = dict(
             line.split("=", 1) for line in report.read_text().splitlines()
@@ -253,6 +253,31 @@ class TestRuns:
         assert code == 0
 
 
+    @pytest.mark.parametrize("delta_min, point", [("1e-8", "extrapolated"), ("0.1", "iterate")])
+    def test_report_and_csv_name_the_returned_point(self, tmp_path, board, delta_min, point):
+        # The board's second level certifies its Richardson point; a one-level
+        # schedule has none and returns its iterate, without certifying.
+        src, mask = board
+        report, csv = tmp_path / "rep.txt", tmp_path / "log.csv"
+        args = [
+            "--input", str(src), "--mask", str(mask), "--output", str(tmp_path / "o.pgm"),
+            "--report", str(report), "--log-csv", str(csv), "--delta-min", delta_min,
+        ]
+        assert run(args) == (0 if point == "extrapolated" else 2)
+        keys = dict(line.split("=", 1) for line in report.read_text().splitlines())
+        assert keys["returned_point"] == point
+        header, *rows = [line.split(",") for line in csv.read_text().splitlines()]
+        first, last = dict(zip(header, rows[0])), dict(zip(header, rows[-1]))
+        assert first["extrapolated_gap"] == ""
+        if point == "extrapolated":
+            assert len(rows) == 2
+            assert float(keys["relative_gap"]) == float(last["extrapolated_gap"])
+            assert float(last["extrapolated_gap"]) < float(last["gap_rel"])
+        else:
+            assert len(rows) == 1
+            assert float(keys["relative_gap"]) == float(last["gap_rel"])
+
+
 class TestReadme:
     def test_flag_table_matches_parser(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -281,6 +306,7 @@ class TestDeterminism:
         ]
         assert run(args()) == 0
         first_report = (tmp_path / "rep.txt").read_bytes()
+        assert b"\nreturned_point=extrapolated\n" in first_report
         first_csv = (tmp_path / "log.csv").read_text().splitlines()
         first_out = (tmp_path / "out.pgm").read_bytes()
         assert run(args()) == 0

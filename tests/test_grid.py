@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import layouts, same_bits
 from viscotv.grid import (
+    _clamp_in_place,
     _negative_divergence,
+    _planar,
     _planar_empty,
     _scalar_check,
     channel_norms,
@@ -199,6 +203,27 @@ class TestClamp:
         for radius in (-1.0, float("nan")):
             with pytest.raises(ValueError):
                 clamp_to_ball(np.zeros((1, 1, 1)), radius)
+
+    @pytest.mark.parametrize("radius", [True, np.True_, math.inf, -math.inf, "1", None])
+    def test_radius_follows_the_scalar_rule(self, radius):
+        with pytest.raises(ValueError, match="^radius must be a finite real >= 0.0"):
+            clamp_to_ball(np.zeros((1, 1, 1)), radius)
+
+    def test_radius_is_taken_as_float(self):
+        u = np.array([[[3.0, 4.0]]])
+        assert same_bits(clamp_to_ball(u, 1), clamp_to_ball(u, np.float32(1.0)))
+
+    @pytest.mark.parametrize("planar", [False, True])
+    def test_in_place_matches_and_leaves_input(self, planar):
+        rng = np.random.default_rng(5)
+        u = rng.normal(size=(5, 4, 3)) * 2.0
+        u = _planar(u) if planar else u
+        before = u.copy()
+        expected = u * np.where(channel_norms(u) > 1.5, 1.5 / channel_norms(u), 1.0)[..., None]
+        clamped = clamp_to_ball(u, 1.5)
+        assert same_bits(clamped, expected) and same_bits(u, before)
+        assert _clamp_in_place(u, 1.5) is u
+        assert same_bits(u, expected)
 
     def test_zero_radius_collapses(self):
         u = np.array([[[5.0], [-2.0]]])

@@ -21,7 +21,7 @@ from conftest import (
     same_bits,
 )
 import viscotv
-from viscotv import energy, solver
+from viscotv import dual, energy, solver
 from viscotv.density import DensityParams
 from viscotv.dual import sup_known_norm
 from viscotv.energy import ModelParams, euler_residual, primal_energy
@@ -37,6 +37,35 @@ from viscotv.solver import (
 
 def params_for(mu=2.0, lam=10.0, zeta=2.0):
     return ModelParams(lam=lam, zeta=zeta, density=DensityParams(mu))
+
+
+def blocky_instance(n, channels, hole, seed=0):
+    """8 x 8 noisy blocks in [0, 1], with the central hole [3n/8, 5n/8)^2 or none."""
+    rng = np.random.default_rng(seed)
+    block = np.arange(n) * 8 // n
+    f = rng.uniform(size=(8, 8, channels))[block[:, None], block[None, :]]
+    f = np.clip(f + rng.normal(0.0, 0.05, f.shape), 0.0, 1.0)
+    mask = np.zeros((n, n), dtype=bool)
+    if hole:
+        mask[3 * n // 8 : 5 * n // 8, 3 * n // 8 : 5 * n // 8] = True
+    return f, mask
+
+
+# Continuation instances at the default settings.  The second level of the
+# checkerboard certifies after 10 iterations and that of the color denoising
+# after 2; both return the Richardson point.  The gray inpainting's second
+# level stops on its residual, and its iterate has the smaller gap.
+INSTANCES = {
+    "checkerboard": checkerboard_instance,
+    "denoise_color": lambda: blocky_instance(16, 3, hole=False),
+    "inpaint_gray": lambda: blocky_instance(16, 1, hole=True, seed=7),
+}
+
+
+def richardson_point(level1, level2, bound):
+    """The clamped Richardson point of the iterates ``(delta, u)`` of two levels."""
+    (delta1, u1), (delta2, v) = level1, level2
+    return clamp_to_ball(v + delta2 / (delta1 - delta2) * (v - u1), bound)
 
 
 class TestConfig:
@@ -414,28 +443,52 @@ class TestContinuation:
 
     def test_tiny_gap_tol_keeps_exact_levels(self):
         # With gap_tol * delta below inner_tol every level is solved exactly
-        # as minimize_smooth solves it with the caller's config.
+        # as minimize_smooth solves it with the caller's config, and no level
+        # is predicted to certify.  The call returns the last iterate or its
+        # clamped Richardson point, whichever has the smaller gap.
         f, mask = checkerboard_instance()
         cfg = SolverConfig(gap_tol=1e-30, delta_min=1e-3)
-        u, _, recs = continuation(f, mask, params_for(), cfg)
+        u, cert, recs = continuation(f, mask, params_for(), cfg)
         assert len(recs) == 3
-        v, delta = default_initial(f, mask), cfg.delta0
+        assert all(r.stop_reason != "certified" for r in recs)
+        v, delta, iterates = default_initial(f, mask), cfg.delta0, []
         for _ in recs:
             v = minimize_smooth(v, delta, f, mask, params_for(), cfg).u
+            iterates.append((delta, v))
             delta *= cfg.delta_factor
-        assert u.tobytes() == v.tobytes()
+        point = richardson_point(*iterates[-2:], sup_known_norm(f, mask))
+        returned = point if recs[-1].better_point == "extrapolated" else v
+        assert same_bits(u, returned)
+        assert cert.relative_gap == min(recs[-1].relative_gap, recs[-1].extrapolated_gap)
 
     def test_records_carry_level_evaluations(self):
-        f, mask = checkerboard_instance()
-        cfg = SolverConfig()
-        _, _, recs = continuation(f, mask, params_for(), cfg)
-        v, delta = default_initial(f, mask), cfg.delta0
-        for r in recs:
-            level_cfg = SolverConfig(inner_tol=max(cfg.inner_tol, cfg.gap_tol * delta))
-            inner = minimize_smooth(v, delta, f, mask, params_for(), level_cfg)
-            assert (r.evaluations, r.stop_reason) == (inner.evaluations, inner.stop_reason)
-            assert r.evaluations >= r.inner_iterations
-            v, delta = inner.u, delta * cfg.delta_factor
+        # Each level but a certified one is a plain minimize_smooth at its
+        # gap-scaled tolerance; a certified level is one capped at its count.
+        # The call returns the last iterate or its clamped Richardson point,
+        # whichever has the smaller gap.
+        cfg, params = SolverConfig(), params_for()
+        for case in ("checkerboard", "denoise_color"):
+            f, mask = INSTANCES[case]()
+            u, cert, recs = continuation(f, mask, params, cfg)
+            assert "certified" in [r.stop_reason for r in recs], case
+            v, delta, iterates = default_initial(f, mask), cfg.delta0, []
+            for r in recs:
+                level_cfg = SolverConfig(inner_tol=max(cfg.inner_tol, cfg.gap_tol * delta))
+                if r.stop_reason == "certified":
+                    level_cfg = dataclasses.replace(level_cfg, inner_max_iters=r.inner_iterations)
+                inner = minimize_smooth(v, delta, f, mask, params, level_cfg)
+                stop = "cap" if r.stop_reason == "certified" else r.stop_reason
+                assert (r.evaluations, inner.stop_reason) == (inner.evaluations, stop)
+                assert r.inner_iterations == inner.iterations
+                assert r.I_delta_value == inner.energy_history[-1]
+                assert r.evaluations >= r.inner_iterations
+                v = inner.u
+                iterates.append((delta, v))
+                delta *= cfg.delta_factor
+            point = richardson_point(*iterates[-2:], sup_known_norm(f, mask))
+            returned = point if recs[-1].better_point == "extrapolated" else v
+            assert same_bits(u, returned), case
+            assert cert.relative_gap == min(recs[-1].relative_gap, recs[-1].extrapolated_gap)
 
     def test_huge_finite_start_does_not_raise(self):
         # The start's energy sums past the float range (each pixel 1.4e306).
@@ -604,6 +657,110 @@ class TestContinuation:
         _, cert_b, _ = continuation(fine_f, fine_mask, params_for(), SolverConfig())
         assert cert_a.relative_gap <= 1e-4
         assert cert_b.relative_gap <= 1e-4
+
+
+class TestRichardson:
+    """continuation's Richardson point (``solver._Extrapolation``)."""
+
+    def test_point_is_clamped_to_the_ball(self):
+        # v + (v - u1)/9 leaves the ball |v| <= L = 1 wherever f = 1.
+        f, mask = checkerboard_instance()
+        params, u1 = params_for(), np.full(f.shape, 0.5)
+        extra = solver._Extrapolation(u1, 0.1, 0.01, f, mask, params, 1.0)
+        cert = extra.certify(f, None)
+        raw = f + 0.01 / (0.1 - 0.01) * (f - u1)
+        assert raw.max() > 1.0
+        assert same_bits(extra.point, clamp_to_ball(raw, 1.0))
+        assert check_max_principle(extra.point, f, mask).passed
+        assert cert == dual.certify(extra.point, f, mask, params.without_viscosity(), 1.0)
+
+    @pytest.mark.parametrize("zeta", [1.5, 2.0, 3.0])
+    def test_returned_point_obeys_max_principle(self, zeta):
+        rng = np.random.default_rng(21)
+        cases = [INSTANCES[name]() for name in INSTANCES]
+        cases += [random_instance(rng, shape=(9, 7), channels=c, damage=0.4) for c in (1, 2)]
+        for f, mask in cases:
+            u, _, recs = continuation(f, mask, params_for(zeta=zeta), SolverConfig())
+            assert check_max_principle(u, f, mask).passed
+            assert recs[-1].extrapolated_gap is not None
+
+    def test_returned_certificate_is_the_returned_points(self):
+        # The Richardson point's certificate is delta-free, the iterate's is
+        # taken at its level's delta; both bit for bit.
+        params = params_for()
+        returned = set()
+        for name in INSTANCES:
+            f, mask = INSTANCES[name]()
+            u, cert, recs = continuation(f, mask, params, SolverConfig())
+            bound, last = sup_known_norm(f, mask), recs[-1]
+            returned.add(last.better_point)
+            if last.better_point == "extrapolated":
+                expected = dual.certify(u, f, mask, params.without_viscosity(), bound)
+                assert last.extrapolated_gap == cert.relative_gap < last.relative_gap
+            else:
+                expected = dual.certify(u, f, mask, params.with_delta(last.delta), bound)
+                assert last.relative_gap == cert.relative_gap <= last.extrapolated_gap
+            assert repr(cert) == repr(expected), name
+        assert returned == {"iterate", "extrapolated"}
+
+    def test_tiny_gap_tol_never_stops_certified(self):
+        cfg = SolverConfig(gap_tol=1e-30, delta_min=1e-4)
+        for name in INSTANCES:
+            f, mask = INSTANCES[name]()
+            _, _, recs = continuation(f, mask, params_for(), cfg)
+            assert len(recs) == 4
+            assert all(r.stop_reason != "certified" for r in recs), name
+            assert recs[0].extrapolated_gap is None
+            assert all(r.extrapolated_gap is not None for r in recs[1:])
+
+    @pytest.mark.parametrize("gap_tol", [1e-4, 1e-6])
+    def test_certified_levels_are_predicted_and_clear_a_quarter(self, gap_tol):
+        # A level checks its point only when the previous level's better gap
+        # times delta_factor^2 is at most gap_tol, after iterations 2, 6, 10, ...
+        cfg = SolverConfig(gap_tol=gap_tol)
+        certified = 0
+        for name in INSTANCES:
+            f, mask = INSTANCES[name]()
+            _, cert, recs = continuation(f, mask, params_for(), cfg)
+            assert cert.relative_gap <= gap_tol
+            for before, r in zip(recs, recs[1:]):
+                if r.stop_reason != "certified":
+                    continue
+                certified += 1
+                best = min(before.relative_gap, before.extrapolated_gap or math.inf)
+                assert best * cfg.delta_factor**2 <= gap_tol
+                assert r.inner_iterations % 4 == 2
+                assert r.extrapolated_gap <= gap_tol / 4
+            assert recs[0].stop_reason != "certified"
+        assert certified >= 1
+
+    def test_stop_hook_changes_no_bit(self):
+        # The hook may overwrite the free buffers; stopping after k iterations
+        # gives the bits of a solve capped at k.
+        f, mask = blocky_instance(12, 3, hole=True)
+        params, cfg = params_for(), SolverConfig(inner_tol=1e-10, inner_max_iters=12)
+        plain = minimize_smooth(f, 0.01, f, mask, params, cfg)
+        seen = []
+
+        def scribble(k, u, free):
+            seen.append(k)
+            for buffer in free:
+                buffer.fill(np.nan)
+            return False
+
+        scribbled = minimize_smooth(f, 0.01, f, mask, params, cfg, _stop=scribble)
+        assert seen == list(range(plain.iterations))
+        assert same_bits(scribbled.u, plain.u)
+        assert scribbled.energy_history == plain.energy_history
+        assert scribbled.stop_reason == plain.stop_reason
+
+        stopped = minimize_smooth(f, 0.01, f, mask, params, cfg, _stop=lambda k, *_: k == 5)
+        cap_cfg = dataclasses.replace(cfg, inner_max_iters=5)
+        capped = minimize_smooth(f, 0.01, f, mask, params, cap_cfg)
+        assert (stopped.stop_reason, capped.stop_reason) == ("certified", "cap")
+        assert stopped.iterations == capped.iterations == 5
+        assert stopped.evaluations == capped.evaluations
+        assert same_bits(stopped.u, capped.u)
 
 
 class TestClampingAndMaxPrinciple:
