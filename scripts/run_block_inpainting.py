@@ -4,10 +4,11 @@
 Builds an n x n checkerboard with a damaged central block, runs the
 vanishing-viscosity continuation, and prints viscosity level, inner
 iterations, candidate points evaluated (accepted or not), why the inner solve
-stopped (residual, cap or stagnated), primal/dual values, the relative
-duality gap and the viscous gradient energy delta * sum |grad u|^2 for each
-outer step, then the final certificate with the dual field that gave it (tau,
-or theta * sigma) and its scale theta.
+stopped (residual, cap, stagnated or certified), primal/dual values, the
+relative duality gap of the iterate and of the Richardson point (blank on
+the first level) and the viscous gradient energy delta * sum |grad u|^2 for
+each outer step, then the point that was returned (iterate or extrapolated)
+and its certificate.
 """
 
 import argparse
@@ -55,17 +56,18 @@ def main():
     wall = time.perf_counter() - t0
 
     print(f"{'delta':>9}  {'inner':>5}  {'evals':>5}  {'stop':>9}  {'I_delta':>12}  "
-          f"{'I':>12}  {'R_hat':>12}  {'gap_rel':>9}  {'visc':>9}")
+          f"{'I':>12}  {'R_hat':>12}  {'gap_rel':>9}  {'extra_gap':>9}  {'visc':>9}")
     for r in records:
         visc = 2.0 * (r.I_delta_value - r.I_value)
+        extra = "" if r.extrapolated_gap is None else f"{r.extrapolated_gap:9.2e}"
         print(f"{r.delta:9.1e}  {r.inner_iterations:5d}  {r.evaluations:5d}  "
               f"{r.stop_reason:>9}  {r.I_delta_value:12.6f}  {r.I_value:12.6f}  {r.dual_value:12.6f}  "
-              f"{r.relative_gap:9.2e}  {visc:9.2e}")
+              f"{r.relative_gap:9.2e}  {extra:>9}  {visc:9.2e}")
 
     mp = check_max_principle(u, f, mask)
-    print(f"\ncertificate: I = {cert.primal_value:.9g}, R_hat = {cert.dual_value:.9g}, "
-          f"relative gap = {cert.relative_gap:.3e}, dual field = {cert.dual_field}, "
-          f"scale = {cert.dual_scale:.6f}")
+    print(f"\nreturned point: {records[-1].better_point}")
+    print(f"certificate: I = {cert.primal_value:.9g}, R_hat = {cert.dual_value:.9g}, "
+          f"relative gap = {cert.relative_gap:.3e}, scale = {cert.dual_scale:.6f}")
     print(f"dual feasibility margin = {cert.feasibility_margin:.6f}, "
           f"max |div tau| on damage = {cert.divergence_residual_on_D:.3e}")
     print(f"maximum principle: {'pass' if mp.passed else 'FAIL'} "

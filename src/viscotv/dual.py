@@ -13,18 +13,12 @@ taking the pointwise infimum over test images yields a rigorous lower bound
   ball ``|v| <= L`` instead -- legitimate because every minimizer obeys the
   maximum principle ``sup |u| <= L`` with L the largest known-pixel norm.
 
-``certify`` evaluates two such fields at a candidate restoration u and keeps
-the larger bound, which is then still a lower bound:
-
-* ``tau = DF(grad u)``, the viscosity-free part of the density gradient,
-  inside the ball up to rounding;
-* ``theta sigma``, the paper's viscous flux ``sigma = DF_delta(grad u) =
-  tau + delta grad u`` scaled by the theta in ``(0, cbar/max|sigma|]`` that
-  maximizes ``R_hat(theta sigma)``.  At an iterate of level delta, div sigma
-  vanishes on the damaged region up to the inner residual, where tau pays
-  ``L |div tau| = L delta |Laplacian u|``, so this bound is O(delta^2) from
-  the optimum instead of O(delta).  It is skipped at delta = 0 and when no
-  pixel is damaged, where tau is the better field.
+``certify`` evaluates one such field at a candidate restoration u, the
+density gradient ``tau = DF(grad u)`` of the viscosity-free density, inside
+the ball up to rounding; at the minimizer it is the dual problem's unique
+solution.  The certificate is always the delta = 0 problem's: it never reads
+the viscosity of its parameters, so an iterate of a level delta > 0 and
+the Richardson point of ``solver.continuation`` are certified by one rule.
 
 The reported relative gap upper-bounds the true suboptimality of u.
 ``certify`` runs its per-pixel passes one row band of the grid at a time and
@@ -59,9 +53,8 @@ class DualCertificate:
 
     ``dual_value <= primal_value`` always (weak duality);
     ``relative_gap = (primal_value - dual_value)/max(1, |primal_value|)``.
-    ``dual_field`` (``"tau"`` or ``"sigma"``) and ``dual_scale``, the theta
-    it was scaled by, say which dual field gave ``dual_value``.  tau's theta
-    is 1.0 except at the mu > 2 rounding edge (``certify``).
+    ``dual_scale`` is the theta that tau was scaled by to give
+    ``dual_value``: 1.0 except at the mu > 2 rounding edge (``certify``).
     """
 
     primal_value: float
@@ -69,7 +62,6 @@ class DualCertificate:
     relative_gap: float
     divergence_residual_on_D: float
     feasibility_margin: float
-    dual_field: str
     dual_scale: float
 
 
@@ -148,20 +140,20 @@ _NEWTON_STEPS = 60
 
 
 def _scaled_dual(norms, split, mparams: ModelParams, bound: float, tol: float):
-    """Maximize ``R_hat(theta sigma)`` over ``0 < theta <= theta_max``.
+    """Maximize ``R_hat(theta p)`` over ``0 < theta <= theta_max`` for a field p.
 
-    ``norms`` is ``|sigma|`` per pixel and ``split`` is ``_split(d, f, mask)``
-    with ``d = -div sigma``.  Norms and divergence are linear in theta, so
+    ``norms`` is ``|p|`` per pixel and ``split`` is ``_split(d, f, mask)``
+    with ``d = -div p``.  Norms and divergence are linear in theta, so
     with ``zc = zeta/(zeta-1)``
 
-        R_hat(theta) = -sum phi*(theta |sigma|) + theta A - theta^zc B - theta C,
+        R_hat(theta) = -sum phi*(theta |p|) + theta A - theta^zc B - theta C,
 
     ``A = sum_known d . f``, ``B = (lam/zc) sum_known (|d|/lam)^zc`` and
     ``C = bound sum_D |d|``, a concave function of theta.  Its slope vanishes
     at the optimum; a Newton iteration on the slope, bisecting whenever a
     step leaves the bracket, finds it.  ``phi*'`` and ``phi*''`` share
     ``l = log1p(-s/cbar)``: ``expm1(-l/(mu-1))`` and ``exp(-mu l/(mu-1))``.
-    ``theta_max = cbar/max|sigma|`` is excluded at mu <= 2, where
+    ``theta_max = cbar/max|p|`` is excluded at mu <= 2, where
     ``phi*(cbar)`` is +inf, and taken at mu > 2 when the slope just short of
     it is still positive.  Once a step's predicted gain
     ``slope^2/|curvature|`` is at most tol, the step is taken and the
@@ -169,7 +161,7 @@ def _scaled_dual(norms, split, mparams: ModelParams, bound: float, tol: float):
 
     Returns ``(theta, value)``, the value by ``_dual_value`` (every theta in
     range gives a valid bound, so theta need only be near-optimal), or None
-    when sigma is 0 or has an infinite norm, or the slope at theta = 0 is
+    when p is 0 or has an infinite norm, or the slope at theta = 0 is
     not positive.
     """
     mu, lam, zeta = mparams.density.mu, mparams.lam, mparams.zeta
@@ -178,7 +170,7 @@ def _scaled_dual(norms, split, mparams: ModelParams, bound: float, tol: float):
     if not 0.0 < n_max < np.inf:  # theta_max = 0 for an overflowed norm
         return None
     theta_max = cbar / n_max
-    w = norms / n_max  # theta |sigma| / cbar = (theta/theta_max) w
+    w = norms / n_max  # theta |p| / cbar = (theta/theta_max) w
     sq = norms * norms
 
     dot_known, d_known, d_damaged = split
@@ -253,73 +245,48 @@ def _join(pieces):
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
-def _certify_band(u, f, mask, mparams: ModelParams, viscous: bool, r0: int, r1: int, work):
-    """certify's per-pixel outputs on rows ``[r0, r1)``.
+def _certify_band(u, f, mask, target: ModelParams, r0: int, r1: int, work):
+    """certify's per-pixel outputs on rows ``[r0, r1)`` for delta-free ``target``.
 
-    Returns the pixel energy, ``|tau|`` and ``_split(-div tau)``, then, when
-    viscous, ``|sigma|`` and ``_split(-div sigma)``.  The point is built on
-    the halo rows ``[r0 - 1, r1 + 1)``, clipped to the grid: ``-div`` of row
-    r0 reads the flux of row r0 - 1, and the gradient of row r1 - 1 reads u
-    of row r1.  Unless r1 = h, the point's last row, whose gradient and
-    divergence are truncated, is then row r1, which is not kept.  sigma is
-    built first in a buffer of its own, split and dropped; tau is then
-    written over the point's gradient.  ``work``, certify's ``_work`` or
-    None, gives the halo rows of the point's gradient and ``u - f`` and of
-    tau's divergence.
+    Returns the pixel energy, ``|tau|`` and ``_split(-div tau)``.  The point
+    is built on the halo rows ``[r0 - 1, r1 + 1)``, clipped to the grid:
+    ``-div`` of row r0 reads the flux of row r0 - 1, and the gradient of row
+    r1 - 1 reads u of row r1.  Unless r1 = h, the point's last row, whose
+    gradient and divergence are truncated, is then row r1, which is not
+    kept.  tau is written over the point's gradient.  ``work``, certify's
+    ``_work`` or None, gives the halo rows of the point's gradient and
+    ``u - f`` and of tau's divergence.
     """
     a, b = max(r0 - 1, 0), min(r1 + 1, len(u))
     keep = slice(r0 - a, r1 - a)
-    rows = f[r0:r1], mask[r0:r1]
     grad_out, dev_out, div_out = (None,) * 3 if work is None else (w[a:b] for w in work)
-    target = mparams.without_viscosity()
     point = _Point(u[a:b], f[a:b], mask[a:b], target, grad_out, dev_out)
-    if viscous:
-        sigma = density_gradient(mparams.density, point.grad, norms=point.grad_norms)
-        sigma_split = _split(_negative_divergence(sigma)[keep], *rows)
-        del sigma
     tau = density_gradient(target.density, point.grad, norms=point.grad_norms, out=point.grad)
-    tau_norms = pixel_norms(tau[keep])
-    out = [point.pixel_energy[keep], tau_norms]
-    out += _split(_negative_divergence(tau, div_out)[keep], *rows)
-    if viscous:
-        out += [tau_norms + mparams.density.delta * point.grad_norms[keep], *sigma_split]
-    return out
+    split = _split(_negative_divergence(tau, div_out)[keep], f[r0:r1], mask[r0:r1])
+    return [point.pixel_energy[keep], pixel_norms(tau[keep]), *split]
 
 
 @np.errstate(over="ignore")  # an overflowing sum is inf (``energy._fsum``)
 def certify(u, f, mask, mparams: ModelParams, bound: float, *, _work=None) -> DualCertificate:
-    """Evaluate both sides of the duality at u and the relative gap.
+    """Evaluate both sides of the delta = 0 problem's duality at u and the relative gap.
 
-    The primal side is the delta = 0 energy even for iterates produced at
-    delta > 0; it dominates the viscous energy, so the reported gap
-    upper-bounds the true suboptimality for the target problem.
+    The certificate never reads ``mparams.density.delta``: it is the same
+    for every delta.  The primal side is the delta = 0 energy, which the
+    viscous energy of an iterate produced at delta > 0 dominates, so the
+    reported gap upper-bounds the true suboptimality for the target problem.
 
-    The dual side is the better of two dual-feasible fields, so by weak
-    duality it is still a lower bound on the minimal energy:
+    The dual side is the bound of the dual-feasible field
+    ``tau = DF(grad u)``.  Where rounding puts some ``|tau|`` above cbar at
+    mu > 2, tau is scaled along its own ray into the ball by
+    ``_scaled_dual``, or to theta = 0 (bound 0) where R_hat falls from
+    there; ``dual_scale`` is that theta, 1.0 otherwise.  At mu <= 2 the
+    bound is then -inf.  ``divergence_residual_on_D`` and
+    ``feasibility_margin`` describe the unscaled tau.  The gap is inf when
+    the primal energy or the dual bound is infinite; where a gradient entry
+    overflows, tau's flux there is ``0 * inf = nan`` and its bound is -inf.
 
-    * ``tau = DF(grad u)``, always.  Where rounding puts some ``|tau|``
-      above cbar at mu > 2, tau is scaled along its own ray into the ball
-      by ``_scaled_dual``, as sigma is, or to theta = 0 (bound 0) where
-      R_hat falls from there.  At mu <= 2 the bound is then -inf.
-    * ``theta sigma`` with the paper's viscous flux
-      ``sigma = DF_delta(grad u) = tau + delta grad u`` at the delta of
-      ``mparams`` and theta maximizing ``R_hat(theta sigma)``
-      (``_scaled_dual``).  On the damaged region, where tau pays
-      ``bound |div tau| = bound delta |Laplacian u|``, div sigma vanishes up
-      to the inner residual, so its bias is O(delta^2) against tau's
-      O(delta).  Skipped at delta = 0 or when no pixel is damaged: there the
-      delta = 0 conjugate overcharges sigma by about
-      ``delta sum |grad u|^2`` and tau wins.
-
-    ``dual_field`` names the winner (``"tau"`` on ties) and ``dual_scale``
-    is its theta, for tau 1.0 except at the mu > 2 rounding edge;
-    ``divergence_residual_on_D`` and ``feasibility_margin`` describe the
-    unscaled tau.  The gap is inf when the primal energy or the dual bound
-    is infinite; where a gradient entry overflows, tau's flux there is
-    ``0 * inf = nan`` and its bound is -inf.
-
-    Both fields come from ``density_gradient``, the flux rule of the
-    residual.  Every per-pixel quantity is evaluated one row band at a time
+    tau comes from ``density_gradient``, the flux rule of the residual.
+    Every per-pixel quantity is evaluated one row band at a time
     (``_certify_band``): n = ceil(h w M / _BAND) bands of ceil(h/n) rows,
     each on a point built with one halo row above and one below, so a
     band's fields stay in L2 and no gradient-sized array covers the grid.
@@ -338,32 +305,22 @@ def certify(u, f, mask, mparams: ModelParams, bound: float, *, _work=None) -> Du
     u, f, mask = _shape_check(u, f, mask)
     bound = _check_bound(f, mask, bound)
     target = mparams.without_viscosity()
-    viscous = mparams.density.delta > 0.0 and bool(mask.any())
-    bands = [
-        _certify_band(u, f, mask, mparams, viscous, *rows, _work) for rows in _row_bands(u.shape)
-    ]
-    energy, tau_norms, *split = map(_join, zip(*bands))
+    bands = [_certify_band(u, f, mask, target, *rows, _work) for rows in _row_bands(u.shape)]
+    energy, norms, *split = map(_join, zip(*bands))
     del bands
     primal = _energy_total(energy)
     del energy
-    tau_split, sigma = split[:3], split[3:]  # sigma: |sigma| and its split
-    margin = recession_constant(target.density) - float(np.max(tau_norms))
-    # A last Newton step predicted to gain 1e-6 of the gap's scale
-    # leaves ~1e-12 of it: far below any gap worth certifying.
-    tol = 1e-6 * max(1.0, abs(primal))
-    dual_field, dual_scale = "tau", 1.0
+    margin = recession_constant(target.density) - float(np.max(norms))
+    dual_scale = 1.0
     if math.isnan(margin):  # a 0 * inf flux where a gradient entry overflowed
         dval = -math.inf
     elif margin < 0.0 and target.density.mu > 2.0:
-        scaled = _scaled_dual(tau_norms, tau_split, mparams, bound, tol)
-        dual_scale, dval = scaled or (0.0, 0.0)
+        # A last Newton step predicted to gain 1e-6 of the gap's scale
+        # leaves ~1e-12 of it: far below any gap worth certifying.
+        tol = 1e-6 * max(1.0, abs(primal))
+        dual_scale, dval = _scaled_dual(norms, split, target, bound, tol) or (0.0, 0.0)
     else:
-        dval = _dual_value(tau_norms, tau_split, mparams, bound)
-    if viscous:
-        scaled = _scaled_dual(sigma[0], sigma[1:], mparams, bound, tol)
-        if scaled is not None and scaled[1] > dval:
-            dual_field = "sigma"
-            dual_scale, dval = scaled
+        dval = _dual_value(norms, split, target, bound)
 
     if margin < 1e-12:
         warnings.warn(
@@ -371,7 +328,7 @@ def certify(u, f, mask, mparams: ModelParams, bound: float, *, _work=None) -> Du
             RuntimeWarning,
             stacklevel=2,
         )
-    div_residual = float(np.max(tau_split[2], initial=0.0))  # |div tau| on D
+    div_residual = float(np.max(split[2], initial=0.0))  # |div tau| on D
 
     if dval == -math.inf or primal == math.inf:
         gap = math.inf
@@ -389,6 +346,5 @@ def certify(u, f, mask, mparams: ModelParams, bound: float, *, _work=None) -> Du
         relative_gap=gap,
         divergence_residual_on_D=div_residual,
         feasibility_margin=margin,
-        dual_field=dual_field,
         dual_scale=dual_scale,
     )

@@ -5,11 +5,13 @@ binary samples above 255 are two bytes, big endian.  The writer emits the
 canonical single-line header ``magic\\nwidth height\\nmaxval\\n`` so that a
 binary file written by this module round-trips bit for bit.
 
-Header fields and plain (P2/P3) samples are tokens of ASCII decimal digits
-(no sign, no underscore); a ``#`` comment runs to the end of its line and may
-sit between any two tokens.  The plain raster is split into tokens and their
-count and digits are checked before any sample array is allocated, so a
-header claiming more samples than the file holds fails at once.
+The magic number, the header fields and plain (P2/P3) samples are tokens
+separated by whitespace or comments, the fields and samples ASCII decimal
+digits (no sign, no underscore); a ``#`` comment runs to the end of its line
+and may sit between any two tokens.  The plain raster is split into tokens
+and their count and digits are checked before any sample array is
+allocated, so a header claiming more samples than the file holds fails at
+once.
 
 Parse failures raise :class:`NetpbmError` carrying the byte offset at which
 the problem was detected.
@@ -95,6 +97,9 @@ def read(path) -> NetpbmImage:
     if magic not in _MAGICS:
         raise NetpbmError(f"unsupported magic {magic!r}", 0)
     channels = _MAGICS[magic]
+    after = data[2:3]
+    if after and not (after.isspace() or after == b"#"):
+        raise NetpbmError("expected whitespace or a comment after the magic number", 2)
 
     width, pos = _next_int(data, 2, "width")
     height, pos = _next_int(data, pos, "height")

@@ -92,9 +92,9 @@ class ConvergenceRecord:
 
     ``stop_reason`` and ``evaluations`` are the level's ``InnerResult`` fields;
     every other field but the last describes the level's own iterate and its
-    certificate at the level's delta.  ``extrapolated_gap`` is the relative
-    gap of the level's Richardson point (``_Extrapolation``), None on the
-    first level.  Derived: ``better_point``, ``"extrapolated"`` when that gap
+    certificate, the delta = 0 problem's (``dual.certify``).
+    ``extrapolated_gap`` is the relative gap of the level's Richardson point
+    (``_Extrapolation``), None on the first level.  Derived: ``better_point``, ``"extrapolated"`` when that gap
     is strictly below ``relative_gap``, else ``"iterate"``: the point
     ``continuation`` returns when it stops at this level.
     """
@@ -313,19 +313,19 @@ class _Extrapolation:
     is formed in one image buffer and projected there pixelwise onto the ball
     ``|v| <= L`` (``grid.clamp_to_ball``), which holds every known f, so the
     projection raises neither energy term and keeps the maximum principle.
-    ``certify`` is rigorous at any point; with delta = 0 it takes tau's bound
-    alone, which needs no viscous flux.  ``point`` and ``cert`` are the last
+    ``certify`` is rigorous at any point, and the point and the iterate take
+    the same delta-free certificate.  ``point`` and ``cert`` are the last
     point formed and its certificate; ``iterate_cert`` is the certificate of
-    the level's iterate at delta2 when the point stopped the level.
+    the level's iterate when the point stopped the level.
     """
 
     def __init__(self, u1, delta1, delta2, f, mask, params: ModelParams, bound: float):
         self.u1, self.c = u1, delta2 / (delta1 - delta2)
-        self.f, self.mask, self.params, self.bound = f, mask, params.with_delta(delta2), bound
+        self.f, self.mask, self.params, self.bound = f, mask, params, bound
         self.point = self.cert = self.iterate_cert = None
 
     def certify(self, v, out, work=None):
-        """Form the point from v in ``out``, clamp it there and certify it at delta = 0.
+        """Form the point from v in ``out``, clamp it there and certify it.
 
         ``out`` may be u1 itself, which is then spent; ``work`` is passed to
         ``certify`` as its ``_work``.
@@ -334,8 +334,7 @@ class _Extrapolation:
         point *= self.c
         point += v
         self.point = _clamp_in_place(point, self.bound)
-        target = self.params.without_viscosity()
-        self.cert = certify(point, self.f, self.mask, target, self.bound, _work=work)
+        self.cert = certify(point, self.f, self.mask, self.params, self.bound, _work=work)
         return self.cert
 
     def stop(self, gap_tol: float):
@@ -373,13 +372,12 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
     so a level above the target gap is only a warm start for the next one and
     needs no more accuracy than the certificate asks for.  ``inner_tol`` is
     the floor.  The certificate, not the residual, decides when to stop; it
-    is taken with the level's delta, so its dual side can use the viscous
-    flux of that level (``dual.certify``).
+    is the delta = 0 problem's at every level (``dual.certify``).
 
     From the second level on, the level's iterate and the previous level's
-    give a Richardson point (``_Extrapolation``), certified at delta = 0 when
-    the level stops; the level's certificate is the better of the two, the
-    point's only if its gap is strictly smaller, and the call returns that
+    give a Richardson point (``_Extrapolation``), certified by the same rule
+    when the level stops; the level's certificate is the better of the two,
+    the point's only if its gap is strictly smaller, and the call returns that
     point and certificate.  A level is predicted to certify when the better
     gap of the level before, times ``delta_factor**2``, is at most
     ``gap_tol``, as the gap shrinks like delta^2: its point is then also
@@ -411,7 +409,7 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
         if inner.stop_reason == "certified":
             cert = extra.iterate_cert
         else:
-            cert = certify(u, f, mask, params.with_delta(delta), bound)
+            cert = certify(u, f, mask, params, bound)
             if extra is not None:
                 extra.certify(u, extra.u1)  # formed over u1, which the level no longer needs
         best, returned = cert, u

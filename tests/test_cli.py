@@ -292,6 +292,11 @@ class TestReadme:
                 continue
             assert documented == float(defaults[flag]), flag
 
+    def test_csv_header_matches_columns(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (header,) = re.findall(r"^`(outer_iter,[A-Za-z_,]*)`\.$", readme, re.M)
+        assert header.split(",") == [name for name, _ in cli._CSV_COLUMNS]
+
 
 class TestDeterminism:
     def test_same_seed_same_bytes(self, tmp_path, board):

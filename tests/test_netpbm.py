@@ -83,6 +83,8 @@ class TestRead:
             (b"P2\n2 0\n255\n", "invalid dimensions 2x0"),
             # The token ends at the comment, so the raster would start at '#'.
             (b"P5\n1 1\n255#c\n\x07", "expected single whitespace after maxval"),
+            # Header fields are separate tokens, the magic number included.
+            (b"P51 1\n255\n\x07", r"after the magic number \(byte offset 2\)"),
         ],
     )
     def test_header_errors(self, tmp_path, payload, message):

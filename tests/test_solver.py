@@ -685,22 +685,24 @@ class TestRichardson:
             assert recs[-1].extrapolated_gap is not None
 
     def test_returned_certificate_is_the_returned_points(self):
-        # The Richardson point's certificate is delta-free, the iterate's is
-        # taken at its level's delta; both bit for bit.
+        # The Richardson point and the iterate take the one delta-free
+        # certificate, bit for bit.  At gap_tol = 1e-2 the first level
+        # certifies before there is a point, so the iterate is returned.
         params = params_for()
         returned = set()
-        for name in INSTANCES:
-            f, mask = INSTANCES[name]()
-            u, cert, recs = continuation(f, mask, params, SolverConfig())
-            bound, last = sup_known_norm(f, mask), recs[-1]
-            returned.add(last.better_point)
-            if last.better_point == "extrapolated":
-                expected = dual.certify(u, f, mask, params.without_viscosity(), bound)
-                assert last.extrapolated_gap == cert.relative_gap < last.relative_gap
-            else:
-                expected = dual.certify(u, f, mask, params.with_delta(last.delta), bound)
-                assert last.relative_gap == cert.relative_gap <= last.extrapolated_gap
-            assert repr(cert) == repr(expected), name
+        for cfg in (SolverConfig(), SolverConfig(gap_tol=1e-2)):
+            for name in INSTANCES:
+                f, mask = INSTANCES[name]()
+                u, cert, recs = continuation(f, mask, params, cfg)
+                last = recs[-1]
+                returned.add(last.better_point)
+                if last.better_point == "extrapolated":
+                    assert last.extrapolated_gap == cert.relative_gap < last.relative_gap
+                else:
+                    assert last.relative_gap == cert.relative_gap
+                    assert last.extrapolated_gap is None or cert.relative_gap <= last.extrapolated_gap
+                expected = dual.certify(u, f, mask, params, sup_known_norm(f, mask))
+                assert repr(cert) == repr(expected), name
         assert returned == {"iterate", "extrapolated"}
 
     def test_tiny_gap_tol_never_stops_certified(self):
