@@ -10,8 +10,12 @@ in this order:
 
 * u and every ``ConvergenceRecord`` (``wall_seconds`` zeroed) of
   ``continuation`` on the 36 seed-7 ``inpaint_gray48`` inputs, on 5 inputs
-  each of 32x32 inpainting at zeta = 1.5 and zeta = 3, and on 10 seed-7
-  96x96x3 denoising inputs (no mask);
+  each of 32x32 inpainting at zeta = 1.5 and zeta = 3, on 10 seed-7
+  96x96x3 denoising inputs (no mask), and on 3 seed-7 inputs of 32x32
+  inpainting with the data scaled by 255 and solved at mu = 15 (lam = 10,
+  zeta = 2).  That last set is the only one that reaches ``certify``'s
+  rounding edge, where some ``|tau|`` rounds past cbar and tau is scaled
+  back; every other set runs at mu = 2;
 * the 4 seed-7 ``certify_audit_color512`` certificates;
 * the ``CliInstance`` fingerprint of the first 10 seed-7
   ``denoise_color96_cli`` inputs: the output image, the report and the CSV
@@ -31,11 +35,12 @@ iterations per solve, the candidate evaluations per inner iteration, the
 minor page faults (``ru_minflt``) of the set's ``continuation`` calls per
 inner iteration, counted after one untimed call on the set's first input so
 that the process's first touch of numpy and of the heap is left out, how
-many solves returned the Richardson point instead of the last iterate, and
-the largest relative gap a solve returned.  A solve returned the Richardson
-point when its certificate's gap differs from its last record's, which
-describes the iterate; that reads 0 on a checkout without the point.  The
-digest stays the last line on stdout.
+many solves returned the Richardson point instead of the last iterate, how
+many final certificates were scaled at the rounding edge (``dual_scale``
+< 1), and the largest relative gap a solve returned.  A solve returned the
+Richardson point when its certificate's gap differs from its last record's,
+which describes the iterate; that reads 0 on a checkout without the point.
+The digest stays the last line on stdout.
 """
 
 import argparse
@@ -51,6 +56,7 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 7
+EDGE_SET, EDGE_SCALE, EDGE_MU = "inpaint_mu15_gray32_255", 255.0, 15.0  # the rounding-edge set
 
 
 def load_bench():
@@ -86,14 +92,20 @@ def main(argv=None):
         ("inpaint_zeta15_gray32", solve("solve", 32, 1, True, 1.5, 5)),
         ("inpaint_zeta3_gray32", solve("solve", 32, 1, True, 3.0, 5)),
         ("denoise_color96", solve("solve", 96, 3, False, 2.0, 10)),
+        (EDGE_SET, solve("solve", 32, 1, True, 2.0, 3)),
         ("certify_audit_color512", run.WORKLOADS["certify_audit_color512"]),
         ("denoise_color96_cli", replace(run.WORKLOADS["denoise_color96_cli"], instances=10)),
     ]
     digest = hashlib.sha256()
     for name, wl in sets:
-        solves = iterations = evaluations = faults = extrapolated = 0
+        solves = iterations = evaluations = faults = extrapolated = edge = 0
         largest_gap = 0.0
         instances = run.make_instances(mods, name, wl, SEED)
+        if name == EDGE_SET:
+            for instance in instances:
+                instance.f = EDGE_SCALE * instance.f
+                density = mods["density"].DensityParams(EDGE_MU)
+                instance.params = replace(instance.params, density=density)
         if wl.kind == "solve":
             instances[0].call()  # warm-up, outside the census and the digest
         for instance in instances:
@@ -112,6 +124,7 @@ def main(argv=None):
                 digest.update(repr(replace(record, wall_seconds=0.0)).encode())
             solves += 1
             extrapolated += cert.relative_gap != records[-1].relative_gap
+            edge += cert.dual_scale < 1.0
             largest_gap = max(largest_gap, cert.relative_gap)
             iterations += sum(record.inner_iterations for record in records)
             evaluations += sum(record.evaluations for record in records)
@@ -120,7 +133,8 @@ def main(argv=None):
                 f"{name}: {solves} solves, {iterations / solves:.1f} inner iterations per solve, "
                 f"{evaluations / iterations:.2f} evaluations per iteration, "
                 f"{faults / iterations:.2f} minor faults per iteration, "
-                f"{extrapolated} returned the Richardson point, largest gap {largest_gap:.2e}",
+                f"{extrapolated} returned the Richardson point, "
+                f"{edge} scaled at the rounding edge, largest gap {largest_gap:.2e}",
                 file=sys.stderr,
             )
     print(digest.hexdigest())

@@ -54,7 +54,8 @@ class DualCertificate:
     ``dual_value <= primal_value`` always (weak duality);
     ``relative_gap = (primal_value - dual_value)/max(1, |primal_value|)``.
     ``dual_scale`` is the theta that tau was scaled by to give
-    ``dual_value``: 1.0 except at the mu > 2 rounding edge (``certify``).
+    ``dual_value``: 1.0 except at the mu > 2 rounding edge, where it is
+    ``cbar/max|tau|`` or 0 (``certify``).
     """
 
     primal_value: float
@@ -124,7 +125,9 @@ def _dual_value(norms, split, mparams: ModelParams, bound: float) -> float:
     ``bound`` has passed ``_check_bound``.  The damaged pixels contribute
     ``-bound |d|``, the infimum of ``d . v`` over the ball ``|v| <= bound``.
     The bound is -inf as soon as the conjugate's sum is, before the other
-    terms can turn it into nan.
+    terms can turn it into nan.  ``certify`` passes tau's own norms and
+    split, or at the mu > 2 rounding edge their copies scaled to the ball's
+    edge (``_edge_dual``).
     """
     dot_known, d_known, d_damaged = split
     value = _fsum(-phi_conjugate(mparams.density.without_viscosity(), norms))
@@ -134,96 +137,22 @@ def _dual_value(norms, split, mparams: ModelParams, bound: float) -> float:
     return value + _fsum(known_terms) + _fsum(-bound * d_damaged)
 
 
-# Largest float below 1: the last scale short of the ball's edge.
-_EDGE = 1.0 - 2.0**-53
-_NEWTON_STEPS = 60
+def _edge_dual(norms, split, mparams: ModelParams, bound: float):
+    """``(theta, R_hat(theta p))`` at the ball's edge ``theta = cbar/max|p|``, or ``(0.0, 0.0)``.
 
-
-def _scaled_dual(norms, split, mparams: ModelParams, bound: float, tol: float):
-    """Maximize ``R_hat(theta p)`` over ``0 < theta <= theta_max`` for a field p.
-
-    ``norms`` is ``|p|`` per pixel and ``split`` is ``_split(d, f, mask)``
-    with ``d = -div p``.  Norms and divergence are linear in theta, so
-    with ``zc = zeta/(zeta-1)``
-
-        R_hat(theta) = -sum phi*(theta |p|) + theta A - theta^zc B - theta C,
-
-    ``A = sum_known d . f``, ``B = (lam/zc) sum_known (|d|/lam)^zc`` and
-    ``C = bound sum_D |d|``, a concave function of theta.  Its slope vanishes
-    at the optimum; a Newton iteration on the slope, bisecting whenever a
-    step leaves the bracket, finds it.  ``phi*'`` and ``phi*''`` share
-    ``l = log1p(-s/cbar)``: ``expm1(-l/(mu-1))`` and ``exp(-mu l/(mu-1))``.
-    ``theta_max = cbar/max|p|`` is excluded at mu <= 2, where
-    ``phi*(cbar)`` is +inf, and taken at mu > 2 when the slope just short of
-    it is still positive.  Once a step's predicted gain
-    ``slope^2/|curvature|`` is at most tol, the step is taken and the
-    iteration stops.
-
-    Returns ``(theta, value)``, the value by ``_dual_value`` (every theta in
-    range gives a valid bound, so theta need only be near-optimal), or None
-    when p is 0 or has an infinite norm, or the slope at theta = 0 is
-    not positive.
+    For mu > 2, where ``phi*(cbar)`` is finite, and a p that rounding put a
+    few ulps past cbar.  ``norms`` is ``|p|`` and ``split`` is
+    ``_split(-div p, f, mask)``, both linear in theta.  theta = 0, whose
+    bound ``R_hat(0) = 0`` is always valid, is taken when the edge's bound
+    is not > 0 or p is 0 or has an infinite norm.
     """
-    mu, lam, zeta = mparams.density.mu, mparams.lam, mparams.zeta
     cbar = recession_constant(mparams.density)
     n_max = np.max(norms)
-    if not 0.0 < n_max < np.inf:  # theta_max = 0 for an overflowed norm
-        return None
-    theta_max = cbar / n_max
-    w = norms / n_max  # theta |p| / cbar = (theta/theta_max) w
-    sq = norms * norms
-
-    dot_known, d_known, d_damaged = split
-    a_minus_c = np.sum(dot_known) - bound * np.sum(d_damaged)
-    if not a_minus_c > 0.0:  # R_hat falls from R_hat(0) = 0
-        return None
-    # theta^zc B = b (theta m)^zc, each ratio under the power at most 1.
-    zc = zeta / (zeta - 1.0)
-    d_max = np.max(d_known)
-    m = d_max / lam
-    b = lam / zc * np.sum((d_known / d_max) ** zc) if d_max > 0.0 else 0.0
-
-    def slope(rho):
-        """dR_hat/dtheta and d2R_hat/dtheta2 at theta = rho theta_max."""
-        e = np.log1p(-rho * w) / (1.0 - mu)
-        g = a_minus_c - np.sum(norms * np.expm1(e))
-        h = -np.sum(sq * np.exp(mu * e))
-        if b > 0.0:
-            y = rho * theta_max * m
-            g -= zc * b * m * y ** (zc - 1.0)
-            h -= zc * (zc - 1.0) * b * m * m * y ** (zc - 2.0)
-        return g, h
-
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lo, hi = 0.0, 1.0
-        rho = min(1.0 / theta_max, 0.5)
-        for _ in range(_NEWTON_STEPS):
-            g, h = slope(rho)
-            if g == 0.0:
-                break
-            if g > 0.0:
-                if rho == _EDGE and mu > 2.0:  # the optimum is on the ball's edge
-                    rho = 1.0
-                    break
-                lo = rho
-            else:
-                hi = rho
-            new = rho - g / (h * theta_max)
-            if lo < new < hi:
-                if g * g <= -h * tol:
-                    rho = new
-                    break
-            else:
-                new = _EDGE if hi == 1.0 and mu > 2.0 else 0.5 * (lo + hi)
-            if new == rho:
-                break
-            rho = new
-        theta = rho * theta_max
-        value = _dual_value(
-            cbar * (rho * w), (theta * dot_known, theta * d_known, theta * d_damaged),
-            mparams, bound,
-        )
-    return float(theta), value
+    if not 0.0 < n_max < np.inf:
+        return 0.0, 0.0
+    theta = cbar / n_max
+    value = _dual_value(cbar * (norms / n_max), tuple(theta * s for s in split), mparams, bound)
+    return (float(theta), value) if value > 0.0 else (0.0, 0.0)
 
 
 # About this many values of u make one row band of ``certify``.  A band's
@@ -277,13 +206,14 @@ def certify(u, f, mask, mparams: ModelParams, bound: float, *, _work=None) -> Du
 
     The dual side is the bound of the dual-feasible field
     ``tau = DF(grad u)``.  Where rounding puts some ``|tau|`` above cbar at
-    mu > 2, tau is scaled along its own ray into the ball by
-    ``_scaled_dual``, or to theta = 0 (bound 0) where R_hat falls from
-    there; ``dual_scale`` is that theta, 1.0 otherwise.  At mu <= 2 the
-    bound is then -inf.  ``divergence_residual_on_D`` and
-    ``feasibility_margin`` describe the unscaled tau.  The gap is inf when
-    the primal energy or the dual bound is infinite; where a gradient entry
-    overflows, tau's flux there is ``0 * inf = nan`` and its bound is -inf.
+    mu > 2, tau is scaled along its own ray to the ball's edge,
+    ``theta = cbar/max|tau|``, or to theta = 0 (bound 0) where the edge's
+    bound is not positive (``_edge_dual``); ``dual_scale`` is that theta,
+    1.0 otherwise.  At mu <= 2 the bound is then -inf.
+    ``divergence_residual_on_D`` and ``feasibility_margin`` describe the
+    unscaled tau.  The gap is inf when the primal energy or the dual bound
+    is infinite; where a gradient entry overflows, tau's flux there is
+    ``0 * inf = nan`` and its bound is -inf.
 
     tau comes from ``density_gradient``, the flux rule of the residual.
     Every per-pixel quantity is evaluated one row band at a time
@@ -315,10 +245,7 @@ def certify(u, f, mask, mparams: ModelParams, bound: float, *, _work=None) -> Du
     if math.isnan(margin):  # a 0 * inf flux where a gradient entry overflowed
         dval = -math.inf
     elif margin < 0.0 and target.density.mu > 2.0:
-        # A last Newton step predicted to gain 1e-6 of the gap's scale
-        # leaves ~1e-12 of it: far below any gap worth certifying.
-        tol = 1e-6 * max(1.0, abs(primal))
-        dual_scale, dval = _scaled_dual(norms, split, target, bound, tol) or (0.0, 0.0)
+        dual_scale, dval = _edge_dual(norms, split, target, bound)
     else:
         dval = _dual_value(norms, split, target, bound)
 

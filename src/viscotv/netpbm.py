@@ -133,6 +133,7 @@ def read(path) -> NetpbmImage:
 
 
 def write(path, image: NetpbmImage) -> None:
+    """Write image with the canonical header; ValueError for any image ``read`` cannot return."""
     magic = image.magic.encode()
     if magic not in _MAGICS:
         raise ValueError(f"unsupported magic {image.magic!r}")
@@ -143,7 +144,11 @@ def write(path, image: NetpbmImage) -> None:
         raise ValueError(
             f"{image.magic} expects {_MAGICS[magic]} channel(s), got shape {samples.shape}"
         )
-    if samples.min(initial=0) < 0 or samples.max(initial=0) > image.maxval:
+    if 0 in samples.shape[:2]:
+        raise ValueError(f"invalid dimensions {samples.shape[1]}x{samples.shape[0]}")
+    if not np.issubdtype(samples.dtype, np.integer):
+        raise ValueError(f"samples must have an integer dtype, got {samples.dtype}")
+    if samples.min() < 0 or samples.max() > image.maxval:
         raise ValueError("samples out of range for maxval")
     header = b"%s\n%d %d\n%d\n" % (magic, samples.shape[1], samples.shape[0], image.maxval)
     with open(path, "wb") as handle:

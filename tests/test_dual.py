@@ -14,8 +14,6 @@ from viscotv import dual
 from viscotv.density import DensityParams, phi_conjugate, recession_constant
 from viscotv.dual import (
     _known_infimum,
-    _scaled_dual,
-    _split,
     certify,
     dual_from_primal,
     dual_value,
@@ -334,7 +332,7 @@ class TestCertify:
         assert cert.primal_value == math.inf
         assert cert.relative_gap == math.inf
 
-    @pytest.mark.parametrize("delta,limit", [(0.0, 3.2), (0.01, 4.1)])
+    @pytest.mark.parametrize("delta,limit", [(0.0, 3.2), (0.01, 3.2)])
     def test_peak_in_gradient_fields(self, delta, limit):
         # tau is written over the primal point's gradient: ~2.5 gradient
         # fields at either delta (certify ignores it); a buffer of its own
@@ -346,7 +344,7 @@ class TestCertify:
         peak = peak_allocation(lambda: certify(u, f, mask, params, bound))
         assert peak < limit * gradient(u).nbytes
 
-    @pytest.mark.parametrize("delta,limit", [(0.0, 2.0), (0.01, 3.5)])
+    @pytest.mark.parametrize("delta,limit", [(0.0, 2.0), (0.01, 2.0)])
     def test_banded_peak_in_gradient_fields(self, delta, limit):
         # At 512x512x3 certify runs in 6 row bands, so no gradient-sized
         # array covers the grid: ~1.3 gradient fields at either delta, where
@@ -369,44 +367,37 @@ class TestCertify:
         assert with_visc.primal_value == without.primal_value
 
 
-def board_iterate(mu, zeta, deltas, inner_tol=None):
-    """The 16x16 board solved level by level; yields (delta, u, params)."""
-    f, mask = checkerboard_instance()
-    params = params_for(mu=mu, lam=10.0, zeta=zeta)
-    u = default_initial(f, mask)
-    for delta in deltas:
-        tol = inner_tol if inner_tol is not None else 1e-4 * delta
-        u = minimize_smooth(u, delta, f, mask, params, SolverConfig(inner_tol=tol)).u
-        yield delta, u, params
-
-
 class TestViscousCertificate:
-    """certify at parameters with delta > 0, and ``_scaled_dual`` on a viscous field."""
+    """certify at parameters with delta > 0, and tau scaled to the ball's edge at mu > 2."""
 
-    @pytest.mark.parametrize(
-        "mu,zeta", [(2.0, 2.0), (2.0, 1.5), (3.0, 3.0), (1.5, 2.0), (15.0, 2.0)]
-    )
-    def test_newton_theta_against_scan(self, mu, zeta):
-        # At mu = 15 theta_max = cbar/max|sigma| < 1 and the optimum sits on
-        # it; every other maximum is interior.
-        f, mask = checkerboard_instance()
-        bound = sup_known_norm(f, mask)
-        *_, (delta, u, params) = board_iterate(mu, zeta, (1e-1, 1e-2))
-        viscous = params.with_delta(delta)
-        _, sigma = dual_from_primal(u, viscous)
-        norms = pixel_norms(sigma)
-        theta_max = recession_constant(params.density) / np.max(norms)
-        scan = max(
-            dual_value(theta * sigma, f, mask, viscous, bound)
-            for theta in np.linspace(0.0, theta_max, 2001)
-        )
-        primal = primal_energy(u, f, mask, params)
-        split = _split(-divergence(sigma), f, mask)
-        theta, value = _scaled_dual(norms, split, viscous, bound, 1e-6 * primal)
-        assert 0.0 < theta <= theta_max
-        assert value >= scan - 1e-9 * abs(scan)
-        if mu == 15.0:
-            assert theta == pytest.approx(theta_max, rel=1e-12)
+    @pytest.mark.parametrize("mu", [15.0, 40.0])
+    @pytest.mark.parametrize("scale", [255.0, 1e6])
+    def test_edge_theta_against_scan(self, mu, scale):
+        # Saturated gradients put some |tau| a few ulps past cbar.  theta is
+        # cbar/max|tau|, or 0 where that edge bound is not positive; where
+        # the gap is small enough to matter, no theta of a fine scan beats it.
+        rng = np.random.default_rng(60)
+        board, f, mask, params, bound = rounding_edge_case(mu, scale)
+        near_optimal = 0
+        for u in [board] + [
+            clamp_to_ball(rng.uniform(-scale, 2.0 * scale, size=f.shape), bound) for _ in range(3)
+        ]:
+            with pytest.warns(RuntimeWarning, match="feasibility margin"):
+                cert = certify(u, f, mask, params, bound)
+            assert cert.feasibility_margin < 0.0
+            tau, _ = dual_from_primal(u, params)
+            theta_max = recession_constant(params.density) / np.max(pixel_norms(tau))
+            assert cert.dual_scale in (theta_max, 0.0)
+            assert cert.dual_value >= 0.0
+            assert cert.dual_value <= cert.primal_value
+            if cert.relative_gap < 0.5:
+                near_optimal += 1
+                scan = max(
+                    dual_value(theta * tau, f, mask, params, bound)
+                    for theta in np.linspace(0.0, theta_max, 2001)
+                )
+                assert cert.dual_value >= scan - 1e-9 * abs(scan)
+        assert near_optimal >= 1
 
     def test_weak_duality_fuzz_at_positive_delta(self):
         # Random bounded fields and 20 solver steps at delta from the
@@ -469,13 +460,13 @@ def hole_case(delta):
     return u, f, mask, params_for(delta=delta, lam=10.0), sup_known_norm(f, mask)
 
 
-def rounding_edge_case():
-    """At mu = 15 some |tau| rounds past cbar and tau is scaled back."""
+def rounding_edge_case(mu=15.0, scale=255.0):
+    """At mu > 2 some |tau| rounds past cbar and tau is scaled back."""
     f, mask = checkerboard_instance(n=8, block=(3, 5))
-    f = 255.0 * f
+    f = scale * f
     u = f.copy()
-    u[mask] = 127.5
-    return u, f, mask, params_for(mu=15.0, lam=10.0), sup_known_norm(f, mask)
+    u[mask] = 0.5 * scale
+    return u, f, mask, params_for(mu=mu, lam=10.0), sup_known_norm(f, mask)
 
 
 def overflow_case():

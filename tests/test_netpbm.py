@@ -191,6 +191,9 @@ class TestWrite:
             (netpbm.NetpbmImage("P3", 255, np.zeros((1, 1, 1), np.uint16)), "expects 3 channel"),
             (netpbm.NetpbmImage("P5", 255, np.array([[[256]]])), "samples out of range"),
             (netpbm.NetpbmImage("P2", 255, np.array([[[-1]]])), "samples out of range"),
+            (netpbm.NetpbmImage("P5", 255, np.zeros((0, 5, 1), np.uint16)), "dimensions 5x0"),
+            (netpbm.NetpbmImage("P6", 255, np.zeros((2, 0, 3), np.uint16)), "dimensions 0x2"),
+            (netpbm.NetpbmImage("P5", 255, np.array([[[7.9]]])), "integer dtype"),
         ],
     )
     def test_malformed_image_rejected(self, tmp_path, image, message):
