@@ -30,17 +30,25 @@ the fixture has one source.  Two checkouts that print the same digest give
 the same bits on all of these, which is how a change that should move no bit
 is checked against its parent.
 
-For each solve set it also prints a census to stderr: the mean inner
-iterations per solve, the candidate evaluations per inner iteration, the
-minor page faults (``ru_minflt``) of the set's ``continuation`` calls per
-inner iteration, counted after one untimed call on the set's first input so
-that the process's first touch of numpy and of the heap is left out, how
-many solves returned the Richardson point instead of the last iterate, how
-many final certificates were scaled at the rounding edge (``dual_scale``
-< 1), and the largest relative gap a solve returned.  A solve returned the
+For each set it also prints a census line to stderr: the mean inner
+iterations and candidate evaluations per op (a solve, a CLI run or an audit
+``certify`` call), the evaluations per inner iteration, the ``certify``
+calls per op, the minor page faults (``ru_minflt``) of the set's ops per
+inner iteration (per op for the audit), counted after one untimed call on a
+solve set's first input so that the process's first touch of numpy and of
+the heap is left out, and the largest relative gap an op returned.  For the
+``continuation`` sets it also counts how many solves returned the Richardson
+point instead of the last iterate and how many final certificates were
+scaled at the rounding edge (``dual_scale`` < 1).  A solve returned the
 Richardson point when its certificate's gap differs from its last record's,
 which describes the iterate; that reads 0 on a checkout without the point.
-The digest stays the last line on stdout.
+Inner iterations and evaluations are summed over the ``InnerResult`` of
+every ``minimize_smooth`` call, and ``certify`` calls are counted, by
+wrapping ``solver.minimize_smooth``, ``solver.certify`` and
+``dual.certify``, which changes no bit.  Each line ends with the set's own
+digest, the first 12 hex digits of a sha256 over that set's contributions
+to the digest, so a census shows which sets a change moved.  The digest
+stays the last line on stdout.
 """
 
 import argparse
@@ -96,10 +104,24 @@ def main(argv=None):
         ("certify_audit_color512", run.WORKLOADS["certify_audit_color512"]),
         ("denoise_color96_cli", replace(run.WORKLOADS["denoise_color96_cli"], instances=10)),
     ]
+    counts = dict.fromkeys(("certify", "iterations", "evaluations"), 0)
+    certify, minimize_smooth = mods["dual"].certify, mods["solver"].minimize_smooth
+
+    def counting_certify(*args, **kwargs):
+        counts["certify"] += 1
+        return certify(*args, **kwargs)
+
+    def counting_minimize_smooth(*args, **kwargs):
+        inner = minimize_smooth(*args, **kwargs)
+        counts["iterations"] += inner.iterations
+        counts["evaluations"] += inner.evaluations
+        return inner
+
+    mods["dual"].certify = mods["solver"].certify = counting_certify
+    mods["solver"].minimize_smooth = counting_minimize_smooth
+
     digest = hashlib.sha256()
     for name, wl in sets:
-        solves = iterations = evaluations = faults = extrapolated = edge = 0
-        largest_gap = 0.0
         instances = run.make_instances(mods, name, wl, SEED)
         if name == EDGE_SET:
             for instance in instances:
@@ -108,35 +130,51 @@ def main(argv=None):
                 instance.params = replace(instance.params, density=density)
         if wl.kind == "solve":
             instances[0].call()  # warm-up, outside the census and the digest
+        counts.update(dict.fromkeys(counts, 0))
+        part = hashlib.sha256()
+        faults = extrapolated = edge = 0
+        largest_gap = 0.0
         for instance in instances:
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             result = instance.call()
             faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
             if wl.kind == "audit":
-                digest.update(repr(result).encode())
-                continue
-            if wl.kind == "cli":
-                digest.update(instance.check(result).fingerprint)
-                continue
-            u, cert, records = result
-            digest.update(np.ascontiguousarray(u).tobytes())
-            for record in records:
-                digest.update(repr(replace(record, wall_seconds=0.0)).encode())
-            solves += 1
-            extrapolated += cert.relative_gap != records[-1].relative_gap
-            edge += cert.dual_scale < 1.0
-            largest_gap = max(largest_gap, cert.relative_gap)
-            iterations += sum(record.inner_iterations for record in records)
-            evaluations += sum(record.evaluations for record in records)
-        if solves:
-            print(
-                f"{name}: {solves} solves, {iterations / solves:.1f} inner iterations per solve, "
-                f"{evaluations / iterations:.2f} evaluations per iteration, "
-                f"{faults / iterations:.2f} minor faults per iteration, "
-                f"{extrapolated} returned the Richardson point, "
-                f"{edge} scaled at the rounding edge, largest gap {largest_gap:.2e}",
-                file=sys.stderr,
-            )
+                chunks, gap = [repr(result).encode()], result.relative_gap
+            elif wl.kind == "cli":
+                outcome = instance.check(result)
+                chunks, gap = [outcome.fingerprint], outcome.gap
+            else:
+                u, cert, records = result
+                chunks = [np.ascontiguousarray(u).tobytes()]
+                chunks += [repr(replace(record, wall_seconds=0.0)).encode() for record in records]
+                extrapolated += cert.relative_gap != records[-1].relative_gap
+                edge += cert.dual_scale < 1.0
+                gap = cert.relative_gap
+            for chunk in chunks:
+                digest.update(chunk)
+                part.update(chunk)
+            largest_gap = max(largest_gap, gap)
+
+        ops, unit = len(instances), {"solve": "solve", "cli": "run", "audit": "call"}[wl.kind]
+        iterations, evaluations = counts["iterations"], counts["evaluations"]
+        census = [f"{ops} {unit}s"]
+        if iterations:
+            census += [
+                f"{iterations / ops:.1f} inner iterations per {unit}",
+                f"{evaluations / ops:.1f} candidate evaluations per {unit}",
+                f"{evaluations / iterations:.2f} evaluations per iteration",
+                f"{faults / iterations:.2f} minor faults per iteration",
+            ]
+        else:
+            census.append(f"{faults / ops:.1f} minor faults per {unit}")
+        census.append(f"{counts['certify'] / ops:.2f} certify calls per {unit}")
+        if wl.kind == "solve":
+            census += [
+                f"{extrapolated} returned the Richardson point",
+                f"{edge} scaled at the rounding edge",
+            ]
+        census += [f"largest gap {largest_gap:.2e}", f"set digest {part.hexdigest()[:12]}"]
+        print(f"{name}: " + ", ".join(census), file=sys.stderr)
     print(digest.hexdigest())
 
 

@@ -195,7 +195,6 @@ def _certify_band(u, f, mask, target: ModelParams, r0: int, r1: int, work):
     return [point.pixel_energy[keep], pixel_norms(tau[keep]), *split]
 
 
-@np.errstate(over="ignore")  # an overflowing sum is inf (``energy._fsum``)
 def certify(u, f, mask, mparams: ModelParams, bound: float, *, _work=None) -> DualCertificate:
     """Evaluate both sides of the delta = 0 problem's duality at u and the relative gap.
 
@@ -235,19 +234,22 @@ def certify(u, f, mask, mparams: ModelParams, bound: float, *, _work=None) -> Du
     u, f, mask = _shape_check(u, f, mask)
     bound = _check_bound(f, mask, bound)
     target = mparams.without_viscosity()
-    bands = [_certify_band(u, f, mask, target, *rows, _work) for rows in _row_bands(u.shape)]
-    energy, norms, *split = map(_join, zip(*bands))
-    del bands
-    primal = _energy_total(energy)
-    del energy
-    margin = recession_constant(target.density) - float(np.max(norms))
-    dual_scale = 1.0
-    if math.isnan(margin):  # a 0 * inf flux where a gradient entry overflowed
-        dval = -math.inf
-    elif margin < 0.0 and target.density.mu > 2.0:
-        dual_scale, dval = _edge_dual(norms, split, target, bound)
-    else:
-        dval = _dual_value(norms, split, target, bound)
+    # An overflowing sum is inf (``energy._fsum``).  A block, not a decorator,
+    # whose wrapper frame would take the place of the caller in the warning.
+    with np.errstate(over="ignore"):
+        bands = [_certify_band(u, f, mask, target, *rows, _work) for rows in _row_bands(u.shape)]
+        energy, norms, *split = map(_join, zip(*bands))
+        del bands
+        primal = _energy_total(energy)
+        del energy
+        margin = recession_constant(target.density) - float(np.max(norms))
+        dual_scale = 1.0
+        if math.isnan(margin):  # a 0 * inf flux where a gradient entry overflowed
+            dval = -math.inf
+        elif margin < 0.0 and target.density.mu > 2.0:
+            dual_scale, dval = _edge_dual(norms, split, target, bound)
+        else:
+            dval = _dual_value(norms, split, target, bound)
 
     if margin < 1e-12:
         warnings.warn(

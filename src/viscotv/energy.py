@@ -59,7 +59,7 @@ class ModelParams:
         return replace(self, density=DensityParams(self.density.mu, delta))
 
     def without_viscosity(self) -> "ModelParams":
-        return self.with_delta(0.0)
+        return self if self.density.delta == 0.0 else self.with_delta(0.0)
 
 
 _FSUM_BLOCK = 64

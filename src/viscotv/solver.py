@@ -8,11 +8,15 @@ solver is proximal gradient with backtracking from Barzilai-Borwein steps on
 D, the long step BB1 and the short step BB2 on alternate iterations (Dai and
 Fletcher 2005; inside proximal gradient, SpaRSA: Wright, Nowak and
 Figueiredo 2009), one step path for every zeta > 1; the contract is descent
-plus a residual tolerance, not a step count.  A trial step at or below 1/L that
-finds no descent, which only rounding can cause, ends the solve as
-``stagnated`` at the last accepted iterate.  Each inner solve allocates its
-image- and gradient-sized work buffers once and every iteration writes into
-them, so the loop makes no large temporaries (``minimize_smooth``).
+plus a residual tolerance, not a step count.  A trial step passes once the
+energy falls by the Armijo fraction ``1e-4 |s|^2/gamma`` of the move s
+(Nocedal and Wright, Numerical Optimization, 2nd ed., section 3.1), far less
+than the descent lemma's ``|s|^2/(2 gamma)``, so fewer of the long BB steps
+are halved.  A trial step at or below 1/L that finds no such descent,
+which only rounding can cause, ends the solve as ``stagnated`` at the last
+accepted iterate.  Each inner solve allocates its image- and gradient-sized
+work buffers once and every iteration writes into them, so the loop makes no
+large temporaries (``minimize_smooth``).
 
 ``continuation`` drives delta down a geometric schedule with warm starts,
 solves each level only as accurately as its viscous bias warrants, and stops
@@ -49,6 +53,7 @@ __all__ = [
 ]
 
 _STEP_MAX = 1e4
+_SUFFICIENT_DECREASE = 1e-4  # the Armijo constant c1 (Nocedal and Wright, section 3.1)
 
 
 @dataclass(frozen=True)
@@ -196,14 +201,16 @@ def minimize_smooth(
     energy (``stop_reason`` says which); ``delta`` overrides ``params.density.delta``.
 
     Each iteration takes ``cand = prox_{gamma G}(u - gamma grad D(u))`` and
-    halves gamma until the energy falls by at least ``|cand - u|^2/(2 gamma)``.
-    By the descent lemma that holds for every gamma <= 1/L in exact
-    arithmetic, ``L = 8(1 + delta)``, so a trial at or below 1/L that fails
-    ends the solve instead of halving further.  The test runs on the sum of the
-    per-pixel energy differences, free of the cancellation between two large
-    totals; a candidate that passes it is accepted only if its exact total is
-    also strictly below the current one, so every accepted step strictly
-    decreases the energy.
+    halves gamma until the energy falls by at least
+    ``_SUFFICIENT_DECREASE * |cand - u|^2/gamma``, the Armijo constant 1e-4.
+    By the descent lemma the energy falls by ``|cand - u|^2/(2 gamma)``, more
+    than that, for every gamma <= 1/L in exact arithmetic, ``L = 8(1 + delta)``,
+    so a trial at or below 1/L always passes and one that fails, which only
+    rounding can cause, ends the solve instead of halving further.  The test
+    runs on the sum of the per-pixel energy differences, free of the
+    cancellation between two large totals; a candidate that passes it is
+    accepted only if its exact total is also strictly below the current one,
+    so every accepted step strictly decreases the energy.
 
     The first iteration starts from gamma = 1.0, each later one from a
     Barzilai-Borwein step on the last accepted move ``s = cand - u`` and
@@ -266,7 +273,7 @@ def minimize_smooth(
             at_cand = _Point(cand, f, mask, pd, grad, scratch, div_spare)
             evaluations += 1
             change = float(np.sum(at_cand.pixel_energy - at_u.pixel_energy))
-            if change <= -ss / (2.0 * step) and at_cand.total < at_u.total:
+            if change <= -_SUFFICIENT_DECREASE * ss / step and at_cand.total < at_u.total:
                 break
             if not step > min_step:  # also ends on a non-finite step
                 stop_reason = "stagnated"

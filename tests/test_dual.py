@@ -306,8 +306,9 @@ class TestCertify:
         f = scale * f
         u = f.copy()
         u[mask] = 0.5 * scale
-        with pytest.warns(RuntimeWarning, match="feasibility margin"):
+        with pytest.warns(RuntimeWarning, match="feasibility margin") as record:
             cert = certify(u, f, mask, params_for(mu=mu, lam=10.0), sup_known_norm(f, mask))
+        assert [w.filename for w in record] == [__file__]  # the caller's line, not numpy's
         assert cert.feasibility_margin < 0.0
         assert math.isfinite(cert.relative_gap)
         assert cert.dual_value <= cert.primal_value

@@ -53,6 +53,13 @@ class TestModelParams:
         params = ModelParams(lam=10, zeta=np.int64(2), density=DensityParams(2))
         assert [type(x) for x in (params.lam, params.zeta, params.density.mu)] == [float] * 3
 
+    def test_without_viscosity(self):
+        # Parameters already at delta = 0 are returned as they are, as
+        # DensityParams.without_viscosity returns its own.
+        params = ModelParams(lam=10.0, zeta=1.5, density=DensityParams(3.0))
+        assert params.without_viscosity() is params
+        assert params.with_delta(0.01).without_viscosity() == params
+
 
 class TestFidelity:
     def test_zero_when_matching_on_known(self):

@@ -177,7 +177,8 @@ class TestMinimizeSmooth:
         # the exact total is summed once for u0 and once per candidate that
         # passes it, and a passing candidate lies strictly below u0, so it is
         # accepted.  The weak fidelity (lam = 0.1) leaves the step to the
-        # density's curvature, which rejects the first trial steps.
+        # density's curvature, which at delta = 1 (L = 16) rejects the trial
+        # steps 1, 1/2 and 1/4 before it accepts 1/8.
         calls = {"fsum": 0, "points": 0}
         fsum, point_init = energy._fsum, energy._Point.__init__
 
@@ -194,10 +195,23 @@ class TestMinimizeSmooth:
         f, mask = checkerboard_instance(n=10, block=(4, 7))
         cfg = SolverConfig(inner_max_iters=1)
         params = params_for(lam=0.1, zeta=zeta)
-        res = minimize_smooth(default_initial(f, mask), 1e-2, f, mask, params, cfg)
+        res = minimize_smooth(default_initial(f, mask), 1.0, f, mask, params, cfg)
         assert len(res.energy_history) == 2
         assert calls["fsum"] == 2
         assert calls["points"] > 3  # u0, then at least two backtracked candidates
+
+    @pytest.mark.parametrize("zeta", [1.5, 2.0])
+    def test_step_passes_on_armijo_fraction(self, zeta):
+        # The trial step 1 fails and 1/2 passes, with a decrease below the
+        # descent lemma's |s|^2/(2 gamma) but above 1e-4 |s|^2/gamma.
+        f, mask = checkerboard_instance(n=10, block=(4, 7))
+        u0 = default_initial(f, mask)
+        cfg = SolverConfig(inner_max_iters=1)
+        res = minimize_smooth(u0, 1e-2, f, mask, params_for(lam=0.1, zeta=zeta), cfg)
+        assert res.iterations == 1 and res.evaluations == 2
+        step, ss = 0.5, float(np.sum((res.u - u0) ** 2))
+        decrease = res.energy_history[0] - res.energy_history[1]
+        assert solver._SUFFICIENT_DECREASE * ss / step <= decrease < ss / (2.0 * step)
 
     def test_evaluations_count_every_candidate(self, monkeypatch):
         # Every point but the start is a candidate, accepted or not.
