@@ -21,13 +21,13 @@ change/parent and in how many pairs the change was faster.  A pair whose two
 outputs differ in gap is counted and printed; for the CLI workload each
 side writes its files under a temporary directory of its own.
 
-The fault counts describe this process, not the benchmark's.  perfbench
-times its reference kernel before and after every op, and that kernel's
-large temporaries leave the heap trimmed, so each op there first-touches
-fresh pages; this script runs no kernel between ops, so its heap keeps
-pages from op to op and its faults per op differ from perfbench's (on the
-parent of ``BENCH_20.json``, 1765 here against 1336 there per
-``denoise_color96_cli`` op).  Compare its fault columns with each other only.
+Before every op, warm-up included, it runs perfbench's reference kernel
+(``reference_seconds()``, untimed here), as perfbench does before each of its
+ops, so the ops meet the heap and the caches in the state perfbench leaves
+them in.  The kernel's large temporaries leave the heap trimmed, and each op
+first-touches fresh pages: on the parent of ``BENCH_26.json`` a
+``denoise_color96_cli`` op here takes 544 minor faults with the kernel and
+782 without it, and 19.4 ms against 16.0 ms.
 """
 
 import argparse
@@ -65,8 +65,9 @@ def load_package(src, name, layers):
     return {layer: importlib.import_module(f"{name}.{layer}") for layer in layers}
 
 
-def timed(instance):
-    """Seconds, minor faults and outcome of one op."""
+def timed(instance, reference):
+    """Seconds, minor faults and outcome of one op, run after the kernel ``reference()``."""
+    reference()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     result = instance.call()
@@ -93,7 +94,7 @@ def main(argv=None):
         run.WORK = Path(work.name) / side  # read by make_instance for the CLI files
         instances[side] = run.make_instances(mods, args.workload, wl, args.seed)
         for instance in instances[side]:
-            timed(instance)  # warm-up pass
+            timed(instance, run.reference_seconds)  # warm-up pass
 
     seconds = {side: [] for side in SIDES}
     faults = {side: [] for side in SIDES}
@@ -102,7 +103,7 @@ def main(argv=None):
         index = pair % wl.instances
         outcomes = {}
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            s, n, outcomes[side] = timed(instances[side][index])
+            s, n, outcomes[side] = timed(instances[side][index], run.reference_seconds)
             seconds[side].append(s)
             faults[side].append(n)
         if outcomes["parent"].gap != outcomes["change"].gap:

@@ -19,7 +19,10 @@ planar (``_planar``).  numpy's elementwise operations keep the memory order
 of their inputs, so the fields derived from these stay planar, and the
 per-plane loop of ``_sum_products`` (every norm, the dual's ``d . f``) runs
 over contiguous memory instead of 3-wide strided rows.  At M = 1 a planar
-image is the same memory as a row-major one.
+image is the same memory as a row-major one.  ``gradient`` and
+``divergence`` take each difference as one pass over a plane's rows stitched
+end to end (``_rows``), a view that planar and row-major arrays and their row
+bands ``x[a:b]`` all have, and then rewrite the edge column.
 
 The public entry points check all their inputs here, once per call: arrays by
 ``_image_check`` (every image), ``_shape_check`` and ``_field_check``, L by
@@ -137,10 +140,14 @@ def _known(x, mask) -> np.ndarray:
 
 
 def _sup_known(f, mask) -> float:
-    """L, the largest channel norm of f over known pixels, if finite; the arrays as checked."""
+    """L, the largest channel norm of f over known pixels, if finite; the arrays as checked.
+
+    The root of the largest squared norm (``_sum_products``): sqrt is
+    correctly rounded and monotone, so that is the largest ``channel_norms``.
+    """
     with np.errstate(over="ignore"):  # an overflow is rejected below
-        sup_f = float(np.max(_known(channel_norms(f), mask)))
-    if sup_f == np.inf:
+        sup_f = math.sqrt(np.max(_known(_sum_products(f, f), mask)))
+    if sup_f == math.inf:
         raise ValueError("known-pixel norm L of f overflows: |f|^2 must stay below the float max")
     return sup_f
 
@@ -188,21 +195,50 @@ def _planar_empty(shape) -> np.ndarray:
     return np.empty(shape[2:] + shape[:2]).transpose(n - 2, n - 1, *range(n - 2))
 
 
+def _rows(planes) -> np.ndarray:
+    """The (..., H, W) array planes as an (..., H*W) view, each plane's rows end to end.
+
+    Raises ValueError where the rows admit no such view (``copy=False``).
+    """
+    return planes.reshape(planes.shape[:-2] + (-1,), copy=False)
+
+
+def _plane_rows(x, axes) -> np.ndarray:
+    """``_rows(x.transpose(axes))``, of a channel-planar copy of x where x has no such view."""
+    planes = x.transpose(axes)
+    try:
+        return _rows(planes)
+    except ValueError:
+        return _rows(np.ascontiguousarray(planes))
+
+
 def gradient(u, out=None) -> np.ndarray:
     """Forward differences with zero one-sided difference at the far edges.
 
     Returns the (H, W, 2, M) view of a (2, M, H, W) buffer (``_planar_empty``).
     ``out``, if given, is an (H, W, 2, M) array that receives the result and
     is returned; a channel-planar one keeps every plane contiguous.
+
+    Each difference is one pass over a plane's rows stitched end to end
+    (``_rows``): the x-difference then also takes each row's last pixel from
+    the next row's first, and that column is zeroed after.
     """
     u = np.asarray(u, dtype=float)
     if out is None:
         out = _planar_empty(u.shape[:2] + (2,) + u.shape[2:])
-    u, g = u.transpose(2, 0, 1), out.transpose(2, 3, 0, 1)
-    np.subtract(u[:, :, 1:], u[:, :, :-1], out=g[0, :, :, :-1])
-    g[0, :, :, -1] = 0.0
-    np.subtract(u[:, 1:, :], u[:, :-1, :], out=g[1, :, :-1, :])
-    g[1, :, -1, :] = 0.0
+    g = out.transpose(2, 3, 0, 1)
+    try:
+        gs = _rows(g)
+    except ValueError:  # an out with no stitched view receives a copy
+        np.copyto(out, gradient(u))
+        return out
+    w = u.shape[1]
+    gx, gy = gs[0], gs[1]
+    us = _plane_rows(u, (2, 0, 1))
+    np.subtract(us[:, 1:], us[:, :-1], out=gx[:, :-1])
+    gx[:, w - 1 :: w].fill(0.0)
+    np.subtract(us[:, w:], us[:, :-w], out=gy[:, :-w])
+    gy[:, -w:].fill(0.0)
     return out
 
 
@@ -213,16 +249,36 @@ def divergence(p, out=None) -> np.ndarray:
     never read (the gradient's range has them zero).  Returns the (H, W, M)
     view of an (M, H, W) buffer; ``out``, if given, is an (H, W, M) array,
     not sharing memory with p, that receives the result and is returned.
+
+    As in ``gradient``, each difference is one pass over stitched rows; the
+    x-difference's edge columns are then rewritten: column 0 to ``px`` and
+    the last to ``0.0 - px`` of the column before it.  That last one is a
+    subtraction, not ``np.negative``, which keeps the sign of a zero as
+    ``0.0 - x`` does and never writes a strided ``out`` from ``np.negative``
+    (numpy 2.4.6 reads a 64-byte-strided input as contiguous there).
     """
     p = np.asarray(p, dtype=float)
     if out is None:
         out = _planar_empty(p.shape[:2] + p.shape[3:])
-    (px, py), div = p.transpose(2, 3, 0, 1), out.transpose(2, 0, 1)
-    div[:, :, :-1] = px[:, :, :-1]
-    div[:, :, -1] = 0.0
-    div[:, :, 1:] -= px[:, :, :-1]
-    div[:, :-1, :] += py[:, :-1, :]
-    div[:, 1:, :] -= py[:, :-1, :]
+    div = out.transpose(2, 0, 1)
+    try:
+        d = _rows(div)
+    except ValueError:  # an out with no stitched view receives a copy
+        np.copyto(out, divergence(p))
+        return out
+    w = p.shape[1]
+    ps = _plane_rows(p, (2, 3, 0, 1))
+    px, py = ps[0], ps[1]
+    np.subtract(px[:, 1:], px[:, :-1], out=d[:, 1:])
+    if w > 1:
+        edge = p[:, :, 0].transpose(2, 0, 1)
+        div[:, :, 0] = edge[:, :, 0]
+        np.subtract(0.0, edge[:, :, -2], out=div[:, :, -1])
+    else:
+        div[:, :, 0] = 0.0
+    top, below = d[:, :-w], d[:, w:]
+    np.add(top, py[:, :-w], out=top)
+    np.subtract(below, py[:, :-w], out=below)
     return out
 
 

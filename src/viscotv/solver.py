@@ -186,7 +186,7 @@ def default_initial(f, mask) -> np.ndarray:
 
 def _linf(g) -> float:
     """``max |g|``, with |g| written over g: the residual it is taken of is not read again."""
-    return float(np.max(np.abs(g, out=g)))
+    return float(np.maximum.reduce(np.abs(g, out=g), axis=None))
 
 
 @np.errstate(over="ignore")  # an overflowing sum is inf (``energy._fsum``)
@@ -269,10 +269,10 @@ def minimize_smooth(
             np.subtract(u, trial, out=trial)
             cand = _fidelity_prox(trial, f, mask, pd, step, out=spare)
             s = np.subtract(cand, u, out=trial)
-            ss = float(np.sum(np.multiply(s, s, out=scratch)))
+            ss = float(np.add.reduce(np.multiply(s, s, out=scratch), axis=None))
             at_cand = _Point(cand, f, mask, pd, grad, scratch, div_spare)
             evaluations += 1
-            change = float(np.sum(at_cand.pixel_energy - at_u.pixel_energy))
+            change = float(np.add.reduce(at_cand.pixel_energy - at_u.pixel_energy, axis=None))
             if change <= -_SUFFICIENT_DECREASE * ss / step and at_cand.total < at_u.total:
                 break
             if not step > min_step:  # also ends on a non-finite step
@@ -287,9 +287,12 @@ def minimize_smooth(
         # fidelity is handled exactly by the prox.  s.y > 0 implies y.y > 0.
         y = at_u.density_residual  # grad D(u), no longer needed
         np.subtract(at_cand.density_residual, y, out=y)
-        sy = float(np.sum(np.multiply(s, y, out=scratch)))
+        sy = float(np.add.reduce(np.multiply(s, y, out=scratch), axis=None))
         if sy > 0.0:
-            step = ss / sy if iters % 2 else sy / float(np.sum(np.multiply(y, y, out=scratch)))
+            if iters % 2:
+                step = ss / sy
+            else:
+                step = sy / float(np.add.reduce(np.multiply(y, y, out=scratch), axis=None))
         else:
             step = 2.0 * step
         # A prox that returns an array of its own (a test double) leaves the

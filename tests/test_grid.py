@@ -22,6 +22,13 @@ from viscotv.grid import (
 )
 
 
+def row_bands(x):
+    """Row bands ``x[a:b]`` of row-major and planar copies of x, as ``certify`` slices them."""
+    row_major, _, _, planar = layouts(x)
+    h = len(x)
+    return [v[a:b] for v in (row_major, planar) for a, b in ((0, h - h // 2), (h // 3, h))]
+
+
 class TestGradient:
     def test_constant_image_has_zero_gradient(self):
         u = np.full((4, 5, 3), 0.7)
@@ -44,20 +51,21 @@ class TestGradient:
         assert (g[:, -1, 0, :] == 0.0).all()
         assert (g[-1, :, 1, :] == 0.0).all()
 
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 6)])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 6), (3, 8), (8, 8)])
     @pytest.mark.parametrize("channels", [1, 3])
     def test_equals_zero_fill_on_every_layout(self, shape, channels):
         u = np.random.default_rng(shape[0] * 100 + shape[1]).normal(size=(*shape, channels))
-        expected = np.zeros((*shape, 2, channels))
-        expected[:, :-1, 0, :] = u[:, 1:, :] - u[:, :-1, :]
-        expected[:-1, :, 1, :] = u[1:, :, :] - u[:-1, :, :]
-        for v in layouts(u):
+        for v in layouts(u) + row_bands(u):
+            expected = np.zeros((*v.shape[:2], 2, channels))
+            expected[:, :-1, 0, :] = v[:, 1:, :] - v[:, :-1, :]
+            expected[:-1, :, 1, :] = v[1:, :, :] - v[:-1, :, :]
             g = gradient(v)
-            assert g.shape == (*shape, 2, channels)
+            assert g.shape == expected.shape
             assert (g == expected).all()
-            # Into a planar buffer, as the solver passes, and a row-major one;
-            # the NaN fill shows any entry left unwritten.
-            for out in (_planar_empty(g.shape), np.empty(g.shape)):
+            # Into a planar buffer, as the solver passes, a row-major one and
+            # a Fortran-ordered one, which has no stitched view; the NaN fill
+            # shows any entry left unwritten.
+            for out in (_planar_empty(g.shape), np.empty(g.shape), np.empty(g.shape, order="F")):
                 out.fill(np.nan)
                 assert gradient(v, out) is out
                 assert same_bits(out, g)
@@ -90,23 +98,28 @@ class TestDivergence:
             rhs = -float(np.vdot(u, divergence(p)))
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 6), (40, 33)])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 6), (40, 33), (3, 8), (8, 8)])
     @pytest.mark.parametrize("channels", [1, 3])
     def test_equals_zero_fill_accumulation(self, shape, channels):
-        # divergence starts from np.empty; it must equal accumulating every
-        # difference into zeros, up to the sign of zero (== ignores it).
-        p = np.random.default_rng(shape[0] * 100 + shape[1]).normal(size=(*shape, 2, channels))
-        px, py = p[:, :, 0, :], p[:, :, 1, :]
-        expected = np.zeros((*shape, channels))
-        expected[:, :-1] += px[:, :-1]
-        expected[:, 1:] -= px[:, :-1]
-        expected[:-1] += py[:-1]
-        expected[1:] -= py[:-1]
-        for q in layouts(p):
+        # divergence starts from np.empty; it must equal, bit for bit, writing
+        # px, then 0 at the last column, and accumulating every difference.
+        # Zeros of both signs in p make the sign of a zero count: the last
+        # column is 0 - px, never -px.
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        p = rng.normal(size=(*shape, 2, channels))
+        p[rng.uniform(size=p.shape) < 0.3] = 0.0
+        p[rng.uniform(size=p.shape) < 0.1] = -0.0
+        for q in layouts(p) + row_bands(p):
+            px, py = q[:, :, 0, :], q[:, :, 1, :]
+            expected = np.empty((*q.shape[:2], channels))
+            expected[:, :-1] = px[:, :-1]
+            expected[:, -1] = 0.0
+            expected[:, 1:] -= px[:, :-1]
+            expected[:-1] += py[:-1]
+            expected[1:] -= py[:-1]
             d = divergence(q)
-            assert d.shape == (*shape, channels)
-            assert (d == expected).all()
-            for out in (_planar_empty(d.shape), np.empty(d.shape)):
+            assert same_bits(d, expected)
+            for out in (_planar_empty(d.shape), np.empty(d.shape), np.empty(d.shape, order="F")):
                 out.fill(np.nan)
                 assert divergence(q, out) is out
                 assert same_bits(out, d)
