@@ -9,7 +9,7 @@ Usage (from the repository root):
 imports the viscotv package of each ``src`` directory into this one process
 under its own name (``viscotv_parent``, ``viscotv_change``) and builds
 perfbench/run.py's instances of the workload for both from the same seed
-(run.py is imported by path, as ``solve_digest.py`` does).  After one
+(run.py is imported by path, by ``solve_digest.load_bench``).  After one
 untimed warm-up pass per side, each of K passes runs every input once per
 side as a pair of ops, the parent first in even pairs and the change first
 in odd ones.  Both sides thus share the host's drift, the heap and the
@@ -40,17 +40,9 @@ import tempfile
 import time
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from solve_digest import load_bench  # scripts/ is sys.path[0] when this runs
+
 SIDES = ("parent", "change")
-
-
-def load_bench():
-    """perfbench/run.py as a module; it pins the BLAS threads before numpy loads."""
-    sys.path.insert(0, str(PERFBENCH))  # run.py imports spans.py beside it
-    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
-    return run
 
 
 def load_package(src, name, layers):

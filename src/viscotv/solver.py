@@ -24,8 +24,8 @@ at the first certificate whose relative duality gap clears ``gap_tol``
 (or when the schedule bottoms out at ``delta_min``).  Every level, however
 its inner solve stopped, ends in a certificate, and so does every call.
 From the second level on it also certifies the Richardson point of the last
-two levels (``_Extrapolation``), keeps the better certificate, and on a
-level predicted to certify lets that point end the inner solve early.
+two levels, keeps the better certificate, and on a level predicted to
+certify lets that point end the inner solve early (``continuation``).
 """
 
 from __future__ import annotations
@@ -99,9 +99,9 @@ class ConvergenceRecord:
     every other field but the last describes the level's own iterate and its
     certificate, the delta = 0 problem's (``dual.certify``).
     ``extrapolated_gap`` is the relative gap of the level's Richardson point
-    (``_Extrapolation``), None on the first level.  Derived: ``better_point``, ``"extrapolated"`` when that gap
-    is strictly below ``relative_gap``, else ``"iterate"``: the point
-    ``continuation`` returns when it stops at this level.
+    (``continuation``), None on the first level.  Derived: ``better_point``,
+    ``"extrapolated"`` when that gap is strictly below ``relative_gap``, else
+    ``"iterate"``: the point ``continuation`` returns when it stops here.
     """
 
     delta: float
@@ -131,8 +131,8 @@ class InnerResult:
     (``inner_max_iters`` reached), ``stagnated`` (a trial step at or below
     ``1/L = 1/(8(1 + delta))`` failed to lower the energy, which only
     rounding can cause; ``u`` is the last accepted iterate) or, in
-    ``continuation`` only, ``certified`` (the level's Richardson point
-    certified early, ``_Extrapolation.stop``).  ``evaluations``
+    ``continuation`` only, ``certified`` (a check of the level's Richardson
+    point stopped it early).  ``evaluations``
     counts the candidate points evaluated, accepted or not; ``energy_history``
     the energy at the start and after each accepted step, the last that of
     ``u``.  Derived: ``converged``, i.e. ``stop_reason == "residual"``.
@@ -312,62 +312,12 @@ def minimize_smooth(
     )
 
 
-class _Extrapolation:
-    """The Richardson point of a level and its delta-free certificate.
-
-    The minimizer is smooth in delta, u(delta) = u* + delta u_1 + O(delta^2),
-    so the previous level's iterate u1 at delta1 and this level's iterate v at
-    delta2 < delta1 give ``(delta1 v - delta2 u1)/(delta1 - delta2) =
-    v + c (v - u1)``, ``c = delta2/(delta1 - delta2)``, whose error is
-    O(delta1 delta2) instead of O(delta2) (Richardson and Gaunt, 1927).  It
-    is formed in one image buffer and projected there pixelwise onto the ball
-    ``|v| <= L`` (``grid.clamp_to_ball``), which holds every known f, so the
-    projection raises neither energy term and keeps the maximum principle.
-    ``certify`` is rigorous at any point, and the point and the iterate take
-    the same delta-free certificate.  ``point`` and ``cert`` are the last
-    point formed and its certificate; ``iterate_cert`` is the certificate of
-    the level's iterate when the point stopped the level.
-    """
-
-    def __init__(self, u1, delta1, delta2, f, mask, params: ModelParams, bound: float):
-        self.u1, self.c = u1, delta2 / (delta1 - delta2)
-        self.f, self.mask, self.params, self.bound = f, mask, params, bound
-        self.point = self.cert = self.iterate_cert = None
-
-    def certify(self, v, out, work=None):
-        """Form the point from v in ``out``, clamp it there and certify it.
-
-        ``out`` may be u1 itself, which is then spent; ``work`` is passed to
-        ``certify`` as its ``_work``.
-        """
-        point = np.subtract(v, self.u1, out=out)
-        point *= self.c
-        point += v
-        self.point = _clamp_in_place(point, self.bound)
-        self.cert = certify(point, self.f, self.mask, self.params, self.bound, _work=work)
-        return self.cert
-
-    def stop(self, gap_tol: float):
-        """``minimize_smooth``'s ``_stop``: certify after iterations 2, 6, 10, ...
-
-        The point is formed in the solve's free spare image and certified on
-        its other free buffers.  Once its gap is at most ``gap_tol / 4``, a
-        margin that keeps the certificates of levels stopped this way well
-        inside the tolerance, the iterate is certified on them as well and the
-        level stops.  The checks thus allocate only ``certify``'s per-pixel
-        ``(H, W)`` arrays.
-        """
-
-        def check(k, v, free):
-            grad, trial, scratch, spare = free
-            work = (grad, trial, scratch)
-            if k % 4 != 2 or self.certify(v, spare, work).relative_gap > gap_tol / 4.0:
-                return False
-            self.u1 = None
-            self.iterate_cert = certify(v, self.f, self.mask, self.params, self.bound, _work=work)
-            return True
-
-        return check
+def _richardson(v, u1, c, bound, out):
+    """``v + c (v - u1)`` formed in ``out`` and projected there onto ``|.| <= bound``."""
+    point = np.subtract(v, u1, out=out)
+    point *= c
+    point += v
+    return _clamp_in_place(point, bound)
 
 
 def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
@@ -384,17 +334,30 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
     the floor.  The certificate, not the residual, decides when to stop; it
     is the delta = 0 problem's at every level (``dual.certify``).
 
-    From the second level on, the level's iterate and the previous level's
-    give a Richardson point (``_Extrapolation``), certified by the same rule
-    when the level stops; the level's certificate is the better of the two,
-    the point's only if its gap is strictly smaller, and the call returns that
-    point and certificate.  A level is predicted to certify when the better
-    gap of the level before, times ``delta_factor**2``, is at most
-    ``gap_tol``, as the gap shrinks like delta^2: its point is then also
-    certified during the inner solve, which stops as ``certified`` once the
-    point's gap is at most ``gap_tol / 4`` (``_Extrapolation.stop``).  The
-    next level starts from the level's own iterate, and the records describe
-    the iterates (``ConvergenceRecord``).
+    From the second level on, the iterates u1 at delta1 and v at delta2 of
+    the last two levels give the Richardson point ``v + c (v - u1)``,
+    ``c = delta2/(delta1 - delta2)``, whose error is O(delta1 delta2), not
+    O(delta2), as u(delta) = u* + delta u_1 + O(delta^2) (Richardson and
+    Gaunt, 1927).  It is projected pixelwise onto the ball ``|v| <= L``
+    (``grid.clamp_to_ball``), which holds every known f, so the projection
+    raises neither energy term and keeps the maximum principle; it takes the
+    iterate's delta-free certificate, rigorous at any point.
+
+    Each level is solved, its iterate certified once the solve returns, and
+    the point formed over u1, which the level no longer needs, and certified,
+    unless a check below stopped the level: that check's point and
+    certificate then stand.  The level's certificate is the point's if its
+    gap is strictly smaller, else the iterate's, and the call returns the
+    point that gave it.  A level is predicted to certify when the better gap
+    of the level before, times ``delta_factor**2``, is at most ``gap_tol``,
+    as the gap shrinks like delta^2.  Its solve then checks the point after
+    iterations 2, 6, 10, ... (``minimize_smooth``'s ``_stop``), formed in
+    the solve's free spare image and certified on its free gradient, trial
+    and scratch buffers (``certify``'s ``_work``), and stops as
+    ``certified`` once the point's gap is at most ``gap_tol / 4``, a margin
+    that keeps the certificates of such levels well inside the tolerance.
+    The next level starts from the level's own iterate, and the records
+    describe the iterates (``ConvergenceRecord``).
 
     f and u0 are taken channel-planar (``grid.validate_image``) for the
     solve; the returned u is C-contiguous.
@@ -403,28 +366,35 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
     mask = validate_mask(mask, image=f)
     bound = _sup_known(f, mask)
 
+    def check(k, v, free):  # minimize_smooth's _stop on a level predicted to certify
+        nonlocal extra
+        if k % 4 != 2:
+            return False
+        *work, spare = free  # the gradient field, trial and scratch images, and spare
+        point = _richardson(v, u1, c, bound, spare)
+        extra = point, certify(point, f, mask, params, bound, _work=work)
+        return extra[1].relative_gap <= cfg.gap_tol / 4.0
+
     u = default_initial(f, mask) if u0 is None else validate_image(u0, name="u0")
     records = []
     delta, previous = cfg.delta0, None  # previous: the last level's delta and best gap
     while True:
         t0 = time.perf_counter()
         level_cfg = replace(cfg, inner_tol=max(cfg.inner_tol, cfg.gap_tol * delta))
-        extra = stop = None
+        u1, extra, stop = u, None, None  # extra: the level's point and its certificate
         if previous is not None:
-            extra = _Extrapolation(u, previous[0], delta, f, mask, params, bound)
+            c = delta / (previous[0] - delta)
             if previous[1] * cfg.delta_factor**2 <= cfg.gap_tol:
-                stop = extra.stop(cfg.gap_tol)
+                stop = check
         inner = minimize_smooth(u, delta, f, mask, params, level_cfg, _stop=stop)
         u = inner.u
-        if inner.stop_reason == "certified":
-            cert = extra.iterate_cert
-        else:
-            cert = certify(u, f, mask, params, bound)
-            if extra is not None:
-                extra.certify(u, extra.u1)  # formed over u1, which the level no longer needs
+        cert = certify(u, f, mask, params, bound)
+        if previous is not None and inner.stop_reason != "certified":
+            point = _richardson(u, u1, c, bound, u1)
+            extra = point, certify(point, f, mask, params, bound)
         best, returned = cert, u
-        if extra is not None and extra.cert.relative_gap < cert.relative_gap:
-            best, returned = extra.cert, extra.point
+        if extra is not None and extra[1].relative_gap < cert.relative_gap:
+            returned, best = extra
         records.append(
             ConvergenceRecord(
                 delta=delta,
@@ -438,7 +408,7 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
                 wall_seconds=time.perf_counter() - t0,
                 stop_reason=inner.stop_reason,
                 evaluations=inner.evaluations,
-                extrapolated_gap=None if extra is None else extra.cert.relative_gap,
+                extrapolated_gap=None if extra is None else extra[1].relative_gap,
             )
         )
         if best.relative_gap <= cfg.gap_tol:

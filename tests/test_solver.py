@@ -52,7 +52,7 @@ def blocky_instance(n, channels, hole, seed=0):
 
 
 # Continuation instances at the default settings.  The second level of the
-# checkerboard certifies after 10 iterations and that of the color denoising
+# checkerboard certifies after 14 iterations and that of the color denoising
 # after 2; both return the Richardson point.  The gray inpainting's second
 # level stops on its residual, and its iterate has the smaller gap.
 INSTANCES = {
@@ -478,11 +478,13 @@ class TestContinuation:
     def test_records_carry_level_evaluations(self):
         # Each level but a certified one is a plain minimize_smooth at its
         # gap-scaled tolerance; a certified level is one capped at its count.
-        # The call returns the last iterate or its clamped Richardson point,
-        # whichever has the smaller gap.
+        # Every record, a certified level's too, carries the delta-free
+        # certificate of that iterate.  The call returns the last iterate or
+        # its clamped Richardson point, whichever has the smaller gap.
         cfg, params = SolverConfig(), params_for()
         for case in ("checkerboard", "denoise_color"):
             f, mask = INSTANCES[case]()
+            bound = sup_known_norm(f, mask)
             u, cert, recs = continuation(f, mask, params, cfg)
             assert "certified" in [r.stop_reason for r in recs], case
             v, delta, iterates = default_initial(f, mask), cfg.delta0, []
@@ -497,9 +499,12 @@ class TestContinuation:
                 assert r.I_delta_value == inner.energy_history[-1]
                 assert r.evaluations >= r.inner_iterations
                 v = inner.u
+                cert_v = dual.certify(v, f, mask, params, bound)
+                level = (r.I_value, r.dual_value, r.relative_gap)
+                assert level == (cert_v.primal_value, cert_v.dual_value, cert_v.relative_gap)
                 iterates.append((delta, v))
                 delta *= cfg.delta_factor
-            point = richardson_point(*iterates[-2:], sup_known_norm(f, mask))
+            point = richardson_point(*iterates[-2:], bound)
             returned = point if recs[-1].better_point == "extrapolated" else v
             assert same_bits(u, returned), case
             assert cert.relative_gap == min(recs[-1].relative_gap, recs[-1].extrapolated_gap)
@@ -674,19 +679,21 @@ class TestContinuation:
 
 
 class TestRichardson:
-    """continuation's Richardson point (``solver._Extrapolation``)."""
+    """continuation's Richardson point (``solver._richardson``)."""
 
     def test_point_is_clamped_to_the_ball(self):
-        # v + (v - u1)/9 leaves the ball |v| <= L = 1 wherever f = 1.
+        # v + (v - u1)/9 leaves the ball |v| <= L = 1 wherever f = 1.  The
+        # point is formed over u1, as continuation forms it after a solve, and
+        # takes the delta-free certificate whatever the viscosity of params.
         f, mask = checkerboard_instance()
-        params, u1 = params_for(), np.full(f.shape, 0.5)
-        extra = solver._Extrapolation(u1, 0.1, 0.01, f, mask, params, 1.0)
-        cert = extra.certify(f, None)
+        params, u1 = params_for().with_delta(0.01), np.full(f.shape, 0.5)
         raw = f + 0.01 / (0.1 - 0.01) * (f - u1)
-        assert raw.max() > 1.0
-        assert same_bits(extra.point, clamp_to_ball(raw, 1.0))
-        assert check_max_principle(extra.point, f, mask).passed
-        assert cert == dual.certify(extra.point, f, mask, params.without_viscosity(), 1.0)
+        point = solver._richardson(f, u1, 0.01 / (0.1 - 0.01), 1.0, u1)
+        assert point is u1 and raw.max() > 1.0
+        assert same_bits(point, clamp_to_ball(raw, 1.0))
+        assert check_max_principle(point, f, mask).passed
+        cert = solver.certify(point, f, mask, params, 1.0)
+        assert cert == dual.certify(point, f, mask, params.without_viscosity(), 1.0)
 
     @pytest.mark.parametrize("zeta", [1.5, 2.0, 3.0])
     def test_returned_point_obeys_max_principle(self, zeta):
@@ -749,6 +756,46 @@ class TestRichardson:
                 assert r.extrapolated_gap <= gap_tol / 4
             assert recs[0].stop_reason != "certified"
         assert certified >= 1
+
+    def test_certify_calls_per_level(self, monkeypatch):
+        # Each level certifies its iterate once its solve returns and, from the
+        # second level on, its point; a level predicted to certify also
+        # certifies the point at each check, after iterations 2, 6, 10, ...,
+        # and a check that stops the level leaves that check's point standing.
+        calls = []
+        certify, minimize_smooth = solver.certify, solver.minimize_smooth
+
+        def counting_minimize_smooth(*args, **kwargs):
+            calls.append(0)
+            return minimize_smooth(*args, **kwargs)
+
+        def counting_certify(*args, **kwargs):
+            calls[-1] += 1
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "minimize_smooth", counting_minimize_smooth)
+        monkeypatch.setattr(solver, "certify", counting_certify)
+        kinds = set()
+        for gap_tol in (1e-4, 1e-6):
+            cfg = SolverConfig(gap_tol=gap_tol)
+            for name in INSTANCES:
+                f, mask = INSTANCES[name]()
+                calls.clear()
+                _, _, recs = continuation(f, mask, params_for(), cfg)
+                expected = [1]
+                for before, r in zip(recs, recs[1:]):
+                    best = min(before.relative_gap, before.extrapolated_gap or math.inf)
+                    n = r.inner_iterations
+                    if best * cfg.delta_factor**2 > gap_tol:
+                        kind, count = "not predicted", 2
+                    elif r.stop_reason == "certified":
+                        kind, count = "stopped", len(range(2, n + 1, 4)) + 1
+                    else:
+                        kind, count = "ran out", len(range(2, n, 4)) + 2
+                    kinds.add(kind)
+                    expected.append(count)
+                assert calls == expected, (gap_tol, name)
+        assert kinds == {"not predicted", "stopped", "ran out"}
 
     def test_stop_hook_changes_no_bit(self):
         # The hook may overwrite the free buffers; stopping after k iterations
