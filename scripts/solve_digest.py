@@ -36,7 +36,11 @@ iterations and candidate evaluations per op (a solve, a CLI run or an audit
 calls per op, the minor page faults (``ru_minflt``) of the set's ops per
 inner iteration (per op for the audit), counted after one untimed call on a
 solve set's first input so that the process's first touch of numpy and of
-the heap is left out, and the largest relative gap an op returned.  For the
+the heap is left out, and the largest relative gap an op returned.  Before
+every op, that warm-up included, it runs perfbench's reference kernel
+(``reference_seconds()``, untimed here), as perfbench does before each of its
+ops: the ops then meet the heap perfbench leaves them, and the fault column
+describes the code, not the heap history of this one process.  For the
 ``continuation`` sets it also counts how many solves returned the Richardson
 point instead of the last iterate and how many final certificates were
 scaled at the rounding edge (``dual_scale`` < 1).  A solve returned the
@@ -129,12 +133,14 @@ def main(argv=None):
                 density = mods["density"].DensityParams(EDGE_MU)
                 instance.params = replace(instance.params, density=density)
         if wl.kind == "solve":
+            run.reference_seconds()
             instances[0].call()  # warm-up, outside the census and the digest
         counts.update(dict.fromkeys(counts, 0))
         part = hashlib.sha256()
         faults = extrapolated = edge = 0
         largest_gap = 0.0
         for instance in instances:
+            run.reference_seconds()  # untimed, as perfbench runs it before each op
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             result = instance.call()
             faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before

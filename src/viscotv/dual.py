@@ -174,7 +174,7 @@ def _join(pieces):
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
-def _certify_band(u, f, mask, target: ModelParams, r0: int, r1: int, work):
+def _certify_band(u, f, mask, target: ModelParams, r0: int, r1: int):
     """certify's per-pixel outputs on rows ``[r0, r1)`` for delta-free ``target``.
 
     Returns the pixel energy, ``|tau|`` and ``_split(-div tau)``.  The point
@@ -182,20 +182,17 @@ def _certify_band(u, f, mask, target: ModelParams, r0: int, r1: int, work):
     ``-div`` of row r0 reads the flux of row r0 - 1, and the gradient of row
     r1 - 1 reads u of row r1.  Unless r1 = h, the point's last row, whose
     gradient and divergence are truncated, is then row r1, which is not
-    kept.  tau is written over the point's gradient.  ``work``, certify's
-    ``_work`` or None, gives the halo rows of the point's gradient and
-    ``u - f`` and of tau's divergence.
+    kept.  tau is written over the point's gradient.
     """
     a, b = max(r0 - 1, 0), min(r1 + 1, len(u))
     keep = slice(r0 - a, r1 - a)
-    grad_out, dev_out, div_out = (None,) * 3 if work is None else (w[a:b] for w in work)
-    point = _Point(u[a:b], f[a:b], mask[a:b], target, grad_out, dev_out)
+    point = _Point(u[a:b], f[a:b], mask[a:b], target)
     tau = density_gradient(target.density, point.grad, norms=point.grad_norms, out=point.grad)
-    split = _split(_negative_divergence(tau, div_out)[keep], f[r0:r1], mask[r0:r1])
+    split = _split(_negative_divergence(tau)[keep], f[r0:r1], mask[r0:r1])
     return [point.pixel_energy[keep], pixel_norms(tau[keep]), *split]
 
 
-def certify(u, f, mask, mparams: ModelParams, bound: float, *, _work=None) -> DualCertificate:
+def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     """Evaluate both sides of the delta = 0 problem's duality at u and the relative gap.
 
     The certificate never reads ``mparams.density.delta``: it is the same
@@ -224,12 +221,6 @@ def certify(u, f, mask, mparams: ModelParams, bound: float, *, _work=None) -> Du
     arrays, and every reduction then runs on the whole grid: each output
     has the same bits for every band size.  A grid of at most _BAND values
     is one band.
-
-    ``_work``, private to ``solver.continuation``, is None or three arrays
-    the call may overwrite, a gradient field and two images of u's shape:
-    the bands then build their gradient, ``u - f`` and tau's divergence in
-    their rows of these instead of in arrays of their own.  The bits are the
-    same either way.
     """
     u, f, mask = _shape_check(u, f, mask)
     bound = _check_bound(f, mask, bound)
@@ -237,7 +228,7 @@ def certify(u, f, mask, mparams: ModelParams, bound: float, *, _work=None) -> Du
     # An overflowing sum is inf (``energy._fsum``).  A block, not a decorator,
     # whose wrapper frame would take the place of the caller in the warning.
     with np.errstate(over="ignore"):
-        bands = [_certify_band(u, f, mask, target, *rows, _work) for rows in _row_bands(u.shape)]
+        bands = [_certify_band(u, f, mask, target, *rows) for rows in _row_bands(u.shape)]
         energy, norms, *split = map(_join, zip(*bands))
         del bands
         primal = _energy_total(energy)

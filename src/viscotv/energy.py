@@ -70,8 +70,9 @@ def _fsum(values) -> float:
 
     A total beyond the float range is returned as inf of its sign.  numpy
     warns when a block sum overflows; the public entry points that sum ignore
-    that warning once per call (``np.errstate`` as a decorator), not here,
-    where the context would cost about half a block sum at every call.
+    that warning once per call (``np.errstate``, a decorator or, in
+    ``certify``, a with-block), not here, where the context would cost about
+    half a block sum at every call.
     """
     x = np.asarray(values, dtype=float).ravel()
     cut = x.size - x.size % _FSUM_BLOCK

@@ -298,8 +298,11 @@ def clamp_to_ball(u, radius: float) -> np.ndarray:
 
 
 def _clamp_in_place(u: np.ndarray, radius: float) -> np.ndarray:
-    """``clamp_to_ball(u, radius)`` written over the float array u, which is returned."""
-    norms = channel_norms(u)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """``clamp_to_ball(u, radius)`` written over the float array u, which is returned.
+
+    A pixel whose norm overflows to inf is scaled by ``radius/inf = 0``.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        norms = channel_norms(u)
         scale = np.where(norms > radius, radius / norms, 1.0)
     return np.multiply(u, scale[..., None], out=u)

@@ -25,7 +25,8 @@ at the first certificate whose relative duality gap clears ``gap_tol``
 its inner solve stopped, ends in a certificate, and so does every call.
 From the second level on it also certifies the Richardson point of the last
 two levels, keeps the better certificate, and on a level predicted to
-certify lets that point end the inner solve early (``continuation``).
+certify lets that point, checked once after two inner iterations, end the
+level early (``continuation``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .dual import certify
 from .energy import ModelParams, _fidelity_prox, _Point
-from .grid import _clamp_in_place, _known, _planar, _planar_empty, _scalar_check
+from .grid import _clamp_in_place, _known, _planar, _planar_empty, _scalar_check, clamp_to_ball
 from .grid import _shape_check, _sup_known, channel_norms, validate_image, validate_mask
 
 __all__ = [
@@ -95,8 +96,11 @@ class SolverConfig:
 class ConvergenceRecord:
     """One outer continuation step, for observability of the delta -> 0 limit.
 
-    ``stop_reason`` and ``evaluations`` are the level's ``InnerResult`` fields;
-    every other field but the last describes the level's own iterate and its
+    ``inner_iterations`` and ``evaluations`` are summed over the level's one
+    or two inner solves, and ``stop_reason`` is the last one's
+    ``InnerResult`` field, or ``"certified"`` when the level's Richardson
+    point stopped it after its first solve (``continuation``).  Every other
+    field but the last describes the level's own iterate and its
     certificate, the delta = 0 problem's (``dual.certify``).
     ``extrapolated_gap`` is the relative gap of the level's Richardson point
     (``continuation``), None on the first level.  Derived: ``better_point``,
@@ -130,9 +134,7 @@ class InnerResult:
     ``stop_reason`` says why it stopped: ``residual`` (tolerance met), ``cap``
     (``inner_max_iters`` reached), ``stagnated`` (a trial step at or below
     ``1/L = 1/(8(1 + delta))`` failed to lower the energy, which only
-    rounding can cause; ``u`` is the last accepted iterate) or, in
-    ``continuation`` only, ``certified`` (a check of the level's Richardson
-    point stopped it early).  ``evaluations``
+    rounding can cause; ``u`` is the last accepted iterate).  ``evaluations``
     counts the candidate points evaluated, accepted or not; ``energy_history``
     the energy at the start and after each accepted step, the last that of
     ``u``.  Derived: ``converged``, i.e. ``stop_reason == "residual"``.
@@ -190,9 +192,7 @@ def _linf(g) -> float:
 
 
 @np.errstate(over="ignore")  # an overflowing sum is inf (``energy._fsum``)
-def minimize_smooth(
-    u0, delta, f, mask, params: ModelParams, cfg: SolverConfig, *, _stop=None
-) -> InnerResult:
+def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) -> InnerResult:
     """Minimize the viscous energy at fixed delta > 0 from the start u0.
 
     Stops when the sup-norm of the residual falls below
@@ -226,15 +226,6 @@ def minimize_smooth(
     old one overwritten by y; and two iterate slots, u and the candidate,
     swapped on acceptance.  u0 is copied into an iterate slot and never
     written, and the returned ``u`` is the accepted slot itself.
-
-    ``_stop``, private to ``continuation``, is called as
-    ``_stop(k, u, free)`` whenever the residual and the cap let iteration
-    k + 1 run, with u the iterate after k iterations, which it must not
-    write, and ``free`` the work buffers that iteration writes before it
-    reads them: the gradient field and the trial, scratch and spare images,
-    which it may use as its own.  When it returns True the solve stops there
-    as ``certified``; it changes nothing else, so a solve it stops after k
-    iterations has the bits of one capped at k.
     """
     pd = params.with_delta(_scalar_check(delta, "delta", 0.0))
     u0, f, mask = _shape_check(u0, f, mask)
@@ -259,9 +250,6 @@ def minimize_smooth(
     iters = evaluations = 0
     stop_reason = None
     while res > tol and iters < cfg.inner_max_iters:
-        if _stop is not None and _stop(iters, u, (grad, trial, scratch, spare)):
-            stop_reason = "certified"
-            break
         iters += 1
         step = min(step, _STEP_MAX)
         while True:
@@ -344,52 +332,62 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
     iterate's delta-free certificate, rigorous at any point.
 
     Each level is solved, its iterate certified once the solve returns, and
-    the point formed over u1, which the level no longer needs, and certified,
-    unless a check below stopped the level: that check's point and
-    certificate then stand.  The level's certificate is the point's if its
-    gap is strictly smaller, else the iterate's, and the call returns the
-    point that gave it.  A level is predicted to certify when the better gap
-    of the level before, times ``delta_factor**2``, is at most ``gap_tol``,
-    as the gap shrinks like delta^2.  Its solve then checks the point after
-    iterations 2, 6, 10, ... (``minimize_smooth``'s ``_stop``), formed in
-    the solve's free spare image and certified on its free gradient, trial
-    and scratch buffers (``certify``'s ``_work``), and stops as
-    ``certified`` once the point's gap is at most ``gap_tol / 4``, a margin
-    that keeps the certificates of such levels well inside the tolerance.
-    The next level starts from the level's own iterate, and the records
-    describe the iterates (``ConvergenceRecord``).
+    the point formed over u1, which the level no longer needs, and certified.
+    The level's certificate is the point's if its gap is strictly smaller,
+    else the iterate's, and the call returns the point that gave it.  A
+    level is predicted to certify when the better gap of the level before,
+    times ``delta_factor**2``, is at most ``gap_tol``, as the gap shrinks
+    like delta^2.  Such a level is first solved for at most 2 iterations.
+    If that solve stops at its cap and the level's ``inner_max_iters``
+    leaves room, the point of that iterate is formed in an array of its own
+    and certified; at a gap of at most ``gap_tol / 4``, a margin that keeps
+    the certificates of such levels well inside the tolerance, the level
+    stops there as ``certified`` with that point and certificate.  Otherwise
+    a second solve goes on from the iterate for the rest of the level's
+    ``inner_max_iters`` and the level ends as above.  The next level starts
+    from the level's own iterate, and the records describe the iterates
+    (``ConvergenceRecord``).
 
     f and u0 are taken channel-planar (``grid.validate_image``) for the
-    solve; the returned u is C-contiguous.
+    solve; the returned u is C-contiguous.  An explicit u0 is first
+    projected, in a copy, onto the ball ``|v| <= L``: by the maximum
+    principle that moves it toward every minimizer and raises neither
+    energy term, and it keeps a huge start from overflowing the energy.
     """
     f = validate_image(f, name="f")
     mask = validate_mask(mask, image=f)
     bound = _sup_known(f, mask)
-
-    def check(k, v, free):  # minimize_smooth's _stop on a level predicted to certify
-        nonlocal extra
-        if k % 4 != 2:
-            return False
-        *work, spare = free  # the gradient field, trial and scratch images, and spare
-        point = _richardson(v, u1, c, bound, spare)
-        extra = point, certify(point, f, mask, params, bound, _work=work)
-        return extra[1].relative_gap <= cfg.gap_tol / 4.0
-
-    u = default_initial(f, mask) if u0 is None else validate_image(u0, name="u0")
+    if u0 is None:
+        u = default_initial(f, mask)
+    else:
+        u = clamp_to_ball(validate_image(u0, name="u0"), bound)
     records = []
     delta, previous = cfg.delta0, None  # previous: the last level's delta and best gap
     while True:
         t0 = time.perf_counter()
         level_cfg = replace(cfg, inner_tol=max(cfg.inner_tol, cfg.gap_tol * delta))
-        u1, extra, stop = u, None, None  # extra: the level's point and its certificate
+        u1, extra, cap = u, None, cfg.inner_max_iters  # extra: the level's point and certificate
         if previous is not None:
             c = delta / (previous[0] - delta)
             if previous[1] * cfg.delta_factor**2 <= cfg.gap_tol:
-                stop = check
-        inner = minimize_smooth(u, delta, f, mask, params, level_cfg, _stop=stop)
+                cap = min(2, cap)
+        inner = minimize_smooth(u, delta, f, mask, params, replace(level_cfg, inner_max_iters=cap))
+        iterations, evaluations = inner.iterations, inner.evaluations
+        stop_reason = inner.stop_reason
+        if stop_reason == "cap" and cap < cfg.inner_max_iters:  # a predicted level's check
+            point = _richardson(inner.u, u1, c, bound, np.empty_like(inner.u))
+            extra = point, certify(point, f, mask, params, bound)
+            if extra[1].relative_gap <= cfg.gap_tol / 4.0:
+                stop_reason = "certified"
+            else:
+                rest_cfg = replace(level_cfg, inner_max_iters=cfg.inner_max_iters - cap)
+                inner = minimize_smooth(inner.u, delta, f, mask, params, rest_cfg)
+                iterations += inner.iterations
+                evaluations += inner.evaluations
+                extra, stop_reason = None, inner.stop_reason
         u = inner.u
         cert = certify(u, f, mask, params, bound)
-        if previous is not None and inner.stop_reason != "certified":
+        if previous is not None and extra is None:
             point = _richardson(u, u1, c, bound, u1)
             extra = point, certify(point, f, mask, params, bound)
         best, returned = cert, u
@@ -398,7 +396,7 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
         records.append(
             ConvergenceRecord(
                 delta=delta,
-                inner_iterations=inner.iterations,
+                inner_iterations=iterations,
                 I_delta_value=inner.energy_history[-1],
                 I_value=cert.primal_value,
                 dual_value=cert.dual_value,
@@ -406,8 +404,8 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
                 residual_inf_norm=inner.residual_inf,
                 max_abs_u=float(np.max(channel_norms(u))),
                 wall_seconds=time.perf_counter() - t0,
-                stop_reason=inner.stop_reason,
-                evaluations=inner.evaluations,
+                stop_reason=stop_reason,
+                evaluations=evaluations,
                 extrapolated_gap=None if extra is None else extra[1].relative_gap,
             )
         )

@@ -517,18 +517,6 @@ class TestRowBands:
         assert max(r1 - r0 for r0, r1 in bands) == min(max(rows, 1), h)
         assert repr(quiet_certify(u, f, mask, params, bound)) == repr(whole)
 
-    @pytest.mark.parametrize("rows", [0, 2], ids=["band=1", "2 rows"])
-    @pytest.mark.parametrize("case", list(BAND_CASES))
-    def test_work_buffers_keep_every_bit(self, monkeypatch, case, rows):
-        # Given buffers, NaN-filled and row-major, the bands build their
-        # gradient, u - f and divergence there with the same bits.
-        u, f, mask, params, bound = BAND_CASES[case]()
-        whole = quiet_certify(u, f, mask, params, bound)
-        monkeypatch.setattr(dual, "_BAND", max(rows * u.shape[1] * u.shape[2], 1))
-        work = [np.full(u.shape[:2] + (2,) + u.shape[2:], np.nan)]
-        work += [np.full(u.shape, np.nan) for _ in range(2)]
-        assert repr(quiet_certify(u, f, mask, params, bound, _work=work)) == repr(whole)
-
     def test_cases_reach_their_paths(self):
         assert quiet_certify(*rounding_edge_case()).dual_scale < 1.0
         assert math.isnan(quiet_certify(*overflow_case()).feasibility_margin)

@@ -51,15 +51,44 @@ def blocky_instance(n, channels, hole, seed=0):
     return f, mask
 
 
-# Continuation instances at the default settings.  The second level of the
-# checkerboard certifies after 14 iterations and that of the color denoising
-# after 2; both return the Richardson point.  The gray inpainting's second
-# level stops on its residual, and its iterate has the smaller gap.
+# Continuation instances at the default settings.  Each second level is
+# predicted to certify.  That of the color denoising certifies at its check
+# after 2 iterations; those of the checkerboard and the gray inpainting do
+# not clear gap_tol/4 there and run on to their residual.  All three return
+# the Richardson point.
 INSTANCES = {
     "checkerboard": checkerboard_instance,
     "denoise_color": lambda: blocky_instance(16, 3, hole=False),
     "inpaint_gray": lambda: blocky_instance(16, 1, hole=True, seed=7),
 }
+
+
+def best_gap(record):
+    """The smaller of a record's two gaps, the one ``continuation`` predicts from."""
+    return min(record.relative_gap, record.extrapolated_gap or math.inf)
+
+
+def replace_cap(cfg, inner_max_iters):
+    """cfg with another ``inner_max_iters``."""
+    return dataclasses.replace(cfg, inner_max_iters=inner_max_iters)
+
+
+def record_calls(monkeypatch):
+    """A list that continuation's calls append "solve" and "certify" to, in order."""
+    calls = []
+    certify, minimize = solver.certify, solver.minimize_smooth
+
+    def counting_certify(*args, **kwargs):
+        calls.append("certify")
+        return certify(*args, **kwargs)
+
+    def counting_minimize_smooth(*args, **kwargs):
+        calls.append("solve")
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "certify", counting_certify)
+    monkeypatch.setattr(solver, "minimize_smooth", counting_minimize_smooth)
+    return calls
 
 
 def richardson_point(level1, level2, bound):
@@ -476,27 +505,41 @@ class TestContinuation:
         assert cert.relative_gap == min(recs[-1].relative_gap, recs[-1].extrapolated_gap)
 
     def test_records_carry_level_evaluations(self):
-        # Each level but a certified one is a plain minimize_smooth at its
-        # gap-scaled tolerance; a certified level is one capped at its count.
-        # Every record, a certified level's too, carries the delta-free
-        # certificate of that iterate.  The call returns the last iterate or
-        # its clamped Richardson point, whichever has the smaller gap.
+        # A level not predicted to certify is a plain minimize_smooth at its
+        # gap-scaled tolerance.  A predicted one is a solve capped at 2 and,
+        # unless its check certified, a solve capped at inner_max_iters - 2
+        # from that iterate; the record sums the two solves' counts and takes
+        # the last one's stop, residual and energy.  Every record, a
+        # certified level's too, carries the delta-free certificate of that
+        # iterate.  The call returns the last iterate or its clamped
+        # Richardson point, whichever has the smaller gap.
         cfg, params = SolverConfig(), params_for()
-        for case in ("checkerboard", "denoise_color"):
+        for case, certifies in (("checkerboard", False), ("denoise_color", True)):
             f, mask = INSTANCES[case]()
             bound = sup_known_norm(f, mask)
             u, cert, recs = continuation(f, mask, params, cfg)
-            assert "certified" in [r.stop_reason for r in recs], case
-            v, delta, iterates = default_initial(f, mask), cfg.delta0, []
+            assert ("certified" in [r.stop_reason for r in recs]) == certifies, case
+            v, delta, iterates, before = default_initial(f, mask), cfg.delta0, [], None
             for r in recs:
                 level_cfg = SolverConfig(inner_tol=max(cfg.inner_tol, cfg.gap_tol * delta))
+                predicted = before is not None  # every later level here is predicted
+                if predicted:
+                    assert best_gap(before) * cfg.delta_factor**2 <= cfg.gap_tol, case
+                cap = 2 if predicted else cfg.inner_max_iters
+                inner = minimize_smooth(v, delta, f, mask, params, replace_cap(level_cfg, cap))
+                iterations, evaluations = inner.iterations, inner.evaluations
                 if r.stop_reason == "certified":
-                    level_cfg = dataclasses.replace(level_cfg, inner_max_iters=r.inner_iterations)
-                inner = minimize_smooth(v, delta, f, mask, params, level_cfg)
-                stop = "cap" if r.stop_reason == "certified" else r.stop_reason
-                assert (r.evaluations, inner.stop_reason) == (inner.evaluations, stop)
-                assert r.inner_iterations == inner.iterations
+                    assert inner.stop_reason == "cap" and r.extrapolated_gap <= cfg.gap_tol / 4
+                elif predicted:
+                    rest = replace_cap(level_cfg, cfg.inner_max_iters - 2)
+                    inner = minimize_smooth(inner.u, delta, f, mask, params, rest)
+                    iterations += inner.iterations
+                    evaluations += inner.evaluations
+                stop = "certified" if r.stop_reason == "certified" else inner.stop_reason
+                assert (r.evaluations, r.stop_reason) == (evaluations, stop)
+                assert r.inner_iterations == iterations
                 assert r.I_delta_value == inner.energy_history[-1]
+                assert r.residual_inf_norm == inner.residual_inf
                 assert r.evaluations >= r.inner_iterations
                 v = inner.u
                 cert_v = dual.certify(v, f, mask, params, bound)
@@ -504,19 +547,33 @@ class TestContinuation:
                 assert level == (cert_v.primal_value, cert_v.dual_value, cert_v.relative_gap)
                 iterates.append((delta, v))
                 delta *= cfg.delta_factor
+                before = r
             point = richardson_point(*iterates[-2:], bound)
             returned = point if recs[-1].better_point == "extrapolated" else v
             assert same_bits(u, returned), case
             assert cert.relative_gap == min(recs[-1].relative_gap, recs[-1].extrapolated_gap)
 
     def test_huge_finite_start_does_not_raise(self):
-        # The start's energy sums past the float range (each pixel 1.4e306).
+        # An explicit start is projected onto the ball |v| <= L before the
+        # first level, in a copy.  Unprojected, the first start's energy sums
+        # past the float range (each pixel 1.4e306), and the second's pixel
+        # norm overflows, so its energy is inf - inf = nan and no step passes.
         f = np.zeros((8, 16, 1))
         mask = np.zeros((8, 16), dtype=bool)
         params = params_for(lam=1.0)
         u, cert, recs = continuation(f, mask, params, SolverConfig(), u0=np.full(f.shape, 1.7e153))
         assert not np.isnan(cert.relative_gap)
         assert recs[0].I_delta_value < math.inf
+
+        f = np.full((8, 8, 1), 0.5)
+        mask = np.zeros((8, 8), dtype=bool)
+        mask[3:5, 3:5] = True
+        u0 = f.copy()
+        u0[0, 0, 0] = 1.7e200
+        u, cert, recs = continuation(f, mask, params, SolverConfig(), u0=u0)
+        assert cert.relative_gap <= SolverConfig().gap_tol
+        assert check_max_principle(u, f, mask).passed
+        assert u0[0, 0, 0] == 1.7e200 and (u0.ravel()[1:] == 0.5).all()
 
     def test_scaled_board_certifies_at_large_mu(self):
         # [0, 255] data at mu = 15: phi' of the board's large gradients rounds
@@ -739,7 +796,8 @@ class TestRichardson:
     @pytest.mark.parametrize("gap_tol", [1e-4, 1e-6])
     def test_certified_levels_are_predicted_and_clear_a_quarter(self, gap_tol):
         # A level checks its point only when the previous level's better gap
-        # times delta_factor^2 is at most gap_tol, after iterations 2, 6, 10, ...
+        # times delta_factor^2 is at most gap_tol, once, after 2 iterations.
+        # No instance here certifies at 1e-6, where the rule alone is asserted.
         cfg = SolverConfig(gap_tol=gap_tol)
         certified = 0
         for name in INSTANCES:
@@ -750,31 +808,24 @@ class TestRichardson:
                 if r.stop_reason != "certified":
                     continue
                 certified += 1
-                best = min(before.relative_gap, before.extrapolated_gap or math.inf)
-                assert best * cfg.delta_factor**2 <= gap_tol
-                assert r.inner_iterations % 4 == 2
+                assert best_gap(before) * cfg.delta_factor**2 <= gap_tol
+                assert r.inner_iterations == 2
                 assert r.extrapolated_gap <= gap_tol / 4
             assert recs[0].stop_reason != "certified"
-        assert certified >= 1
+        assert certified >= (gap_tol == 1e-4)
 
     def test_certify_calls_per_level(self, monkeypatch):
-        # Each level certifies its iterate once its solve returns and, from the
-        # second level on, its point; a level predicted to certify also
-        # certifies the point at each check, after iterations 2, 6, 10, ...,
-        # and a check that stops the level leaves that check's point standing.
-        calls = []
-        certify, minimize_smooth = solver.certify, solver.minimize_smooth
-
-        def counting_minimize_smooth(*args, **kwargs):
-            calls.append(0)
-            return minimize_smooth(*args, **kwargs)
-
-        def counting_certify(*args, **kwargs):
-            calls[-1] += 1
-            return certify(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "minimize_smooth", counting_minimize_smooth)
-        monkeypatch.setattr(solver, "certify", counting_certify)
+        # Each level certifies its iterate once its solves return and, from
+        # the second level on, its point.  A level predicted to certify
+        # certifies the point once more, between its solve capped at 2 and
+        # the solve of the rest, and a check that stops the level leaves that
+        # point and certificate standing.
+        calls = record_calls(monkeypatch)
+        levels = {
+            "not predicted": ["solve", "certify", "certify"],
+            "stopped": ["solve", "certify", "certify"],
+            "ran on": ["solve", "certify", "solve", "certify", "certify"],
+        }
         kinds = set()
         for gap_tol in (1e-4, 1e-6):
             cfg = SolverConfig(gap_tol=gap_tol)
@@ -782,48 +833,40 @@ class TestRichardson:
                 f, mask = INSTANCES[name]()
                 calls.clear()
                 _, _, recs = continuation(f, mask, params_for(), cfg)
-                expected = [1]
+                expected = ["solve", "certify"]
                 for before, r in zip(recs, recs[1:]):
-                    best = min(before.relative_gap, before.extrapolated_gap or math.inf)
-                    n = r.inner_iterations
-                    if best * cfg.delta_factor**2 > gap_tol:
-                        kind, count = "not predicted", 2
+                    if best_gap(before) * cfg.delta_factor**2 > gap_tol:
+                        kind = "not predicted"
                     elif r.stop_reason == "certified":
-                        kind, count = "stopped", len(range(2, n + 1, 4)) + 1
+                        kind = "stopped"
                     else:
-                        kind, count = "ran out", len(range(2, n, 4)) + 2
+                        kind = "ran on"
                     kinds.add(kind)
-                    expected.append(count)
+                    expected += levels[kind]
                 assert calls == expected, (gap_tol, name)
-        assert kinds == {"not predicted", "stopped", "ran out"}
+        assert kinds == set(levels)
 
-    def test_stop_hook_changes_no_bit(self):
-        # The hook may overwrite the free buffers; stopping after k iterations
-        # gives the bits of a solve capped at k.
-        f, mask = blocky_instance(12, 3, hole=True)
-        params, cfg = params_for(), SolverConfig(inner_tol=1e-10, inner_max_iters=12)
-        plain = minimize_smooth(f, 0.01, f, mask, params, cfg)
-        seen = []
-
-        def scribble(k, u, free):
-            seen.append(k)
-            for buffer in free:
-                buffer.fill(np.nan)
-            return False
-
-        scribbled = minimize_smooth(f, 0.01, f, mask, params, cfg, _stop=scribble)
-        assert seen == list(range(plain.iterations))
-        assert same_bits(scribbled.u, plain.u)
-        assert scribbled.energy_history == plain.energy_history
-        assert scribbled.stop_reason == plain.stop_reason
-
-        stopped = minimize_smooth(f, 0.01, f, mask, params, cfg, _stop=lambda k, *_: k == 5)
-        cap_cfg = dataclasses.replace(cfg, inner_max_iters=5)
-        capped = minimize_smooth(f, 0.01, f, mask, params, cap_cfg)
-        assert (stopped.stop_reason, capped.stop_reason) == ("certified", "cap")
-        assert stopped.iterations == capped.iterations == 5
-        assert stopped.evaluations == capped.evaluations
-        assert same_bits(stopped.u, capped.u)
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_predicted_level_keeps_the_iteration_cap(self, monkeypatch, cap):
+        # From a start solved at delta0, the checkerboard's first level takes
+        # no iteration and its second is predicted to certify.  With a cap of
+        # 1 or 2 the first solve is the whole level and nothing is checked;
+        # with 3 the level checks once after 2 iterations, does not certify,
+        # and its second solve runs the one iteration left.
+        f, mask = checkerboard_instance()
+        params, cfg = params_for(), SolverConfig(inner_max_iters=cap)
+        start_cfg = SolverConfig(inner_tol=cfg.gap_tol * cfg.delta0)
+        start = minimize_smooth(default_initial(f, mask), cfg.delta0, f, mask, params, start_cfg)
+        calls = record_calls(monkeypatch)
+        _, _, recs = continuation(f, mask, params, cfg, u0=start.u)
+        assert len(recs) > 2 and recs[0].inner_iterations == 0
+        assert best_gap(recs[0]) * cfg.delta_factor**2 <= cfg.gap_tol
+        for r in recs:
+            assert r.inner_iterations <= cap
+            assert r.stop_reason != "cap" or r.inner_iterations == cap
+        second = ["solve", "certify", "solve"] if cap == 3 else ["solve"]
+        assert calls[: len(second) + 4] == ["solve", "certify", *second, "certify", "certify"]
+        assert recs[1].stop_reason == "cap" and recs[1].inner_iterations == cap
 
 
 class TestClampingAndMaxPrinciple:
