@@ -67,9 +67,12 @@ def _maybe_scalar(x, scalar_in):
 def phi(params: DensityParams, t):
     """Value of the radial density at t >= 0.
 
-    Closed forms: ``t - log(1 + t)`` at mu = 2, otherwise
+    Closed forms: ``t - log(1 + t)`` at mu = 2; for 1.5 <= mu != 2,
     ``t/(mu-1) - ((1+t)**(2-mu) - 1)/((mu-1)(2-mu))``, evaluated via
-    expm1/log1p so the mu -> 2 limit stays well conditioned.
+    expm1/log1p so the mu -> 2 limit stays well conditioned; for mu < 1.5,
+    ``((1 + t) phi'(t) - t)/(2 - mu)``, the same function.  Toward mu = 1 the
+    second form cancels, losing of the order of ``cbar t eps``; the third stays
+    within about ``20 t eps`` there but degrades toward mu = 2.
     """
     scalar_in = np.ndim(t) == 0
     return _maybe_scalar(_phi(params.mu, _check_nonneg(t)), scalar_in)
@@ -79,6 +82,8 @@ def _phi(mu, t):
     """``phi`` on a float array t >= 0, unchecked."""
     if mu == 2.0:
         return t - np.log1p(t)
+    if mu < 1.5:
+        return ((1.0 + t) * _phi_prime(mu, t) - t) / (2.0 - mu)
     return t / (mu - 1.0) - np.expm1((2.0 - mu) * np.log1p(t)) / (
         (mu - 1.0) * (2.0 - mu)
     )

@@ -300,9 +300,16 @@ def clamp_to_ball(u, radius: float) -> np.ndarray:
 def _clamp_in_place(u: np.ndarray, radius: float) -> np.ndarray:
     """``clamp_to_ball(u, radius)`` written over the float array u, which is returned.
 
-    A pixel whose norm overflows to inf is scaled by ``radius/inf = 0``.
+    A pixel is scaled by ``radius/|u|`` where its norm exceeds the radius.
+    Where that norm overflows to inf, the scale is ``radius/m/|u/m|`` instead,
+    m the pixel's largest ``|entry|``, so the pixel still lands on the sphere.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         norms = channel_norms(u)
         scale = np.where(norms > radius, radius / norms, 1.0)
+        huge = np.isinf(norms)
+        if huge.any():
+            pixels = u[huge]
+            top = np.maximum.reduce(np.abs(pixels), axis=-1)
+            scale[huge] = radius / top / channel_norms(pixels / top[:, None])
     return np.multiply(u, scale[..., None], out=u)

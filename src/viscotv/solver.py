@@ -21,12 +21,14 @@ large temporaries (``minimize_smooth``).
 ``continuation`` drives delta down a geometric schedule with warm starts,
 solves each level only as accurately as its viscous bias warrants, and stops
 at the first certificate whose relative duality gap clears ``gap_tol``
-(or when the schedule bottoms out at ``delta_min``).  Every level, however
-its inner solve stopped, ends in a certificate, and so does every call.
-From the second level on it also certifies the Richardson point of the last
-two levels, keeps the better certificate, and on a level predicted to
-certify lets that point, checked once after two inner iterations, end the
-level early (``continuation``).
+(or when the schedule bottoms out at ``delta_min``).  A level runs one
+inner solve, or two when it is predicted to certify: 2 iterations, then the
+rest of the cap.  From the second level on, each solve's iterate gives a
+Richardson point that is certified at once, and after the first of two
+solves a point gap of at most ``gap_tol/4`` ends the level.  The level's
+iterate is then certified, so every level, and every call, ends in a
+certificate; the better of the last point and the iterate stands
+(``continuation``).
 """
 
 from __future__ import annotations
@@ -96,16 +98,17 @@ class SolverConfig:
 class ConvergenceRecord:
     """One outer continuation step, for observability of the delta -> 0 limit.
 
-    ``inner_iterations`` and ``evaluations`` are summed over the level's one
-    or two inner solves, and ``stop_reason`` is the last one's
-    ``InnerResult`` field, or ``"certified"`` when the level's Richardson
-    point stopped it after its first solve (``continuation``).  Every other
-    field but the last describes the level's own iterate and its
-    certificate, the delta = 0 problem's (``dual.certify``).
-    ``extrapolated_gap`` is the relative gap of the level's Richardson point
-    (``continuation``), None on the first level.  Derived: ``better_point``,
-    ``"extrapolated"`` when that gap is strictly below ``relative_gap``, else
-    ``"iterate"``: the point ``continuation`` returns when it stops here.
+    A level runs one inner solve, or two when predicted to certify
+    (``continuation``).  ``inner_iterations`` and ``evaluations`` are summed
+    over them, and ``stop_reason`` is the last one's ``InnerResult`` field,
+    or ``"certified"`` when the Richardson point after the first of two
+    stopped the level.  Every other field but the last describes the level's
+    own iterate and its certificate, the delta = 0 problem's
+    (``dual.certify``).  ``extrapolated_gap`` is the relative gap of the
+    Richardson point of that iterate, None on the first level.  Derived:
+    ``better_point``, ``"extrapolated"`` when that gap is strictly below
+    ``relative_gap``, else ``"iterate"``: the point ``continuation`` returns
+    when it stops here.
     """
 
     delta: float
@@ -300,9 +303,9 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     )
 
 
-def _richardson(v, u1, c, bound, out):
-    """``v + c (v - u1)`` formed in ``out`` and projected there onto ``|.| <= bound``."""
-    point = np.subtract(v, u1, out=out)
+def _richardson(v, u1, c, bound):
+    """``v + c (v - u1)`` projected pixelwise onto ``|.| <= bound``, in an array of its own."""
+    point = np.subtract(v, u1)
     point *= c
     point += v
     return _clamp_in_place(point, bound)
@@ -331,22 +334,21 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
     raises neither energy term and keeps the maximum principle; it takes the
     iterate's delta-free certificate, rigorous at any point.
 
-    Each level is solved, its iterate certified once the solve returns, and
-    the point formed over u1, which the level no longer needs, and certified.
-    The level's certificate is the point's if its gap is strictly smaller,
-    else the iterate's, and the call returns the point that gave it.  A
-    level is predicted to certify when the better gap of the level before,
+    A level is predicted to certify when the better gap of the level before,
     times ``delta_factor**2``, is at most ``gap_tol``, as the gap shrinks
-    like delta^2.  Such a level is first solved for at most 2 iterations.
-    If that solve stops at its cap and the level's ``inner_max_iters``
-    leaves room, the point of that iterate is formed in an array of its own
-    and certified; at a gap of at most ``gap_tol / 4``, a margin that keeps
-    the certificates of such levels well inside the tolerance, the level
-    stops there as ``certified`` with that point and certificate.  Otherwise
-    a second solve goes on from the iterate for the rest of the level's
-    ``inner_max_iters`` and the level ends as above.  The next level starts
-    from the level's own iterate, and the records describe the iterates
-    (``ConvergenceRecord``).
+    like delta^2.  Each level runs its solve budgets in turn, each solve
+    going on from the last one's iterate: ``(inner_max_iters,)``, or
+    ``(2, inner_max_iters - 2)`` for a predicted level when
+    ``inner_max_iters > 2``.  From the second level on, each solve's point
+    is formed in an array of its own and certified.  The level ends when a
+    solve stops short of its cap or was its last; after the first of two
+    solves, a point gap of at most ``gap_tol / 4``, a margin that keeps the
+    certificates of such levels well inside the tolerance, ends it as
+    ``certified``.  The level's iterate is then certified once.  The level's
+    certificate is its last point's if that gap is strictly smaller, else
+    the iterate's, and the call returns the point that gave it.  The next
+    level starts from the level's own iterate, and the records describe the
+    iterates (``ConvergenceRecord``).
 
     f and u0 are taken channel-planar (``grid.validate_image``) for the
     solve; the returned u is C-contiguous.  An explicit u0 is first
@@ -365,31 +367,28 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
     delta, previous = cfg.delta0, None  # previous: the last level's delta and best gap
     while True:
         t0 = time.perf_counter()
-        level_cfg = replace(cfg, inner_tol=max(cfg.inner_tol, cfg.gap_tol * delta))
-        u1, extra, cap = u, None, cfg.inner_max_iters  # extra: the level's point and certificate
+        tol = max(cfg.inner_tol, cfg.gap_tol * delta)
+        u1, budgets, extra = u, (cfg.inner_max_iters,), None  # extra: the point and its certificate
         if previous is not None:
             c = delta / (previous[0] - delta)
-            if previous[1] * cfg.delta_factor**2 <= cfg.gap_tol:
-                cap = min(2, cap)
-        inner = minimize_smooth(u, delta, f, mask, params, replace(level_cfg, inner_max_iters=cap))
-        iterations, evaluations = inner.iterations, inner.evaluations
-        stop_reason = inner.stop_reason
-        if stop_reason == "cap" and cap < cfg.inner_max_iters:  # a predicted level's check
-            point = _richardson(inner.u, u1, c, bound, np.empty_like(inner.u))
-            extra = point, certify(point, f, mask, params, bound)
-            if extra[1].relative_gap <= cfg.gap_tol / 4.0:
+            if previous[1] * cfg.delta_factor**2 <= cfg.gap_tol and cfg.inner_max_iters > 2:
+                budgets = (2, cfg.inner_max_iters - 2)
+        iterations = evaluations = 0
+        for k, cap in enumerate(budgets, 1):
+            solve_cfg = replace(cfg, inner_tol=tol, inner_max_iters=cap)
+            inner = minimize_smooth(u, delta, f, mask, params, solve_cfg)
+            u, stop_reason = inner.u, inner.stop_reason
+            iterations += inner.iterations
+            evaluations += inner.evaluations
+            if previous is not None:
+                point = _richardson(u, u1, c, bound)
+                extra = point, certify(point, f, mask, params, bound)
+            if stop_reason != "cap":
+                break
+            if k < len(budgets) and extra[1].relative_gap <= cfg.gap_tol / 4.0:
                 stop_reason = "certified"
-            else:
-                rest_cfg = replace(level_cfg, inner_max_iters=cfg.inner_max_iters - cap)
-                inner = minimize_smooth(inner.u, delta, f, mask, params, rest_cfg)
-                iterations += inner.iterations
-                evaluations += inner.evaluations
-                extra, stop_reason = None, inner.stop_reason
-        u = inner.u
+                break
         cert = certify(u, f, mask, params, bound)
-        if previous is not None and extra is None:
-            point = _richardson(u, u1, c, bound, u1)
-            extra = point, certify(point, f, mask, params, bound)
         best, returned = cert, u
         if extra is not None and extra[1].relative_gap < cert.relative_gap:
             returned, best = extra

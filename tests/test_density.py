@@ -377,6 +377,15 @@ class TestFenchelYoung:
         rhs = t * s - phi(p, t)
         assert np.all(np.abs(phi_conjugate(p, s) - rhs) <= 1e-10 * np.abs(rhs))
 
+    @pytest.mark.parametrize("mu", [1.0 + 1e-7, 1.0001, 1.01])
+    def test_equality_next_to_mu_one(self, mu):
+        # cbar = 1/(mu - 1) is huge here; phi's form for mu < 1.5 keeps its
+        # error near t * eps, where the form for mu >= 1.5 loses cbar * t * eps.
+        p = DensityParams(mu)
+        t = np.array([1e-6, 1e-2, 1.0, 1e2])
+        s = phi_prime(p, t)
+        assert np.all(np.abs(phi(p, t) + phi_conjugate(p, s) - t * s) <= 1e-12)
+
     def test_inequality_for_feasible_pairs(self):
         rng = np.random.default_rng(8)
         for mu in MUS:

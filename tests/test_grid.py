@@ -212,6 +212,18 @@ class TestClamp:
         u = np.array([[[3.0, 4.0]]])
         assert np.allclose(clamp_to_ball(u, 1.0)[0, 0], [0.6, 0.8])
 
+    def test_overflowing_norm_is_projected(self):
+        # The norms of the first two pixels overflow to inf; each still lands
+        # on the sphere, along its own direction, and the finite pixel beside
+        # them takes the bits of its own projection.
+        u = np.array([[[3e200, -4e200], [1e308, 1e308], [3.0, 4.0]]])
+        clamped = clamp_to_ball(u, 0.5)
+        with np.errstate(over="ignore"):
+            assert np.isinf(channel_norms(u)[0, :2]).all()
+        assert np.allclose(clamped[0, :2], [[0.3, -0.4], [0.5**1.5, 0.5**1.5]], rtol=1e-15, atol=0)
+        assert same_bits(clamped[0, 2], clamp_to_ball(u[:, 2:], 0.5)[0, 0])
+        assert clamp_to_ball(np.array([[[1.7e200]]]), 0.5)[0, 0, 0] == 0.5
+
     def test_rejects_negative_radius(self):
         for radius in (-1.0, float("nan")):
             with pytest.raises(ValueError):

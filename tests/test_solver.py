@@ -512,7 +512,9 @@ class TestContinuation:
         # the last one's stop, residual and energy.  Every record, a
         # certified level's too, carries the delta-free certificate of that
         # iterate.  The call returns the last iterate or its clamped
-        # Richardson point, whichever has the smaller gap.
+        # Richardson point, whichever has the smaller gap.  From the second
+        # level on, a record's extrapolated_gap is the certificate of the
+        # point of its iterate and the one before.
         cfg, params = SolverConfig(), params_for()
         for case, certifies in (("checkerboard", False), ("denoise_color", True)):
             f, mask = INSTANCES[case]()
@@ -546,6 +548,12 @@ class TestContinuation:
                 level = (r.I_value, r.dual_value, r.relative_gap)
                 assert level == (cert_v.primal_value, cert_v.dual_value, cert_v.relative_gap)
                 iterates.append((delta, v))
+                if before is None:
+                    assert r.extrapolated_gap is None
+                else:
+                    point = richardson_point(*iterates[-2:], bound)
+                    cert_point = dual.certify(point, f, mask, params, bound)
+                    assert r.extrapolated_gap == cert_point.relative_gap
                 delta *= cfg.delta_factor
                 before = r
             point = richardson_point(*iterates[-2:], bound)
@@ -558,6 +566,8 @@ class TestContinuation:
         # first level, in a copy.  Unprojected, the first start's energy sums
         # past the float range (each pixel 1.4e306), and the second's pixel
         # norm overflows, so its energy is inf - inf = nan and no step passes.
+        # Projected, that pixel lands on f's value as a finite 1.7e153 does,
+        # and both starts are the minimizer itself.
         f = np.zeros((8, 16, 1))
         mask = np.zeros((8, 16), dtype=bool)
         params = params_for(lam=1.0)
@@ -574,6 +584,26 @@ class TestContinuation:
         assert cert.relative_gap <= SolverConfig().gap_tol
         assert check_max_principle(u, f, mask).passed
         assert u0[0, 0, 0] == 1.7e200 and (u0.ravel()[1:] == 0.5).all()
+        finite = u0.copy()
+        finite[0, 0, 0] = 1.7e153
+        _, _, finite_recs = continuation(f, mask, params, SolverConfig(), u0=finite)
+        no_clock = [dataclasses.replace(r, wall_seconds=0.0) for r in recs]
+        assert no_clock == [dataclasses.replace(r, wall_seconds=0.0) for r in finite_recs]
+        assert [r.inner_iterations for r in recs] == [0]
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_mu_next_to_one_certifies(self, seed):
+        # At zeta = mu = 1 + 1e-7, phi's expm1 form, kept for mu >= 1.5, loses
+        # about cbar * t * eps to cancellation: the primal energy read low and
+        # certify found weak duality violated on these seeds.
+        f = np.random.default_rng(seed).uniform(size=(6, 6, 2))
+        mask = np.zeros((6, 6), dtype=bool)
+        mask[0, 0] = True
+        mu = 1.0 + 1e-7
+        params = ModelParams(lam=1e300, zeta=mu, density=DensityParams(mu))
+        _, cert, _ = continuation(f, mask, params, SolverConfig())
+        assert 0.0 <= cert.relative_gap <= SolverConfig().gap_tol
+        assert cert.dual_value <= cert.primal_value
 
     def test_scaled_board_certifies_at_large_mu(self):
         # [0, 255] data at mu = 15: phi' of the board's large gradients rounds
@@ -740,13 +770,15 @@ class TestRichardson:
 
     def test_point_is_clamped_to_the_ball(self):
         # v + (v - u1)/9 leaves the ball |v| <= L = 1 wherever f = 1.  The
-        # point is formed over u1, as continuation forms it after a solve, and
-        # takes the delta-free certificate whatever the viscosity of params.
+        # point is formed in an array of its own, u1 and v left as they were,
+        # and takes the delta-free certificate whatever the viscosity of params.
         f, mask = checkerboard_instance()
         params, u1 = params_for().with_delta(0.01), np.full(f.shape, 0.5)
         raw = f + 0.01 / (0.1 - 0.01) * (f - u1)
-        point = solver._richardson(f, u1, 0.01 / (0.1 - 0.01), 1.0, u1)
-        assert point is u1 and raw.max() > 1.0
+        v = f.copy()
+        point = solver._richardson(v, u1, 0.01 / (0.1 - 0.01), 1.0)
+        assert point is not u1 and point is not v and raw.max() > 1.0
+        assert (u1 == 0.5).all() and same_bits(v, f)
         assert same_bits(point, clamp_to_ball(raw, 1.0))
         assert check_max_principle(point, f, mask).passed
         cert = solver.certify(point, f, mask, params, 1.0)
