@@ -72,7 +72,9 @@ def phi(params: DensityParams, t):
     expm1/log1p so the mu -> 2 limit stays well conditioned; for mu < 1.5,
     ``((1 + t) phi'(t) - t)/(2 - mu)``, the same function.  Toward mu = 1 the
     second form cancels, losing of the order of ``cbar t eps``; the third stays
-    within about ``20 t eps`` there but degrades toward mu = 2.
+    within about ``20 t eps`` there but degrades toward mu = 2.  At mu != 2,
+    t below ``_RADIAL_TOL`` takes the Taylor form ``(t^2/2)(1 - mu t/3)``,
+    which keeps phi >= 0 where those errors would exceed phi itself.
     """
     scalar_in = np.ndim(t) == 0
     return _maybe_scalar(_phi(params.mu, _check_nonneg(t)), scalar_in)
@@ -83,10 +85,14 @@ def _phi(mu, t):
     if mu == 2.0:
         return t - np.log1p(t)
     if mu < 1.5:
-        return ((1.0 + t) * _phi_prime(mu, t) - t) / (2.0 - mu)
-    return t / (mu - 1.0) - np.expm1((2.0 - mu) * np.log1p(t)) / (
-        (mu - 1.0) * (2.0 - mu)
-    )
+        value = ((1.0 + t) * _phi_prime(mu, t) - t) / (2.0 - mu)
+    else:
+        value = t / (mu - 1.0) - np.expm1((2.0 - mu) * np.log1p(t)) / (
+            (mu - 1.0) * (2.0 - mu)
+        )
+    # Both forms cancel to about t*eps, which exceeds phi ~ t^2/2 for tiny t
+    # and can turn it negative; the Taylor expansion about 0 cannot.
+    return np.where(t < _RADIAL_TOL, 0.5 * t * t * (1.0 - mu * t / 3.0), value)
 
 
 def phi_prime(params: DensityParams, t):

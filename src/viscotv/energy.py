@@ -165,27 +165,22 @@ class _Point:
     then drops ``grad``, ``dev`` and the norms.  It also sets
     ``density_residual``, the gradient ``-div DF_delta(grad u)`` of the
     density part alone.  A point kept after its residual holds only
-    ``pixel_energy`` and these two fields.  u and f are kept by reference,
-    not copied; the arrays are taken as ``grid._shape_check`` returns them.
+    ``pixel_energy`` and these two fields; it keeps neither u nor f, and the
+    arrays are taken as ``grid._shape_check`` returns them.
 
     ``grad_out`` (H, W, 2, M), ``dev_out`` and ``div_out`` (H, W, M), if
     given, are the buffers that receive ``grad``, ``dev`` (then the residual)
     and ``density_residual``; each is allocated, channel-planar, when None.
-    The caller must not reuse a buffer while the point still reads it.  A
-    ``dev`` the point allocated itself is dropped once its norms are taken,
-    so the per-pixel temporaries after it reuse its memory, and ``residual()``
-    takes ``u - f`` again (kept through ``certify``'s bands, it read slower
-    on 512x512x3 audits in process pairs; ``BENCH_20.json``).
+    The caller must not reuse a buffer while the point still reads it.
     """
 
     def __init__(self, u, f, mask, params: ModelParams, grad_out=None, dev_out=None, div_out=None):
-        self.u, self.f, self.mask = u, f, mask
+        self.mask = mask
         self.params = params
         self.grad = gradient(u, grad_out)
         self.grad_norms = pixel_norms(self.grad)
-        dev = np.subtract(u, f, out=dev_out)
-        self.dev_norms = channel_norms(dev)
-        self.dev = None if dev_out is None else dev
+        self.dev = np.subtract(u, f, out=dev_out)
+        self.dev_norms = channel_norms(self.dev)
         self.pixel_energy = density_value(
             params.density, self.grad, norms=self.grad_norms
         ) + _fidelity_field(self.dev_norms, self.mask, params)
@@ -216,10 +211,9 @@ class _Point:
                     scale = np.where(norms > 0.0, norms ** (params.zeta - 2.0), 0.0)
                 coef = coef * scale[..., None]
             # Built in place; the same bits as density_residual + coef*(u - f).
-            res = np.subtract(self.u, self.f) if dev is None else dev
-            res *= coef
-            res += self.density_residual
-            self._residual = res
+            dev *= coef
+            dev += self.density_residual
+            self._residual = dev
         return self._residual
 
 

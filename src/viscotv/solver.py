@@ -21,14 +21,11 @@ large temporaries (``minimize_smooth``).
 ``continuation`` drives delta down a geometric schedule with warm starts,
 solves each level only as accurately as its viscous bias warrants, and stops
 at the first certificate whose relative duality gap clears ``gap_tol``
-(or when the schedule bottoms out at ``delta_min``).  A level runs one
-inner solve, or two when it is predicted to certify: 2 iterations, then the
-rest of the cap.  From the second level on, each solve's iterate gives a
-Richardson point that is certified at once, and after the first of two
-solves a point gap of at most ``gap_tol/4`` ends the level.  The level's
-iterate is then certified, so every level, and every call, ends in a
-certificate; the better of the last point and the iterate stands
-(``continuation``).
+(or when the schedule bottoms out at ``delta_min``).  Every level ends in
+the certificate of its iterate and, from the second level on, of a
+Richardson point of the last two iterates; the better of the two stands.
+How a level splits its solves and when it checks its point is stated once,
+in ``continuation``.
 """
 
 from __future__ import annotations
@@ -98,12 +95,12 @@ class SolverConfig:
 class ConvergenceRecord:
     """One outer continuation step, for observability of the delta -> 0 limit.
 
-    A level runs one inner solve, or two when predicted to certify
-    (``continuation``).  ``inner_iterations`` and ``evaluations`` are summed
+    A level runs one inner solve or two, by the rule stated in
+    ``continuation``.  ``inner_iterations`` and ``evaluations`` are summed
     over them, and ``stop_reason`` is the last one's ``InnerResult`` field,
-    or ``"certified"`` when the Richardson point after the first of two
-    stopped the level.  Every other field but the last describes the level's
-    own iterate and its certificate, the delta = 0 problem's
+    or ``"certified"`` when the Richardson point checked after the first of
+    two stopped the level.  Every other field but the last describes the
+    level's own iterate and its certificate, the delta = 0 problem's
     (``dual.certify``).  ``extrapolated_gap`` is the relative gap of the
     Richardson point of that iterate, None on the first level.  Derived:
     ``better_point``, ``"extrapolated"`` when that gap is strictly below
@@ -334,17 +331,15 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
     raises neither energy term and keeps the maximum principle; it takes the
     iterate's delta-free certificate, rigorous at any point.
 
-    A level is predicted to certify when the better gap of the level before,
-    times ``delta_factor**2``, is at most ``gap_tol``, as the gap shrinks
-    like delta^2.  Each level runs its solve budgets in turn, each solve
-    going on from the last one's iterate: ``(inner_max_iters,)``, or
-    ``(2, inner_max_iters - 2)`` for a predicted level when
-    ``inner_max_iters > 2``.  From the second level on, each solve's point
-    is formed in an array of its own and certified.  The level ends when a
-    solve stops short of its cap or was its last; after the first of two
-    solves, a point gap of at most ``gap_tol / 4``, a margin that keeps the
-    certificates of such levels well inside the tolerance, ends it as
-    ``certified``.  The level's iterate is then certified once.  The level's
+    Each level runs its solve budgets in turn, each solve going on from the
+    last one's iterate: ``(inner_max_iters,)`` on the first level and on
+    every level when ``inner_max_iters <= 2``, else, from the second level
+    on, ``(2, inner_max_iters - 2)``.  From the second level on, each
+    solve's point is formed in an array of its own and certified.  The level
+    ends when a solve stops short of its cap or was its last; after the
+    first of two solves, a point gap of at most ``gap_tol / 4``, a margin
+    that keeps the certificates of such levels well inside the tolerance,
+    ends it as ``certified``.  The level's iterate is then certified once.  The level's
     certificate is its last point's if that gap is strictly smaller, else
     the iterate's, and the call returns the point that gave it.  The next
     level starts from the level's own iterate, and the records describe the
@@ -364,14 +359,14 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
     else:
         u = clamp_to_ball(validate_image(u0, name="u0"), bound)
     records = []
-    delta, previous = cfg.delta0, None  # previous: the last level's delta and best gap
+    delta = cfg.delta0
     while True:
         t0 = time.perf_counter()
         tol = max(cfg.inner_tol, cfg.gap_tol * delta)
         u1, budgets, extra = u, (cfg.inner_max_iters,), None  # extra: the point and its certificate
-        if previous is not None:
-            c = delta / (previous[0] - delta)
-            if previous[1] * cfg.delta_factor**2 <= cfg.gap_tol and cfg.inner_max_iters > 2:
+        if records:
+            c = delta / (records[-1].delta - delta)
+            if cfg.inner_max_iters > 2:
                 budgets = (2, cfg.inner_max_iters - 2)
         iterations = evaluations = 0
         for k, cap in enumerate(budgets, 1):
@@ -380,7 +375,7 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
             u, stop_reason = inner.u, inner.stop_reason
             iterations += inner.iterations
             evaluations += inner.evaluations
-            if previous is not None:
+            if records:
                 point = _richardson(u, u1, c, bound)
                 extra = point, certify(point, f, mask, params, bound)
             if stop_reason != "cap":
@@ -410,8 +405,7 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
         )
         if best.relative_gap <= cfg.gap_tol:
             break
-        next_delta = delta * cfg.delta_factor
-        if next_delta < cfg.delta_min * (1.0 - 1e-12):
+        delta *= cfg.delta_factor
+        if delta < cfg.delta_min * (1.0 - 1e-12):
             break
-        delta, previous = next_delta, (delta, best.relative_gap)
     return np.ascontiguousarray(returned), best, records

@@ -119,6 +119,27 @@ class TestPhi:
                 assert abs(phi(p, t) - q) <= 1e-10 * abs(q)
 
 
+class TestPhiNearZero:
+    """phi ~ t^2/2 near 0, where the closed forms' cancellation exceeds phi itself."""
+
+    T = np.geomspace(1e-300, 1e-3, 20000)
+
+    @pytest.mark.parametrize("mu", [1.0 + 1e-7, 1.0001, 1.01, 1.4999, 1.9, 2.0, 15.0, 50.0])
+    def test_nonnegative(self, mu):
+        assert (phi(DensityParams(mu), self.T) >= 0.0).all()
+
+    @pytest.mark.parametrize("mu", [1.0 + 1e-7, 1.0001, 1.01, 1.4999, 1.9, 15.0, 50.0])
+    def test_between_taylor_bounds_below_the_threshold(self, mu):
+        # phi'' = (1 + t)^-mu lies in [(1 + t)^-mu, 1] on [0, t], so
+        # (t^2/2)(1 + t)^-mu <= phi(t) <= t^2/2.  (1 + t)^-mu is taken as
+        # exp(-mu log1p(t)), which does not round 1 + t to 1.
+        t = self.T[self.T < _RADIAL_TOL]
+        half_square = 0.5 * t * t
+        value = phi(DensityParams(mu), t)
+        assert (half_square * np.exp(-mu * np.log1p(t)) <= value).all()
+        assert (value <= half_square).all()
+
+
 class TestDensityValue:
     def test_zero_matrix(self):
         assert density_value(DensityParams(2.0, 0.3), np.zeros((2, 3))) == 0.0

@@ -608,8 +608,10 @@ class TestFusedEvaluation:
         assert total == _fsum(point.pixel_energy)
         # On the solver's buffers: the gradient, u - f (then the residual)
         # and the density residual land in them, with the same bits.  A
-        # u - f of the point's own is dropped once its norms are taken.
-        assert _Point(u, f, mask, params).dev is None
+        # u - f of the point's own receives its residual the same way.
+        own = _Point(u, f, mask, params)
+        dev = own.dev
+        assert same_bits(dev, u - f) and own.residual() is dev
         buffers = [_planar_empty(s) for s in (u.shape[:2] + (2, channels), u.shape, u.shape)]
         for buffer in buffers:
             buffer.fill(np.nan)

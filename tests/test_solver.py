@@ -51,21 +51,15 @@ def blocky_instance(n, channels, hole, seed=0):
     return f, mask
 
 
-# Continuation instances at the default settings.  Each second level is
-# predicted to certify.  That of the color denoising certifies at its check
-# after 2 iterations; those of the checkerboard and the gray inpainting do
-# not clear gap_tol/4 there and run on to their residual.  All three return
-# the Richardson point.
+# Continuation instances at the default settings.  The second level of the
+# color denoising certifies at its check after 2 iterations; those of the
+# checkerboard and the gray inpainting do not clear gap_tol/4 there and run
+# on to their residual.  All three return the Richardson point.
 INSTANCES = {
     "checkerboard": checkerboard_instance,
     "denoise_color": lambda: blocky_instance(16, 3, hole=False),
     "inpaint_gray": lambda: blocky_instance(16, 1, hole=True, seed=7),
 }
-
-
-def best_gap(record):
-    """The smaller of a record's two gaps, the one ``continuation`` predicts from."""
-    return min(record.relative_gap, record.extrapolated_gap or math.inf)
 
 
 def replace_cap(cfg, inner_max_iters):
@@ -486,9 +480,11 @@ class TestContinuation:
 
     def test_tiny_gap_tol_keeps_exact_levels(self):
         # With gap_tol * delta below inner_tol every level is solved exactly
-        # as minimize_smooth solves it with the caller's config, and no level
-        # is predicted to certify.  The call returns the last iterate or its
-        # clamped Richardson point, whichever has the smaller gap.
+        # as minimize_smooth solves it with the caller's config: the first in
+        # one solve, each later one as a solve capped at 2 and the rest of
+        # the cap from its iterate.  No level certifies.  The call returns
+        # the last iterate or its clamped Richardson point, whichever has the
+        # smaller gap.
         f, mask = checkerboard_instance()
         cfg = SolverConfig(gap_tol=1e-30, delta_min=1e-3)
         u, cert, recs = continuation(f, mask, params_for(), cfg)
@@ -496,7 +492,13 @@ class TestContinuation:
         assert all(r.stop_reason != "certified" for r in recs)
         v, delta, iterates = default_initial(f, mask), cfg.delta0, []
         for _ in recs:
-            v = minimize_smooth(v, delta, f, mask, params_for(), cfg).u
+            if iterates:
+                first = minimize_smooth(v, delta, f, mask, params_for(), replace_cap(cfg, 2))
+                assert first.stop_reason == "cap"
+                v, rest = first.u, replace_cap(cfg, cfg.inner_max_iters - 2)
+                v = minimize_smooth(v, delta, f, mask, params_for(), rest).u
+            else:
+                v = minimize_smooth(v, delta, f, mask, params_for(), cfg).u
             iterates.append((delta, v))
             delta *= cfg.delta_factor
         point = richardson_point(*iterates[-2:], sup_known_norm(f, mask))
@@ -505,10 +507,10 @@ class TestContinuation:
         assert cert.relative_gap == min(recs[-1].relative_gap, recs[-1].extrapolated_gap)
 
     def test_records_carry_level_evaluations(self):
-        # A level not predicted to certify is a plain minimize_smooth at its
-        # gap-scaled tolerance.  A predicted one is a solve capped at 2 and,
-        # unless its check certified, a solve capped at inner_max_iters - 2
-        # from that iterate; the record sums the two solves' counts and takes
+        # The first level is a plain minimize_smooth at its gap-scaled
+        # tolerance.  Each later one is a solve capped at 2 and, unless its
+        # check certified, a solve capped at inner_max_iters - 2 from that
+        # iterate; the record sums the two solves' counts and takes
         # the last one's stop, residual and energy.  Every record, a
         # certified level's too, carries the delta-free certificate of that
         # iterate.  The call returns the last iterate or its clamped
@@ -524,15 +526,13 @@ class TestContinuation:
             v, delta, iterates, before = default_initial(f, mask), cfg.delta0, [], None
             for r in recs:
                 level_cfg = SolverConfig(inner_tol=max(cfg.inner_tol, cfg.gap_tol * delta))
-                predicted = before is not None  # every later level here is predicted
-                if predicted:
-                    assert best_gap(before) * cfg.delta_factor**2 <= cfg.gap_tol, case
-                cap = 2 if predicted else cfg.inner_max_iters
+                later = before is not None
+                cap = 2 if later else cfg.inner_max_iters
                 inner = minimize_smooth(v, delta, f, mask, params, replace_cap(level_cfg, cap))
                 iterations, evaluations = inner.iterations, inner.evaluations
                 if r.stop_reason == "certified":
                     assert inner.stop_reason == "cap" and r.extrapolated_gap <= cfg.gap_tol / 4
-                elif predicted:
+                elif later:
                     rest = replace_cap(level_cfg, cfg.inner_max_iters - 2)
                     inner = minimize_smooth(inner.u, delta, f, mask, params, rest)
                     iterations += inner.iterations
@@ -826,21 +826,20 @@ class TestRichardson:
             assert all(r.extrapolated_gap is not None for r in recs[1:])
 
     @pytest.mark.parametrize("gap_tol", [1e-4, 1e-6])
-    def test_certified_levels_are_predicted_and_clear_a_quarter(self, gap_tol):
-        # A level checks its point only when the previous level's better gap
-        # times delta_factor^2 is at most gap_tol, once, after 2 iterations.
-        # No instance here certifies at 1e-6, where the rule alone is asserted.
+    def test_certified_levels_clear_a_quarter(self, gap_tol):
+        # Every level after the first checks its point once, after 2
+        # iterations.  No instance here certifies a level at 1e-6, where only
+        # the final gap and the first level are asserted.
         cfg = SolverConfig(gap_tol=gap_tol)
         certified = 0
         for name in INSTANCES:
             f, mask = INSTANCES[name]()
             _, cert, recs = continuation(f, mask, params_for(), cfg)
             assert cert.relative_gap <= gap_tol
-            for before, r in zip(recs, recs[1:]):
+            for r in recs[1:]:
                 if r.stop_reason != "certified":
                     continue
                 certified += 1
-                assert best_gap(before) * cfg.delta_factor**2 <= gap_tol
                 assert r.inner_iterations == 2
                 assert r.extrapolated_gap <= gap_tol / 4
             assert recs[0].stop_reason != "certified"
@@ -848,13 +847,12 @@ class TestRichardson:
 
     def test_certify_calls_per_level(self, monkeypatch):
         # Each level certifies its iterate once its solves return and, from
-        # the second level on, its point.  A level predicted to certify
-        # certifies the point once more, between its solve capped at 2 and
-        # the solve of the rest, and a check that stops the level leaves that
-        # point and certificate standing.
+        # the second level on, its point.  A later level certifies the point
+        # once more, between its solve capped at 2 and the solve of the rest,
+        # and a check that stops the level leaves that point and certificate
+        # standing.  At gap_tol 1e-6 no check stops a level.
         calls = record_calls(monkeypatch)
         levels = {
-            "not predicted": ["solve", "certify", "certify"],
             "stopped": ["solve", "certify", "certify"],
             "ran on": ["solve", "certify", "solve", "certify", "certify"],
         }
@@ -866,22 +864,17 @@ class TestRichardson:
                 calls.clear()
                 _, _, recs = continuation(f, mask, params_for(), cfg)
                 expected = ["solve", "certify"]
-                for before, r in zip(recs, recs[1:]):
-                    if best_gap(before) * cfg.delta_factor**2 > gap_tol:
-                        kind = "not predicted"
-                    elif r.stop_reason == "certified":
-                        kind = "stopped"
-                    else:
-                        kind = "ran on"
-                    kinds.add(kind)
+                for r in recs[1:]:
+                    kind = "stopped" if r.stop_reason == "certified" else "ran on"
+                    kinds.add((gap_tol, kind))
                     expected += levels[kind]
                 assert calls == expected, (gap_tol, name)
-        assert kinds == set(levels)
+        assert kinds == {(1e-4, "stopped"), (1e-4, "ran on"), (1e-6, "ran on")}
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
-    def test_predicted_level_keeps_the_iteration_cap(self, monkeypatch, cap):
+    def test_later_level_keeps_the_iteration_cap(self, monkeypatch, cap):
         # From a start solved at delta0, the checkerboard's first level takes
-        # no iteration and its second is predicted to certify.  With a cap of
+        # no iteration and its second checks its point.  With a cap of
         # 1 or 2 the first solve is the whole level and nothing is checked;
         # with 3 the level checks once after 2 iterations, does not certify,
         # and its second solve runs the one iteration left.
@@ -892,7 +885,6 @@ class TestRichardson:
         calls = record_calls(monkeypatch)
         _, _, recs = continuation(f, mask, params, cfg, u0=start.u)
         assert len(recs) > 2 and recs[0].inner_iterations == 0
-        assert best_gap(recs[0]) * cfg.delta_factor**2 <= cfg.gap_tol
         for r in recs:
             assert r.inner_iterations <= cap
             assert r.stop_reason != "cap" or r.inner_iterations == cap
