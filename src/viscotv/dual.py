@@ -182,11 +182,13 @@ def _certify_band(u, f, mask, target: ModelParams, r0: int, r1: int):
     ``-div`` of row r0 reads the flux of row r0 - 1, and the gradient of row
     r1 - 1 reads u of row r1.  Unless r1 = h, the point's last row, whose
     gradient and divergence are truncated, is then row r1, which is not
-    kept.  tau is written over the point's gradient.
+    kept.  tau is written over the point's gradient; the point's ``u - f``,
+    which certify never reads, is dropped at once.
     """
     a, b = max(r0 - 1, 0), min(r1 + 1, len(u))
     keep = slice(r0 - a, r1 - a)
     point = _Point(u[a:b], f[a:b], mask[a:b], target)
+    point.dev = None
     tau = density_gradient(target.density, point.grad, norms=point.grad_norms, out=point.grad)
     split = _split(_negative_divergence(tau)[keep], f[r0:r1], mask[r0:r1])
     return [point.pixel_energy[keep], pixel_norms(tau[keep]), *split]

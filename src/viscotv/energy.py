@@ -117,15 +117,12 @@ def _newton_shrink(a, c, zeta):
 
 
 def _prox_shrink(a, c, zeta):
-    """``r/a`` for the root r >= 0 of ``r + c*r**(zeta-1) = a``.
+    """``r/a`` for the root r >= 0 of ``r + c*r**(zeta-1) = a``, zeta != 2.
 
-    Closed forms at zeta = 2 and zeta = 1.5, Newton otherwise.  At zeta = 2
-    the shrink is the scalar ``1/(1 + c)`` for every a, and a is not read.
-    At zeta = 1.5 the closed form made a 32x32 inpainting solve 1.4-2.1x
-    faster than Newton (2-vCPU host, BENCH_4.json).
+    A closed form at zeta = 1.5, Newton otherwise; ``_fidelity_prox`` takes
+    zeta = 2 itself.  At zeta = 1.5 the closed form made a 32x32 inpainting
+    solve 1.4-2.1x faster than Newton (2-vCPU host, BENCH_4.json).
     """
-    if zeta == 2.0:
-        return 1.0 / (1.0 + c)
     if zeta == 1.5:  # sqrt(r) = 2a / (c + sqrt(c^2 + 4a))
         return 4.0 * a / (c + np.sqrt(c * c + 4.0 * a)) ** 2
     return _newton_shrink(a, c, zeta)
@@ -142,8 +139,8 @@ def _fidelity_prox(w, f, mask, params: ModelParams, gamma: float, *, out=None) -
     """
     prox = np.subtract(w, f, out=out)  # the deviation, shrunk and shifted back in place
     c = gamma * params.lam
-    if params.zeta == 2.0:  # one shrink for every pixel: no deviation norms
-        prox *= _prox_shrink(None, c, 2.0)
+    if params.zeta == 2.0:  # r/a = 1/(1 + c) for every a: no deviation norms
+        prox *= 1.0 / (1.0 + c)
     else:
         prox *= _prox_shrink(channel_norms(prox), c, params.zeta)[..., None]
     prox += f

@@ -13,13 +13,12 @@ In memory the fields are channel-planar: ``gradient`` fills a
 one, and each returns the transposed view with the public shape, so every
 (component, channel) pair is one contiguous ``(height, width)`` plane
 (``_planar_empty``).  Both take an optional ``out`` of the public shape
-instead, which ``solver.minimize_smooth`` allocates planar once per call.
-``validate_image`` and ``solver.minimize_smooth`` take a solve's inputs
-planar (``_planar``).  numpy's elementwise operations keep the memory order
-of their inputs, so the fields derived from these stay planar, and the
-per-plane loop of ``_sum_products`` (every norm, the dual's ``d . f``) runs
-over contiguous memory instead of 3-wide strided rows.  At M = 1 a planar
-image is the same memory as a row-major one.  ``gradient`` and
+instead, which ``solver.minimize_smooth`` allocates planar once per call,
+and a solve takes f planar (``_planar``).  numpy's elementwise operations
+keep the memory order of their inputs, so the fields derived from these stay
+planar, and the per-plane loop of ``_sum_products`` (every norm, the dual's
+``d . f``) runs over contiguous memory instead of 3-wide strided rows.  At
+M = 1 a planar image is the same memory as a row-major one.  ``gradient`` and
 ``divergence`` take each difference as one pass over a plane's rows stitched
 end to end (``_rows``), a view that planar and row-major arrays and their row
 bands ``x[a:b]`` all have, and then rewrite the edge column.
@@ -46,7 +45,6 @@ __all__ = [
     "clamp_to_ball",
     "channel_norms",
     "pixel_norms",
-    "validate_image",
     "validate_mask",
 ]
 
@@ -93,13 +91,8 @@ def _image_check(u, name: str) -> np.ndarray:
     return _finite(u, name)
 
 
-def validate_image(u, name="image") -> np.ndarray:
-    """Check an image (``_image_check``); return it channel-planar (``_planar``)."""
-    return _planar(_image_check(u, name))
-
-
-def validate_mask(mask, image=None) -> np.ndarray:
-    mask = _bool_mask(mask, None if image is None else np.shape(image))
+def validate_mask(mask) -> np.ndarray:
+    mask = _bool_mask(mask)
     if mask.all():
         raise ValueError(_ALL_DAMAGED)
     return mask
@@ -204,12 +197,9 @@ def _rows(planes) -> np.ndarray:
 
 
 def _plane_rows(x, axes) -> np.ndarray:
-    """``_rows(x.transpose(axes))``, of a channel-planar copy of x where x has no such view."""
+    """``x.transpose(axes)``, each plane's rows end to end: a view if one exists, else a copy."""
     planes = x.transpose(axes)
-    try:
-        return _rows(planes)
-    except ValueError:
-        return _rows(np.ascontiguousarray(planes))
+    return planes.reshape(planes.shape[:-2] + (-1,))
 
 
 def gradient(u, out=None) -> np.ndarray:

@@ -39,7 +39,7 @@ import numpy as np
 from .dual import certify
 from .energy import ModelParams, _fidelity_prox, _Point
 from .grid import _clamp_in_place, _known, _planar, _planar_empty, _scalar_check, clamp_to_ball
-from .grid import _shape_check, _sup_known, channel_norms, validate_image, validate_mask
+from .grid import _shape_check, _sup_known, channel_norms
 
 __all__ = [
     "SolverConfig",
@@ -345,19 +345,15 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
     level starts from the level's own iterate, and the records describe the
     iterates (``ConvergenceRecord``).
 
-    f and u0 are taken channel-planar (``grid.validate_image``) for the
-    solve; the returned u is C-contiguous.  An explicit u0 is first
-    projected, in a copy, onto the ball ``|v| <= L``: by the maximum
-    principle that moves it toward every minimizer and raises neither
-    energy term, and it keeps a huge start from overflowing the energy.
+    f is taken channel-planar for the solve; the returned u is C-contiguous.
+    An explicit u0 is first projected, in a copy, onto the ball ``|v| <= L``:
+    by the maximum principle that moves it toward every minimizer and raises
+    neither energy term, and it keeps a huge start from overflowing the energy.
     """
-    f = validate_image(f, name="f")
-    mask = validate_mask(mask, image=f)
+    u0, f, mask = _shape_check(u0, f, mask)
+    f = _planar(f)
     bound = _sup_known(f, mask)
-    if u0 is None:
-        u = default_initial(f, mask)
-    else:
-        u = clamp_to_ball(validate_image(u0, name="u0"), bound)
+    u = default_initial(f, mask) if u0 is None else clamp_to_ball(u0, bound)
     records = []
     delta = cfg.delta0
     while True:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from viscotv.grid import validate_image
+from viscotv.grid import _planar
 
 # derandomize: every run draws the same examples, so a clean checkout (the
 # example database under .hypothesis/ is not kept in git) reruns the same cases.
@@ -45,7 +45,7 @@ def layouts(u):
 
     The planar copy stores the axes after the two grid axes outermost, the
     memory order of ``grid.gradient``, ``grid.divergence`` and
-    ``grid.validate_image``.
+    ``grid._planar``.
     """
     buf = np.empty(u.nbytes + 1, dtype=np.uint8)
     shifted = np.ndarray(u.shape, dtype=float, buffer=buf, offset=1)
@@ -68,10 +68,10 @@ def hole_instance_color(n=128, seed=15):
     f and u are channel-planar, the layout the solver keeps its images in.
     """
     rng = np.random.default_rng(seed)
-    f = validate_image(rng.uniform(size=(n, n, 3)))
+    f = _planar(rng.uniform(size=(n, n, 3)))
     mask = np.zeros((n, n), dtype=bool)
     mask[3 * n // 8 : 5 * n // 8, 3 * n // 8 : 5 * n // 8] = True
-    u = validate_image(np.clip(f + rng.normal(0.0, 0.01, size=f.shape), 0.0, 1.0))
+    u = _planar(np.clip(f + rng.normal(0.0, 0.01, size=f.shape), 0.0, 1.0))
     return u, f, mask
 
 

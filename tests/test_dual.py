@@ -333,11 +333,12 @@ class TestCertify:
         assert cert.primal_value == math.inf
         assert cert.relative_gap == math.inf
 
-    @pytest.mark.parametrize("delta,limit", [(0.0, 3.2), (0.01, 3.2)])
+    @pytest.mark.parametrize("delta,limit", [(0.0, 2.8), (0.01, 2.8)])
     def test_peak_in_gradient_fields(self, delta, limit):
-        # tau is written over the primal point's gradient: ~2.5 gradient
-        # fields at either delta (certify ignores it); a buffer of its own
-        # for tau would add one more.
+        # tau is written over the primal point's gradient and the point's
+        # u - f is dropped: ~2.5 gradient fields at either delta (certify
+        # ignores it); a buffer of its own for tau would add one more, and
+        # keeping u - f half of one.
         u, f, mask = hole_instance_color()
         bound = sup_known_norm(f, mask)
         params = params_for(delta=delta, lam=10.0)

@@ -16,7 +16,6 @@ from viscotv.energy import (
     _fsum,
     _newton_shrink,
     _Point,
-    _prox_shrink,
     euler_residual,
     fidelity,
     primal_energy,
@@ -160,7 +159,11 @@ DEFECTS = {
 
 class TestMalformedArrays:
     # default_initial reads f and mask only, as sup_known_norm does.
-    CHECKED = {**ENTRY_POINTS, "default_initial": lambda u, f, mask: default_initial(f, mask)}
+    CHECKED = {
+        **ENTRY_POINTS,
+        "default_initial": lambda u, f, mask: default_initial(f, mask),
+        "continuation": lambda u, f, mask: continuation(f, mask, VISCOUS, SolverConfig(), u0=u),
+    }
 
     @pytest.mark.parametrize(
         "entry,defect",
@@ -192,6 +195,7 @@ class TestAllDamagedMask:
         "check_max_principle": ENTRY_POINTS["check_max_principle"],
         "minimize_smooth": ENTRY_POINTS["minimize_smooth"],
         "default_initial": lambda u, f, mask: default_initial(f, mask),
+        "continuation": lambda u, f, mask: continuation(f, mask, VISCOUS, SolverConfig(), u0=u),
     }
 
     @staticmethod
@@ -300,11 +304,19 @@ class TestFidelityProx:
             bound = 32.0 * np.finfo(float).eps * hypot_norms(w)
             assert (residual[known] <= bound[known]).all()
 
+    @staticmethod
+    def applied_shrink(a, c, zeta):
+        """The factor by which ``_fidelity_prox`` shrinks deviations of norms a (f = 0)."""
+        w = a[None, :, None]
+        params = ModelParams(lam=1.0, zeta=zeta, density=DensityParams(2.0))
+        v = _fidelity_prox(w, np.zeros_like(w), np.zeros((1, a.size), bool), params, c)
+        return v[0, :, 0] / a
+
     @pytest.mark.parametrize("zeta", [1.5, 2.0])
     def test_closed_forms_match_newton(self, zeta):
         a = np.logspace(-12, 6, 200)
         for c in np.logspace(-8, 4, 25):
-            closed = _prox_shrink(a, c, zeta)
+            closed = self.applied_shrink(a, c, zeta)  # each zeta's closed form
             newton = _newton_shrink(a, c, zeta)
             assert np.max(np.abs(closed - newton) / closed) <= 16.0 * np.finfo(float).eps
 

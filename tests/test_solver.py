@@ -406,6 +406,14 @@ class TestContinuation:
         assert len(recs) == 1
         assert recs[0].inner_iterations == 0
 
+    def test_u0_of_another_shape_rejected_before_any_solve(self, monkeypatch):
+        calls = record_calls(monkeypatch)
+        f = np.full((6, 6, 1), 0.5)
+        mask = np.zeros((6, 6), dtype=bool)
+        with pytest.raises(ValueError, match="shape"):
+            continuation(f, mask, params_for(), SolverConfig(), u0=np.zeros((6, 5, 1)))
+        assert calls == []
+
     def test_constant_known_inpainting_shortcut(self):
         # No special case: the clipped mean fill starts the general loop at
         # the minimizer, even where the mean of 0.3 is off by an ulp.
