@@ -22,7 +22,7 @@ import numpy as np
 from . import netpbm
 from .density import DensityParams
 from .energy import ModelParams
-from .grid import validate_mask
+from .grid import _ALL_DAMAGED
 from .solver import SolverConfig, check_max_principle, continuation
 
 __all__ = ["load_image", "load_mask", "save_image", "run", "main"]
@@ -61,7 +61,10 @@ def load_mask(path, image_shape) -> np.ndarray:
             f"mask is {img.width}x{img.height} but image is "
             f"{image_shape[1]}x{image_shape[0]}"
         )
-    return validate_mask(img.samples[:, :, 0] > img.maxval // 2)
+    mask = img.samples[:, :, 0] > img.maxval // 2
+    if mask.all():
+        raise ValueError(_ALL_DAMAGED)
+    return mask
 
 
 def save_image(path, u, magic: str, maxval: int) -> None:

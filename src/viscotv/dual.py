@@ -90,11 +90,11 @@ def _known_infimum(dot, d_norms, lam: float, zeta: float):
     Takes ``dot = d . f`` and ``d_norms = |d|``.  Equality is attained at
     ``v = f - (|d|/lam)^(1/(zeta-1)) d/|d|``, giving
     ``d . f - (lam/zc)(|d|/lam)^zc`` with ``zc = zeta/(zeta - 1)``.  Where
-    that power overflows the infimum is -inf, still a valid lower bound.
+    that power overflows the infimum is -inf, still a valid lower bound;
+    the callers ignore the overflow.
     """
     zc = zeta / (zeta - 1.0)
-    with np.errstate(over="ignore"):
-        return dot - (lam / zc) * (d_norms / lam) ** zc
+    return dot - (lam / zc) * (d_norms / lam) ** zc
 
 
 @np.errstate(over="ignore")  # an overflowing sum is inf (``energy._fsum``)

@@ -132,7 +132,8 @@ def _fidelity_prox(w, f, mask, params: ModelParams, gamma: float, *, out=None) -
     """``argmin_v gamma * fidelity(v) + |v - w|^2 / 2``, exact for every zeta > 1.
 
     On a known pixel ``v = f + (r/a)(w - f)`` with ``a = |w - f|`` and r the
-    root of ``r + gamma*lam*r**(zeta-1) = a``; damaged pixels keep w.  The
+    root of ``r + gamma*lam*r**(zeta-1) = a``; damaged pixels keep w, so f
+    there never matters (their shrink is taken at ``a = 0``).  The
     arrays are taken as given: w, f float of one shape, mask boolean (H, W).
     ``out``, if given, is an array of that shape, not sharing memory with w
     or f, that receives the result and is returned.
@@ -142,7 +143,7 @@ def _fidelity_prox(w, f, mask, params: ModelParams, gamma: float, *, out=None) -
     if params.zeta == 2.0:  # r/a = 1/(1 + c) for every a: no deviation norms
         prox *= 1.0 / (1.0 + c)
     else:
-        prox *= _prox_shrink(channel_norms(prox), c, params.zeta)[..., None]
+        prox *= _prox_shrink(np.where(mask, 0.0, channel_norms(prox)), c, params.zeta)[..., None]
     prox += f
     np.copyto(prox, w, where=mask[..., None])
     return prox
@@ -205,7 +206,7 @@ class _Point:
             coef = params.lam * (~self.mask)[..., None]
             if params.zeta != 2.0:  # |u - f|^(zeta - 2) is 1 at zeta = 2
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    scale = np.where(norms > 0.0, norms ** (params.zeta - 2.0), 0.0)
+                    scale = np.where((norms > 0.0) & ~self.mask, norms ** (params.zeta - 2.0), 0.0)
                 coef = coef * scale[..., None]
             # Built in place; the same bits as density_residual + coef*(u - f).
             dev *= coef
@@ -227,6 +228,7 @@ def primal_energy(u, f, mask, params: ModelParams) -> float:
     return _Point(*_shape_check(u, f, mask), params).total
 
 
+@np.errstate(over="ignore")
 def euler_residual(u, f, mask, params: ModelParams) -> np.ndarray:
     """Exact gradient of ``primal_energy`` with respect to every pixel value.
 

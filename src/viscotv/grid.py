@@ -20,8 +20,9 @@ planar, and the per-plane loop of ``_sum_products`` (every norm, the dual's
 ``d . f``) runs over contiguous memory instead of 3-wide strided rows.  At
 M = 1 a planar image is the same memory as a row-major one.  ``gradient`` and
 ``divergence`` take each difference as one pass over a plane's rows stitched
-end to end (``_rows``), a view that planar and row-major arrays and their row
-bands ``x[a:b]`` all have, and then rewrite the edge column.
+end to end (``_plane_rows``), a view that planar and row-major arrays and
+their row bands ``x[a:b]`` all have, and then rewrite the edge column; an
+``out`` without that view is rejected.
 
 The public entry points check all their inputs here, once per call: arrays by
 ``_image_check`` (every image), ``_shape_check`` and ``_field_check``, L by
@@ -45,7 +46,6 @@ __all__ = [
     "clamp_to_ball",
     "channel_norms",
     "pixel_norms",
-    "validate_mask",
 ]
 
 
@@ -73,12 +73,12 @@ def _scalar_check(x, name: str, low: float, closed: bool = False) -> float:
     raise ValueError(f"{name} must be a finite real {'>=' if closed else '>'} {low!r}, got {x!r}")
 
 
-def _bool_mask(mask, shape=None) -> np.ndarray:
+def _bool_mask(mask, shape) -> np.ndarray:
     """mask as an array, if it is 2-d bool and on the grid of an image of the given shape."""
     mask = np.asarray(mask)
     if mask.dtype != bool or mask.ndim != 2:
         raise ValueError(f"mask must be a 2-d bool array, got {mask.dtype}/{mask.ndim}d")
-    if shape is not None and (len(shape) != 3 or mask.shape != shape[:2]):
+    if len(shape) != 3 or mask.shape != shape[:2]:
         raise ValueError(f"mask shape {mask.shape} is not the grid of image shape {shape}")
     return mask
 
@@ -91,18 +91,11 @@ def _image_check(u, name: str) -> np.ndarray:
     return _finite(u, name)
 
 
-def validate_mask(mask) -> np.ndarray:
-    mask = _bool_mask(mask)
-    if mask.all():
-        raise ValueError(_ALL_DAMAGED)
-    return mask
-
-
 def _shape_check(u, f, mask):
     """f and u, unless None, images (``_image_check``) of one shape; mask 2-d bool on f's grid.
 
-    Unlike ``validate_mask``, accepts a mask damaging every pixel; the
-    entry points that need L or the known values reject it through ``_known``.
+    Accepts a mask damaging every pixel; the entry points that need L or the
+    known values reject it through ``_known``.
     """
     f = _image_check(f, "f")
     mask = _bool_mask(mask, f.shape)
@@ -188,18 +181,13 @@ def _planar_empty(shape) -> np.ndarray:
     return np.empty(shape[2:] + shape[:2]).transpose(n - 2, n - 1, *range(n - 2))
 
 
-def _rows(planes) -> np.ndarray:
-    """The (..., H, W) array planes as an (..., H*W) view, each plane's rows end to end.
+def _plane_rows(x, axes, copy=None) -> np.ndarray:
+    """``x.transpose(axes)``, each plane's rows end to end, by numpy's ``reshape(..., copy=)``.
 
-    Raises ValueError where the rows admit no such view (``copy=False``).
+    A view if one exists, else a copy (``copy=None``) or ValueError (``copy=False``).
     """
-    return planes.reshape(planes.shape[:-2] + (-1,), copy=False)
-
-
-def _plane_rows(x, axes) -> np.ndarray:
-    """``x.transpose(axes)``, each plane's rows end to end: a view if one exists, else a copy."""
     planes = x.transpose(axes)
-    return planes.reshape(planes.shape[:-2] + (-1,))
+    return planes.reshape(planes.shape[:-2] + (-1,), copy=copy)
 
 
 def gradient(u, out=None) -> np.ndarray:
@@ -210,18 +198,15 @@ def gradient(u, out=None) -> np.ndarray:
     is returned; a channel-planar one keeps every plane contiguous.
 
     Each difference is one pass over a plane's rows stitched end to end
-    (``_rows``): the x-difference then also takes each row's last pixel from
-    the next row's first, and that column is zeroed after.
+    (``_plane_rows``): the x-difference then also takes each row's last pixel
+    from the next row's first, and that column is zeroed after.  An ``out``
+    whose planes have no such view (a Fortran-ordered one, say) raises
+    ValueError.
     """
     u = np.asarray(u, dtype=float)
     if out is None:
         out = _planar_empty(u.shape[:2] + (2,) + u.shape[2:])
-    g = out.transpose(2, 3, 0, 1)
-    try:
-        gs = _rows(g)
-    except ValueError:  # an out with no stitched view receives a copy
-        np.copyto(out, gradient(u))
-        return out
+    gs = _plane_rows(out, (2, 3, 0, 1), copy=False)
     w = u.shape[1]
     gx, gy = gs[0], gs[1]
     us = _plane_rows(u, (2, 0, 1))
@@ -238,7 +223,8 @@ def divergence(p, out=None) -> np.ndarray:
     Entries in the last column's x-component and last row's y-component are
     never read (the gradient's range has them zero).  Returns the (H, W, M)
     view of an (M, H, W) buffer; ``out``, if given, is an (H, W, M) array,
-    not sharing memory with p, that receives the result and is returned.
+    not sharing memory with p and with a stitched view as in ``gradient``,
+    that receives the result and is returned.
 
     As in ``gradient``, each difference is one pass over stitched rows; the
     x-difference's edge columns are then rewritten: column 0 to ``px`` and
@@ -251,11 +237,7 @@ def divergence(p, out=None) -> np.ndarray:
     if out is None:
         out = _planar_empty(p.shape[:2] + p.shape[3:])
     div = out.transpose(2, 0, 1)
-    try:
-        d = _rows(div)
-    except ValueError:  # an out with no stitched view receives a copy
-        np.copyto(out, divergence(p))
-        return out
+    d = _plane_rows(out, (2, 0, 1), copy=False)
     w = p.shape[1]
     ps = _plane_rows(p, (2, 3, 0, 1))
     px, py = ps[0], ps[1]

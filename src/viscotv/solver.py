@@ -134,10 +134,11 @@ class InnerResult:
     ``stop_reason`` says why it stopped: ``residual`` (tolerance met), ``cap``
     (``inner_max_iters`` reached), ``stagnated`` (a trial step at or below
     ``1/L = 1/(8(1 + delta))`` failed to lower the energy, which only
-    rounding can cause; ``u`` is the last accepted iterate).  ``evaluations``
-    counts the candidate points evaluated, accepted or not; ``energy_history``
-    the energy at the start and after each accepted step, the last that of
-    ``u``.  Derived: ``converged``, i.e. ``stop_reason == "residual"``.
+    rounding can cause, or the residual is not a number; ``u`` is the last
+    accepted iterate).  ``evaluations`` counts the candidate points
+    evaluated, accepted or not; ``energy_history`` the energy at the start
+    and after each accepted step, the last that of ``u``.  Derived:
+    ``converged``, i.e. ``stop_reason == "residual"``.
     """
 
     u: np.ndarray
@@ -288,8 +289,9 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
         u, spare, div_spare, at_u = cand, u, y, at_cand
         history.append(at_u.total)
 
-    if stop_reason is None:
-        stop_reason = "residual" if res <= tol else "cap"
+    if stop_reason is None:  # below tol, at the cap, or a residual that is not a number
+        capped = iters == cfg.inner_max_iters
+        stop_reason = "residual" if res <= tol else "cap" if capped else "stagnated"
     return InnerResult(
         u=u,
         iterations=iters,
@@ -339,10 +341,10 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
     ends when a solve stops short of its cap or was its last; after the
     first of two solves, a point gap of at most ``gap_tol / 4``, a margin
     that keeps the certificates of such levels well inside the tolerance,
-    ends it as ``certified``.  The level's iterate is then certified once.  The level's
-    certificate is its last point's if that gap is strictly smaller, else
-    the iterate's, and the call returns the point that gave it.  The next
-    level starts from the level's own iterate, and the records describe the
+    ends it as ``certified``.  The level's iterate is then certified once.
+    The level's certificate is that of the point its record's
+    ``better_point`` names, and the call returns that point.  The next level
+    starts from the level's own iterate, and the records describe the
     iterates (``ConvergenceRecord``).
 
     f is taken channel-planar for the solve; the returned u is C-contiguous.
@@ -380,9 +382,6 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
                 stop_reason = "certified"
                 break
         cert = certify(u, f, mask, params, bound)
-        best, returned = cert, u
-        if extra is not None and extra[1].relative_gap < cert.relative_gap:
-            returned, best = extra
         records.append(
             ConvergenceRecord(
                 delta=delta,
@@ -399,6 +398,7 @@ def continuation(f, mask, params: ModelParams, cfg: SolverConfig, u0=None):
                 extrapolated_gap=None if extra is None else extra[1].relative_gap,
             )
         )
+        returned, best = extra if records[-1].better_point == "extrapolated" else (u, cert)
         if best.relative_gap <= cfg.gap_tol:
             break
         delta *= cfg.delta_factor

@@ -86,6 +86,19 @@ class TestValidation:
         )
         assert code == 1
 
+    def test_all_damaged_mask(self, tmp_path, board, capsys):
+        white = tmp_path / "white.pgm"
+        write_pgm(white, np.full((16, 16, 1), 255))
+        code = run(
+            [
+                "--input", str(board[0]),
+                "--mask", str(white),
+                "--output", str(tmp_path / "o.pgm"),
+            ]
+        )
+        assert code == 1
+        assert "damages the entire domain" in capsys.readouterr().err
+
 
 class TestRuns:
     def test_constant_input_is_identity(self, tmp_path):

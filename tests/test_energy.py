@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,6 +220,35 @@ class TestAllDamagedMask:
         assert np.array_equal(value, ENTRY_POINTS[entry](u, f + 1.0, mask))
         if entry == "fidelity":
             assert value == 0.0
+
+
+class TestDamagedValuesOfF:
+    """f on damaged pixels is never read, at any zeta: a huge value there moves no bit."""
+
+    @staticmethod
+    def outputs(hole, zeta):
+        f = np.random.default_rng(1).uniform(size=(8, 8, 1))
+        mask = np.zeros((8, 8), bool)
+        mask[3:5, 3:5] = True
+        f[mask] = hole
+        params = ModelParams(lam=10.0, zeta=zeta, density=DensityParams(2.0))
+        u, cert, records = continuation(f, mask, params, SolverConfig())
+        inner = minimize_smooth(u, 0.01, f, mask, params, SolverConfig())
+        return (
+            u.tobytes(),
+            cert,
+            [replace(r, wall_seconds=0.0) for r in records],
+            inner.u.tobytes(),
+            inner.stop_reason,
+            certify(u, f, mask, params, 1.0),
+            np.abs(euler_residual(u, f, mask, params)).tobytes(),  # zeros of either sign
+        )
+
+    @pytest.mark.parametrize("zeta", [1.5, 3.0])
+    def test_huge_hole_changes_nothing(self, zeta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert self.outputs(1e155, zeta) == self.outputs(0.5, zeta)
 
 
 class TestOverflowingSupNorm:

@@ -13,12 +13,12 @@ from viscotv.grid import (
     _planar,
     _planar_empty,
     _scalar_check,
+    _shape_check,
     channel_norms,
     clamp_to_ball,
     divergence,
     gradient,
     pixel_norms,
-    validate_mask,
 )
 
 
@@ -62,13 +62,20 @@ class TestGradient:
             g = gradient(v)
             assert g.shape == expected.shape
             assert (g == expected).all()
-            # Into a planar buffer, as the solver passes, a row-major one and
-            # a Fortran-ordered one, which has no stitched view; the NaN fill
-            # shows any entry left unwritten.
-            for out in (_planar_empty(g.shape), np.empty(g.shape), np.empty(g.shape, order="F")):
+            # Into a planar buffer, as the solver passes, and a row-major one;
+            # the NaN fill shows any entry left unwritten.
+            for out in (_planar_empty(g.shape), np.empty(g.shape)):
                 out.fill(np.nan)
                 assert gradient(v, out) is out
                 assert same_bits(out, g)
+            # A Fortran-ordered out has the stitched view only on one row or column.
+            fortran = np.full(g.shape, np.nan, order="F")
+            if 1 in g.shape[:2]:
+                assert gradient(v, fortran) is fortran
+                assert same_bits(fortran, g)
+            else:
+                with pytest.raises(ValueError):
+                    gradient(v, fortran)
 
 
 class TestDivergence:
@@ -119,12 +126,19 @@ class TestDivergence:
             expected[1:] -= py[:-1]
             d = divergence(q)
             assert same_bits(d, expected)
-            for out in (_planar_empty(d.shape), np.empty(d.shape), np.empty(d.shape, order="F")):
+            for out in (_planar_empty(d.shape), np.empty(d.shape)):
                 out.fill(np.nan)
                 assert divergence(q, out) is out
                 assert same_bits(out, d)
                 assert _negative_divergence(q, out) is out
                 assert same_bits(out, np.negative(d))
+            fortran = np.full(d.shape, np.nan, order="F")
+            if 1 in d.shape[:2]:  # as in TestGradient: a stitched view only then
+                assert divergence(q, fortran) is fortran
+                assert same_bits(fortran, d)
+            else:
+                with pytest.raises(ValueError):
+                    divergence(q, fortran)
 
 
 class TestPlanarLayout:
@@ -286,11 +300,8 @@ class TestValidators:
             _image_check(bad, "f")
 
     def test_mask_dtype_and_dims(self):
-        with pytest.raises(ValueError):
-            validate_mask(np.zeros((2, 2), dtype=float))
-        with pytest.raises(ValueError):
-            validate_mask(np.zeros((2, 2, 1), dtype=bool))
-
-    def test_mask_must_leave_a_known_pixel(self):
-        with pytest.raises(ValueError):
-            validate_mask(np.ones((3, 3), dtype=bool))
+        f = np.zeros((2, 2, 1))
+        with pytest.raises(ValueError, match="2-d bool"):
+            _shape_check(None, f, np.zeros((2, 2), dtype=float))
+        with pytest.raises(ValueError, match="2-d bool"):
+            _shape_check(None, f, np.zeros((2, 2, 1), dtype=bool))
