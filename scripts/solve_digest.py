@@ -3,7 +3,7 @@
 
 Usage (from the repository root):
 
-    python3 scripts/solve_digest.py --src PATH
+    python3 scripts/solve_digest.py --src PATH [--expect HEX]
 
 imports viscotv from PATH, the ``src`` directory of any checkout, and hashes
 in this order:
@@ -53,6 +53,11 @@ wrapping ``solver.minimize_smooth``, ``solver.certify`` and
 digest, the first 12 hex digits of a sha256 over that set's contributions
 to the digest, so a census shows which sets a change moved.  The digest
 stays the last line on stdout.
+
+With ``--expect HEX`` the script exits 1 when the digest differs from HEX.
+``scripts/solve_digest.expected`` holds the digest of the current tree, and
+CI passes it: a change that moves bits updates that file and records its
+census.
 """
 
 import argparse
@@ -83,6 +88,7 @@ def load_bench():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--src", required=True, help="the src directory to import viscotv from")
+    parser.add_argument("--expect", help="exit 1 unless the digest is this hex string")
     args = parser.parse_args(argv)
 
     run = load_bench()
@@ -182,7 +188,11 @@ def main(argv=None):
         census += [f"largest gap {largest_gap:.2e}", f"set digest {part.hexdigest()[:12]}"]
         print(f"{name}: " + ", ".join(census), file=sys.stderr)
     print(digest.hexdigest())
+    if args.expect is not None and digest.hexdigest() != args.expect.strip():
+        print(f"digest differs from the expected {args.expect.strip()}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

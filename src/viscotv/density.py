@@ -80,10 +80,10 @@ def phi(params: DensityParams, t):
     return _maybe_scalar(_phi(params.mu, _check_nonneg(t)), scalar_in)
 
 
-def _phi(mu, t):
-    """``phi`` on a float array t >= 0, unchecked."""
+def _phi(mu, t, out=None):
+    """``phi`` on a float array t >= 0, unchecked; ``out``, if given, receives it."""
     if mu == 2.0:
-        return t - np.log1p(t)
+        return np.subtract(t, np.log1p(t, out=out), out=out)
     if mu < 1.5:
         value = ((1.0 + t) * _phi_prime(mu, t) - t) / (2.0 - mu)
     else:
@@ -92,7 +92,15 @@ def _phi(mu, t):
         )
     # Both forms cancel to about t*eps, which exceeds phi ~ t^2/2 for tiny t
     # and can turn it negative; the Taylor expansion about 0 cannot.
-    return np.where(t < _RADIAL_TOL, 0.5 * t * t * (1.0 - mu * t / 3.0), value)
+    return _into(np.where(t < _RADIAL_TOL, 0.5 * t * t * (1.0 - mu * t / 3.0), value), out)
+
+
+def _into(value, out):
+    """value, copied into ``out`` if that is given."""
+    if out is None:
+        return value
+    np.copyto(out, value)
+    return out
 
 
 def phi_prime(params: DensityParams, t):
@@ -111,27 +119,36 @@ def density_value(params: DensityParams, P, *, norms=None):
 
     P has shape (..., 2, M); the result drops the trailing two axes.
     ``norms``, if given, is ``pixel_norms(P)`` already computed by the caller.
-    The viscous term is skipped at delta = 0.
     """
-    r = pixel_norms(P) if norms is None else norms
-    value = _phi(params.mu, r)
+    return _density_value(params, pixel_norms(P) if norms is None else norms)
+
+
+def _density_value(params: DensityParams, r, out=None, temp=None):
+    """``density_value`` from the norms r, written into ``out`` with the help of ``temp``.
+
+    Both are arrays of r's shape, allocated when None.  The viscous term is
+    skipped at delta = 0.
+    """
+    value = _phi(params.mu, r, out)
     if params.delta > 0.0:
-        value += 0.5 * params.delta * r * r
+        viscous = np.multiply(0.5 * params.delta, r, out=temp)
+        viscous *= r
+        value += viscous
     return value
 
 
-def _radial_quotient(params: DensityParams, r):
-    """phi'(r)/r, continuously extended by phi''(0) = 1 at r = 0.
+def _radial_quotient(params: DensityParams, r, out=None):
+    """phi'(r)/r, continuously extended by phi''(0) = 1 at r = 0; ``out`` may be r itself.
 
     Exact ``1/(1 + r)`` at mu = 2, finite at r = 0.
     """
     if params.mu == 2.0:
-        return 1.0 / (1.0 + r)
+        return np.divide(1.0, np.add(1.0, r, out=out), out=out)
     small = r < _RADIAL_TOL
     safe = np.where(small, 1.0, r)
     q = _phi_prime(params.mu, safe) / safe
     # First-order Taylor of phi'(r)/r about 0.
-    return np.where(small, 1.0 - 0.5 * params.mu * r, q)
+    return _into(np.where(small, 1.0 - 0.5 * params.mu * r, q), out)
 
 
 def density_gradient(params: DensityParams, P, *, norms=None, out=None):
@@ -139,26 +156,36 @@ def density_gradient(params: DensityParams, P, *, norms=None, out=None):
 
     ``norms``, if given, is ``pixel_norms(P)`` already computed by the caller.
     ``out``, if given, receives the result and is returned.  It may be P
-    itself, which is then overwritten by the flux.  With ``q = phi'(r)/r``
-    the flux is ``q*P`` at delta = 0; at delta > 0 each (component, channel)
-    plane k is built as ``t = q*P_k; out_k = delta*P_k; out_k += t`` with one
-    plane-sized t, so no field-sized temporary is made.  IEEE addition and
-    multiplication commute, so these are the bits of ``q*P + delta*P``.
+    itself, which is then overwritten by the flux (``_flux``).
     """
     P = np.asarray(P, dtype=float)
     r = pixel_norms(P) if norms is None else norms
-    q = _radial_quotient(params, r)
-    if params.delta == 0.0:
-        return np.multiply(q[..., None, None], P, out=out)
     if out is None:
         out = np.empty_like(P)
-    t = np.empty(np.shape(r))
-    for i in range(P.shape[-2]):
-        for k in range(P.shape[-1]):
-            plane, into = P[..., i, k], out[..., i, k]
-            np.multiply(q, plane, out=t)
+    order = (P.ndim - 2, P.ndim - 1, *range(P.ndim - 2))
+    _flux(params, _radial_quotient(params, r), P.transpose(order), out.transpose(order))
+    return out
+
+
+def _flux(params: DensityParams, q, P, out, temp=None):
+    """The flux of the (component, channel) planes P (2, M, ...) into out, q = phi'(|P|)/|P|.
+
+    ``q*P`` at delta = 0.  At delta > 0 each plane k is built as
+    ``t = q*P_k; out_k = delta*P_k; out_k += t`` with one plane-sized t
+    (``temp``, allocated when None), so no field-sized temporary is made; out
+    may be P itself.  IEEE addition and multiplication commute, so these are
+    the bits of ``q*P + delta*P``.
+    """
+    if params.delta == 0.0:
+        return np.multiply(q, P, out=out)
+    if temp is None:
+        temp = np.empty(np.shape(q))
+    for i in range(P.shape[0]):
+        for k in range(P.shape[1]):
+            plane, into = P[i, k, ...], out[i, k, ...]
+            np.multiply(q, plane, out=temp)
             np.multiply(params.delta, plane, out=into)
-            into += t
+            into += temp
     return out
 
 

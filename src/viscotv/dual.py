@@ -34,9 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import density_gradient, phi_conjugate, recession_constant
-from .energy import ModelParams, _energy_total, _fsum, _Point
-from .grid import _check_bound, _field_check, _image_check, _negative_divergence, _shape_check
-from .grid import _sum_products, _sup_known, channel_norms, gradient, pixel_norms
+from .energy import ModelParams, _energy_total, _fsum, _Plan
+from .grid import _check_bound, _field_check, _image_check, _negative_divergence
+from .grid import _plane_rows, _shape_check, _sum_products, _sup_known, channel_norms, gradient
+from .grid import pixel_norms
 
 __all__ = [
     "DualCertificate",
@@ -177,21 +178,24 @@ def _join(pieces):
 def _certify_band(u, f, mask, target: ModelParams, r0: int, r1: int):
     """certify's per-pixel outputs on rows ``[r0, r1)`` for delta-free ``target``.
 
-    Returns the pixel energy, ``|tau|`` and ``_split(-div tau)``.  The point
-    is built on the halo rows ``[r0 - 1, r1 + 1)``, clipped to the grid:
-    ``-div`` of row r0 reads the flux of row r0 - 1, and the gradient of row
-    r1 - 1 reads u of row r1.  Unless r1 = h, the point's last row, whose
-    gradient and divergence are truncated, is then row r1, which is not
-    kept.  tau is written over the point's gradient; the point's ``u - f``,
-    which certify never reads, is dropped at once.
+    Returns the pixel energy, ``|tau|`` and ``_split(-div tau)``.  The band's
+    plan (``energy._Plan``) is built on the halo rows ``[r0 - 1, r1 + 1)``,
+    clipped to the grid: ``-div`` of row r0 reads the flux of row r0 - 1,
+    and the gradient of row r1 - 1 reads u of row r1.  Unless r1 = h, the
+    plan's last row, whose gradient and divergence are truncated, is then
+    row r1, which is not kept.  tau is written over the plan's gradient and
+    ``-div tau`` over its ``u - f``, which certify never reads.
     """
     a, b = max(r0 - 1, 0), min(r1 + 1, len(u))
     keep = slice(r0 - a, r1 - a)
-    point = _Point(u[a:b], f[a:b], mask[a:b], target)
-    point.dev = None
-    tau = density_gradient(target.density, point.grad, norms=point.grad_norms, out=point.grad)
-    split = _split(_negative_divergence(tau)[keep], f[r0:r1], mask[r0:r1])
-    return [point.pixel_energy[keep], pixel_norms(tau[keep]), *split]
+    plan = _Plan(f[a:b], mask[a:b], target)
+    energy = plan.evaluate(_plane_rows(u[a:b], (2, 0, 1)), plan.energy)
+    tau = plan.flux()
+    plan.negative_divergence(plan.dev_rows)
+    d = plan.dev
+    del plan  # and with it the per-pixel buffers that energy, tau and d do not view
+    split = _split(d[keep], f[r0:r1], mask[r0:r1])
+    return [energy.reshape(b - a, -1)[keep], pixel_norms(tau[keep]), *split]
 
 
 def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
@@ -216,8 +220,9 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     tau comes from ``density_gradient``, the flux rule of the residual.
     Every per-pixel quantity is evaluated one row band at a time
     (``_certify_band``): n = ceil(h w M / _BAND) bands of ceil(h/n) rows,
-    each on a point built with one halo row above and one below, so a
-    band's fields stay in L2 and no gradient-sized array covers the grid.
+    each evaluated by a plan (``energy._Plan``) built with one halo row
+    above and one below, so a band's fields stay in L2 and no
+    gradient-sized array covers the grid.
     Row bands are contiguous in row-major order, so the bands' pixel
     energies, norms and splits, joined in band order, are the whole-grid
     arrays, and every reduction then runs on the whole grid: each output
@@ -246,7 +251,8 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
 
     if margin < 1e-12:
         warnings.warn(
-            f"dual feasibility margin {margin:.3e} is tiny; gradients are enormous",
+            f"dual feasibility margin {margin:.3e} is below 1e-12: some |tau| is within 1e-12 "
+            "of cbar, so the certificate is at the rounding edge",
             RuntimeWarning,
             stacklevel=2,
         )

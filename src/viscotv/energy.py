@@ -6,15 +6,17 @@ fidelity.  ``euler_residual`` is its gradient with respect to every pixel
 value, exact to floating precision, so a vanishing residual characterizes the
 (unique, delta > 0) minimizer.
 
-``_Point`` evaluates one point: it computes ``gradient(u)``, ``u - f``, the
-pixel norms and the deviation norms once and shares them between the
-per-pixel energy field, the gradient of the density part and the residual;
-``primal_energy`` and ``euler_residual`` are built on it.  ``_fidelity_prox``
-is the exact proximal map of the fidelity, which is pixel-separable and
-radial, so it reduces to one scalar root per known pixel.  Both write their
-image- and gradient-sized results into buffers the caller may pass
-(``solver.minimize_smooth`` passes the same ones at every iteration) and
-allocate them otherwise, with the same bits either way.
+``_Plan`` is the evaluation plan of one solve: built once, it binds f, the
+mask and fixed gradient-, image- and pixel-sized buffers, and evaluates each
+point with a fixed list of ufunc calls into them.  It computes
+``gradient(u)``, ``u - f``, the pixel norms and the deviation norms once per
+point and shares them between the per-pixel energy field, the gradient of
+the density part and the residual; ``primal_energy``, ``euler_residual``,
+``solver.minimize_smooth`` and ``dual.certify`` evaluate through it.
+``_fidelity_prox`` is the exact proximal map of the fidelity, which is
+pixel-separable and radial, so it reduces to one scalar root per known
+pixel; it writes into a buffer the caller may pass and allocates one
+otherwise, with the same bits either way.
 
 Scalar reductions use ``_fsum``, a compensated sum in a fixed block order for
 a given size: ``np.sum`` over consecutive 64-element blocks of the row-major
@@ -29,12 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .density import DensityParams, density_gradient, density_value
-from .grid import _negative_divergence, _scalar_check, _shape_check
-from .grid import channel_norms, gradient, pixel_norms
+from .density import DensityParams, _density_value, _flux, _radial_quotient
+from .grid import _divergence_rows, _gradient_rows, _planar_empty, _plane_rows
+from .grid import _root_sum_squares, _scalar_check, _shape_check, channel_norms
 
 __all__ = ["ModelParams", "fidelity", "primal_energy", "euler_residual"]
 
@@ -85,14 +88,22 @@ def _fsum(values) -> float:
 
 
 def _energy_total(pixel_energy) -> float:
-    """The exact sum of a pixel energy field, +inf where that sum is nan (``_Point``)."""
+    """The exact sum of a pixel energy field, +inf where that sum is nan.
+
+    For finite u and f a pixel energy is nan only where a norm overflowed
+    (``inf - inf`` in ``phi``, ``0*inf`` in the viscous term), so the energy
+    is beyond the float range.
+    """
     total = _fsum(pixel_energy)
     return math.inf if math.isnan(total) else total
 
 
-def _fidelity_field(dev_norms, mask, params: ModelParams) -> np.ndarray:
-    """``(lam/zeta)|u - f|^zeta`` per known pixel, 0 on damaged pixels."""
-    return np.where(mask, 0.0, (params.lam / params.zeta) * dev_norms**params.zeta)
+def _fidelity_field(dev_norms, mask, params: ModelParams, out=None) -> np.ndarray:
+    """``(lam/zeta)|u - f|^zeta`` per known pixel, 0 on damaged pixels; ``out`` receives it."""
+    field = np.power(dev_norms, params.zeta, out=out)
+    field *= params.lam / params.zeta
+    np.copyto(field, 0.0, where=mask)
+    return field
 
 
 def _newton_shrink(a, c, zeta):
@@ -134,7 +145,9 @@ def _fidelity_prox(w, f, mask, params: ModelParams, gamma: float, *, out=None) -
     On a known pixel ``v = f + (r/a)(w - f)`` with ``a = |w - f|`` and r the
     root of ``r + gamma*lam*r**(zeta-1) = a``; damaged pixels keep w, so f
     there never matters (their shrink is taken at ``a = 0``).  The
-    arrays are taken as given: w, f float of one shape, mask boolean (H, W).
+    arrays are taken as given: w, f float of one shape (..., M), channels
+    last, mask boolean of their leading shape: (H, W) for images, (H*W,) for
+    the transposed stitched rows the solver passes.
     ``out``, if given, is an array of that shape, not sharing memory with w
     or f, that receives the result and is returned.
     """
@@ -149,70 +162,98 @@ def _fidelity_prox(w, f, mask, params: ModelParams, gamma: float, *, out=None) -
     return prox
 
 
-class _Point:
-    """The energy of one point u, with the fields its residual needs.
+class _Plan:
+    """The evaluation plan of one solve: points on f's grid evaluated into fixed buffers.
 
-    ``pixel_energy`` is the energy per pixel, shape (H, W); ``total`` is its
-    exact sum, taken on first use, and +inf where that sum is nan: for finite
-    u and f a pixel energy is nan only where a norm overflowed (``inf - inf``
-    in ``phi``, ``0*inf`` in the viscous term), so the energy is beyond the
-    float range.  ``residual()`` builds the exact gradient of the energy from
-    the cached ``grad``, ``dev = u - f`` and norms: the flux
-    ``DF_delta(grad u)`` is written over ``grad``, the divergence negated in
-    a buffer of its own, the residual written over ``dev``, and the point
-    then drops ``grad``, ``dev`` and the norms.  It also sets
-    ``density_residual``, the gradient ``-div DF_delta(grad u)`` of the
-    density part alone.  A point kept after its residual holds only
-    ``pixel_energy`` and these two fields; it keeps neither u nor f, and the
-    arrays are taken as ``grid._shape_check`` returns them.
+    Built once per ``solver.minimize_smooth`` call, ``dual.certify`` band,
+    ``primal_energy`` or ``euler_residual`` call, it binds once what every
+    point reuses: f as (M, H, W) planes, the flat mask, the known-pixel
+    weight ``lam * 1_known`` (on the first residual), a channel-planar
+    gradient field ``grad`` (H, W, 2, M) and image ``dev`` (H, W, M) with
+    their stitched rows (``grid._plane_rows``) and per-pixel views, and flat
+    per-pixel buffers: |grad u| ``norms``, |u - f| ``dev_norms``, one plane
+    temporary ``temp`` and the pixel energies ``energy``.  Points and
+    density residuals are passed as stitched rows (M, H*W).  Each rule keeps
+    its one definition: the stencils of ``grid``, the norm order of
+    ``grid._sum_products``, the density and flux of ``density`` and the
+    fidelity here, each applied to the bound views with ``out=`` into the
+    buffers, so a point costs a fixed list of ufunc calls and allocates
+    nothing at mu = 2 and zeta = 2.
 
-    ``grad_out`` (H, W, 2, M), ``dev_out`` and ``div_out`` (H, W, M), if
-    given, are the buffers that receive ``grad``, ``dev`` (then the residual)
-    and ``density_residual``; each is allocated, channel-planar, when None.
-    The caller must not reuse a buffer while the point still reads it.
+    ``evaluate(u, out)`` writes the pixel energies of u into ``out`` and
+    leaves u's gradient in ``grad``, u - f in ``dev`` and both norms in their
+    buffers; ``_energy_total`` sums them exactly.  Until the next
+    ``evaluate``, ``flux`` writes the flux ``DF_delta(grad u)`` over ``grad``
+    (and its quotient over ``norms``), and ``residual(density_out)`` writes
+    ``-div`` of that flux, the gradient of the density part alone, into the
+    rows ``density_out`` and the residual, the exact gradient of the energy,
+    over ``dev``, whose rows it returns.  f and mask are taken as
+    ``grid._shape_check`` returns them.
     """
 
-    def __init__(self, u, f, mask, params: ModelParams, grad_out=None, dev_out=None, div_out=None):
-        self.mask = mask
+    def __init__(self, f, mask, params: ModelParams):
+        h, w, m = f.shape
         self.params = params
-        self.grad = gradient(u, grad_out)
-        self.grad_norms = pixel_norms(self.grad)
-        self.dev = np.subtract(u, f, out=dev_out)
-        self.dev_norms = channel_norms(self.dev)
-        self.pixel_energy = density_value(
-            params.density, self.grad, norms=self.grad_norms
-        ) + _fidelity_field(self.dev_norms, self.mask, params)
-        self._div_out = div_out
-        self._total = None
-        self._residual = None
-        self.density_residual = None
+        self.width = w
+        self.f = f.transpose(2, 0, 1)
+        self.mask = mask.reshape(-1)
+        self.grad, self.dev = _planar_empty((h, w, 2, m)), _planar_empty(f.shape)
+        self.grad_rows = _plane_rows(self.grad, (2, 3, 0, 1), copy=False)
+        self.dev_planes = self.dev.transpose(2, 0, 1)
+        self.dev_rows = _plane_rows(self.dev, (2, 0, 1), copy=False)
+        # Pixel by (component, channel) and pixel by channel: the last axis is summed.
+        self.grad_pixels = self.grad_rows.reshape(2 * m, h * w).T
+        self.dev_pixels = self.dev_rows.T
+        self.norms, self.dev_norms, self.temp, self.energy = (np.empty(h * w) for _ in range(4))
 
-    @property
-    def total(self) -> float:
-        if self._total is None:
-            self._total = _energy_total(self.pixel_energy)
-        return self._total
+    def evaluate(self, u, out) -> np.ndarray:
+        """The pixel energies of the point u, stitched rows (M, H*W), written into ``out``."""
+        params, temp = self.params, self.temp
+        _gradient_rows(u, self.grad_rows, self.width)
+        _root_sum_squares(self.grad_pixels, self.norms, temp)
+        np.subtract(u.reshape(self.f.shape), self.f, out=self.dev_planes)
+        _root_sum_squares(self.dev_pixels, self.dev_norms, temp)
+        _density_value(params.density, self.norms, out, temp)
+        out += _fidelity_field(self.dev_norms, self.mask, params, temp)
+        return out
 
-    def residual(self) -> np.ndarray:
-        if self._residual is None:
-            params = self.params
-            flux = density_gradient(
-                params.density, self.grad, norms=self.grad_norms, out=self.grad
-            )
-            dev, norms = self.dev, self.dev_norms
-            self.grad = self.grad_norms = self.dev = self.dev_norms = None
-            self.density_residual = _negative_divergence(flux, self._div_out)
-            del flux
-            coef = params.lam * (~self.mask)[..., None]
-            if params.zeta != 2.0:  # |u - f|^(zeta - 2) is 1 at zeta = 2
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    scale = np.where((norms > 0.0) & ~self.mask, norms ** (params.zeta - 2.0), 0.0)
-                coef = coef * scale[..., None]
-            # Built in place; the same bits as density_residual + coef*(u - f).
-            dev *= coef
-            dev += self.density_residual
-            self._residual = dev
-        return self._residual
+    @cached_property
+    def known_weight(self) -> np.ndarray:
+        """``lam * 1_known`` per pixel, taken on the first residual."""
+        return self.params.lam * ~self.mask
+
+    def flux(self) -> np.ndarray:
+        """``DF_delta(grad u)`` of the last point, written over ``grad``, which is returned."""
+        density = self.params.density
+        q = _radial_quotient(density, self.norms, self.norms)
+        _flux(density, q, self.grad_rows, self.grad_rows, self.temp)
+        return self.grad
+
+    def negative_divergence(self, out) -> np.ndarray:
+        """``-div`` of the field in ``grad`` into the rows ``out``, negated in place; out returned."""
+        _divergence_rows(self.grad_rows, out, self.width)
+        return np.negative(out, out=out)
+
+    def residual(self, density_out) -> np.ndarray:
+        """The residual of the last point over ``dev``; ``-div DF_delta(grad u)`` into density_out.
+
+        Both are stitched rows (M, H*W).  The fidelity part is
+        ``lam * 1_known * |u - f|^(zeta - 2) (u - f)``, its factor taken as 0
+        at u = f when zeta < 2 (its continuous limit).
+        """
+        self.flux()
+        self.negative_divergence(density_out)
+        coef, zeta = self.known_weight, self.params.zeta
+        if zeta != 2.0:  # |u - f|^(zeta - 2) is 1 at zeta = 2
+            norms = self.dev_norms
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scale = np.power(norms, zeta - 2.0, out=self.temp)
+            np.copyto(scale, 0.0, where=~((norms > 0.0) & ~self.mask))
+            coef = np.multiply(coef, scale, out=scale)
+        # Built in place; the same bits as density_out + coef*(u - f).
+        dev = np.multiply(self.dev_rows, coef, out=self.dev_rows)
+        dev += density_out
+        return dev
 
 
 @np.errstate(over="ignore")  # an overflowing sum is inf (``_fsum``)
@@ -222,10 +263,18 @@ def fidelity(u, f, mask, params: ModelParams) -> float:
     return _fsum(_fidelity_field(channel_norms(u - f), mask, params))
 
 
+def _evaluated(u, f, mask, params: ModelParams) -> _Plan:
+    """A plan for the checked arrays with the pixel energies of u in its ``energy``."""
+    u, f, mask = _shape_check(u, f, mask)
+    plan = _Plan(f, mask, params)
+    plan.evaluate(_plane_rows(u, (2, 0, 1)), plan.energy)
+    return plan
+
+
 @np.errstate(over="ignore")
 def primal_energy(u, f, mask, params: ModelParams) -> float:
     """Density term plus fidelity; with ``delta = 0`` this is the target energy."""
-    return _Point(*_shape_check(u, f, mask), params).total
+    return _energy_total(_evaluated(u, f, mask, params).energy)
 
 
 @np.errstate(over="ignore")
@@ -235,4 +284,6 @@ def euler_residual(u, f, mask, params: ModelParams) -> np.ndarray:
     ``-div(DF_delta(grad u)) + lam * 1_known * |u-f|^(zeta-2) (u-f)``, the
     fidelity factor taken as 0 at u = f when zeta < 2 (its continuous limit).
     """
-    return _Point(*_shape_check(u, f, mask), params).residual()
+    plan = _evaluated(u, f, mask, params)
+    plan.residual(np.empty(plan.dev_rows.shape))
+    return plan.dev

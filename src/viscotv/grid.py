@@ -13,16 +13,18 @@ In memory the fields are channel-planar: ``gradient`` fills a
 one, and each returns the transposed view with the public shape, so every
 (component, channel) pair is one contiguous ``(height, width)`` plane
 (``_planar_empty``).  Both take an optional ``out`` of the public shape
-instead, which ``solver.minimize_smooth`` allocates planar once per call,
-and a solve takes f planar (``_planar``).  numpy's elementwise operations
-keep the memory order of their inputs, so the fields derived from these stay
-planar, and the per-plane loop of ``_sum_products`` (every norm, the dual's
-``d . f``) runs over contiguous memory instead of 3-wide strided rows.  At
-M = 1 a planar image is the same memory as a row-major one.  ``gradient`` and
-``divergence`` take each difference as one pass over a plane's rows stitched
-end to end (``_plane_rows``), a view that planar and row-major arrays and
-their row bands ``x[a:b]`` all have, and then rewrite the edge column; an
-``out`` without that view is rejected.
+instead, and a solve takes f planar (``_planar``).  numpy's elementwise
+operations keep the memory order of their inputs, so the fields derived from
+these stay planar, and the per-plane loop of ``_sum_products`` (every norm,
+the dual's ``d . f``) runs over contiguous memory instead of 3-wide strided
+rows.  At M = 1 a planar image is the same memory as a row-major one.
+``gradient`` and ``divergence`` take each difference as one pass over a
+plane's rows stitched end to end (``_plane_rows``), a view that planar and
+row-major arrays and their row bands ``x[a:b]`` all have, and then rewrite
+the edge column; an ``out`` without that view is rejected.  The passes
+themselves are ``_gradient_rows`` and ``_divergence_rows``, which take the
+stitched rows; ``energy._Plan`` binds those rows once per solve and calls
+the same two kernels.
 
 The public entry points check all their inputs here, once per call: arrays by
 ``_image_check`` (every image), ``_shape_check`` and ``_field_check``, L by
@@ -143,21 +145,23 @@ def _check_bound(f, mask, bound) -> float:
     return _scalar_check(bound, "bound", _sup_known(f, mask) * (1.0 - 1e-12), closed=True)
 
 
-def _sum_products(x, y) -> np.ndarray:
+def _sum_products(x, y, out=None, temp=None) -> np.ndarray:
     """``sum_k x[..., k] y[..., k]``, summed in the order k = 0, 1, ...
 
     The package's one per-pixel sum over the last axis.  It is elementwise in
     a fixed order, so its bits do not depend on the memory layout of x and y.
+    ``out`` receives the sum and ``temp`` each product after the first, both
+    of the per-pixel shape; each is allocated when None.
     """
-    acc = x[..., 0] * y[..., 0]
+    acc = np.multiply(x[..., 0], y[..., 0], out=out)
     for k in range(1, x.shape[-1]):
-        acc += x[..., k] * y[..., k]
+        acc += np.multiply(x[..., k], y[..., k], out=temp)
     return acc
 
 
-def _root_sum_squares(x) -> np.ndarray:
-    """``sqrt(sum_k x[..., k]**2)``, the sum by ``_sum_products``."""
-    return np.sqrt(_sum_products(x, x))
+def _root_sum_squares(x, out=None, temp=None) -> np.ndarray:
+    """``sqrt(sum_k x[..., k]**2)``, the sum by ``_sum_products``, the root in place of ``out``."""
+    return np.sqrt(_sum_products(x, x, out, temp), out=out)
 
 
 def channel_norms(u) -> np.ndarray:
@@ -185,9 +189,12 @@ def _plane_rows(x, axes, copy=None) -> np.ndarray:
     """``x.transpose(axes)``, each plane's rows end to end, by numpy's ``reshape(..., copy=)``.
 
     A view if one exists, else a copy (``copy=None``) or ValueError (``copy=False``).
+    The keyword is passed only when needed: numpy parses it at a cost of about
+    a third of a 48x48 reshape.
     """
     planes = x.transpose(axes)
-    return planes.reshape(planes.shape[:-2] + (-1,), copy=copy)
+    shape = planes.shape[:-2] + (-1,)
+    return planes.reshape(shape) if copy is None else planes.reshape(shape, copy=copy)
 
 
 def gradient(u, out=None) -> np.ndarray:
@@ -195,26 +202,31 @@ def gradient(u, out=None) -> np.ndarray:
 
     Returns the (H, W, 2, M) view of a (2, M, H, W) buffer (``_planar_empty``).
     ``out``, if given, is an (H, W, 2, M) array that receives the result and
-    is returned; a channel-planar one keeps every plane contiguous.
-
-    Each difference is one pass over a plane's rows stitched end to end
-    (``_plane_rows``): the x-difference then also takes each row's last pixel
-    from the next row's first, and that column is zeroed after.  An ``out``
-    whose planes have no such view (a Fortran-ordered one, say) raises
-    ValueError.
+    is returned; a channel-planar one keeps every plane contiguous.  The
+    differences are taken by ``_gradient_rows`` on stitched rows
+    (``_plane_rows``); an ``out`` whose planes have no such view (a
+    Fortran-ordered one, say) raises ValueError.
     """
     u = np.asarray(u, dtype=float)
     if out is None:
         out = _planar_empty(u.shape[:2] + (2,) + u.shape[2:])
     gs = _plane_rows(out, (2, 3, 0, 1), copy=False)
-    w = u.shape[1]
+    _gradient_rows(_plane_rows(u, (2, 0, 1)), gs, u.shape[1])
+    return out
+
+
+def _gradient_rows(us, gs, w: int) -> None:
+    """``gradient`` of the stitched rows us (M, H*W) into gs (2, M, H*W), grid width w.
+
+    Each difference is one pass over a plane's rows stitched end to end: the
+    x-difference then also takes each row's last pixel from the next row's
+    first, and that column is zeroed after.
+    """
     gx, gy = gs[0], gs[1]
-    us = _plane_rows(u, (2, 0, 1))
     np.subtract(us[:, 1:], us[:, :-1], out=gx[:, :-1])
     gx[:, w - 1 :: w].fill(0.0)
     np.subtract(us[:, w:], us[:, :-w], out=gy[:, :-w])
     gy[:, -w:].fill(0.0)
-    return out
 
 
 def divergence(p, out=None) -> np.ndarray:
@@ -224,34 +236,38 @@ def divergence(p, out=None) -> np.ndarray:
     never read (the gradient's range has them zero).  Returns the (H, W, M)
     view of an (M, H, W) buffer; ``out``, if given, is an (H, W, M) array,
     not sharing memory with p and with a stitched view as in ``gradient``,
-    that receives the result and is returned.
-
-    As in ``gradient``, each difference is one pass over stitched rows; the
-    x-difference's edge columns are then rewritten: column 0 to ``px`` and
-    the last to ``0.0 - px`` of the column before it.  That last one is a
-    subtraction, not ``np.negative``, which keeps the sign of a zero as
-    ``0.0 - x`` does and never writes a strided ``out`` from ``np.negative``
-    (numpy 2.4.6 reads a 64-byte-strided input as contiguous there).
+    that receives the result and is returned.  The differences are taken by
+    ``_divergence_rows``.
     """
     p = np.asarray(p, dtype=float)
     if out is None:
         out = _planar_empty(p.shape[:2] + p.shape[3:])
-    div = out.transpose(2, 0, 1)
     d = _plane_rows(out, (2, 0, 1), copy=False)
-    w = p.shape[1]
-    ps = _plane_rows(p, (2, 3, 0, 1))
+    _divergence_rows(_plane_rows(p, (2, 3, 0, 1)), d, p.shape[1])
+    return out
+
+
+def _divergence_rows(ps, d, w: int) -> np.ndarray:
+    """``divergence`` of the stitched rows ps (2, M, H*W) into d (M, H*W), grid width w; d returned.
+
+    As in ``_gradient_rows``, each difference is one pass over stitched rows;
+    the x-difference's edge columns are then rewritten: column 0 to ``px``
+    and the last to ``0.0 - px`` of the column before it.  That last one is a
+    subtraction, not ``np.negative``, which keeps the sign of a zero as
+    ``0.0 - x`` does and never writes a strided ``out`` from ``np.negative``
+    (numpy 2.4.6 reads a 64-byte-strided input as contiguous there).
+    """
     px, py = ps[0], ps[1]
     np.subtract(px[:, 1:], px[:, :-1], out=d[:, 1:])
     if w > 1:
-        edge = p[:, :, 0].transpose(2, 0, 1)
-        div[:, :, 0] = edge[:, :, 0]
-        np.subtract(0.0, edge[:, :, -2], out=div[:, :, -1])
+        d[:, ::w] = px[:, ::w]
+        np.subtract(0.0, px[:, w - 2 :: w], out=d[:, w - 1 :: w])
     else:
-        div[:, :, 0] = 0.0
+        d.fill(0.0)
     top, below = d[:, :-w], d[:, w:]
     np.add(top, py[:, :-w], out=top)
     np.subtract(below, py[:, :-w], out=below)
-    return out
+    return d
 
 
 def _negative_divergence(p, out=None) -> np.ndarray:

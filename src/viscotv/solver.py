@@ -14,9 +14,10 @@ energy falls by the Armijo fraction ``1e-4 |s|^2/gamma`` of the move s
 than the descent lemma's ``|s|^2/(2 gamma)``, so fewer of the long BB steps
 are halved.  A trial step at or below 1/L that finds no such descent,
 which only rounding can cause, ends the solve as ``stagnated`` at the last
-accepted iterate.  Each inner solve allocates its image- and gradient-sized
-work buffers once and every iteration writes into them, so the loop makes no
-large temporaries (``minimize_smooth``).
+accepted iterate.  Each inner solve builds one evaluation plan
+(``energy._Plan``) and allocates its image-sized work buffers once, and
+every candidate point is then a fixed list of ufunc calls into them, so the
+loop makes no large temporaries (``minimize_smooth``).
 
 ``continuation`` drives delta down a geometric schedule with warm starts,
 solves each level only as accurately as its viscous bias warrants, and stops
@@ -37,9 +38,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dual import certify
-from .energy import ModelParams, _fidelity_prox, _Point
-from .grid import _clamp_in_place, _known, _planar, _planar_empty, _scalar_check, clamp_to_ball
-from .grid import _shape_check, _sup_known, channel_norms
+from .energy import ModelParams, _energy_total, _fidelity_prox, _Plan
+from .grid import _clamp_in_place, _known, _planar, _plane_rows, _scalar_check
+from .grid import _shape_check, _sup_known, channel_norms, clamp_to_ball
 
 __all__ = [
     "SolverConfig",
@@ -219,14 +220,19 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     after an odd iteration, ``BB2 = s.y/y.y <= BB1`` after an even one, and
     twice the accepted gamma when ``s.y <= 0``.
 
-    The call allocates its image- and gradient-sized work buffers once, all
-    channel-planar (``grid._planar_empty``), and every iteration writes into
-    them: one gradient field; one buffer for the trial point
-    ``u - gamma grad D(u)`` and then s; one for ``u - f``, the residual and
-    the products summed into s.s, s.y and y.y; two slots for ``grad D``, the
-    old one overwritten by y; and two iterate slots, u and the candidate,
-    swapped on acceptance.  u0 is copied into an iterate slot and never
-    written, and the returned ``u`` is the accepted slot itself.
+    The call builds one evaluation plan (``energy._Plan``), which holds the
+    gradient field, the image for ``u - f``, the residual and the products
+    summed into s.s, s.y and y.y, and the per-pixel buffers, among them the
+    pixel energies of u; a second such slot takes the candidate's, and the
+    two are swapped on acceptance.  The call allocates its own images once
+    as stitched rows (M, H*W), the layout of
+    planar memory: one for the trial point ``u - gamma grad D(u)`` and then
+    s; two slots for ``grad D``, the old one overwritten by y; and two
+    iterate slots, u and the candidate, swapped on acceptance.  Every
+    iteration writes into these buffers.  The prox takes and returns pixels
+    by channels, the transposed rows (H*W, M).  u0 is copied into an iterate
+    slot and never written, and the returned ``u`` is the (H, W, M) view of
+    the accepted slot itself.
     """
     pd = params.with_delta(_scalar_check(delta, "delta", 0.0))
     u0, f, mask = _shape_check(u0, f, mask)
@@ -239,13 +245,17 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     # not join the free top of the heap, which malloc gives back to the system
     # once it is large (glibc: at twice its mmap threshold, 1.6 MB in the
     # benchmark process), and certify and the next level reuse their pages.
-    grad = _planar_empty(f.shape[:2] + (2,) + f.shape[2:])
-    trial, scratch, div_u, div_spare, spare, u = (_planar_empty(f.shape) for _ in range(6))
-    np.copyto(u, u0)
+    plan = _Plan(f, mask, pd)
+    trial, div_u, div_spare, spare, u = (np.empty(plan.dev_rows.shape) for _ in range(5))
+    np.copyto(u, _plane_rows(u0, (2, 0, 1)))
+    # The prox takes pixels by channels, (H*W, M): the transposed rows.
+    f_pixels = _plane_rows(f, (2, 0, 1)).T
+    # The pixel energies of u and of the candidate, swapped on acceptance.
+    e_u, e_cand = plan.energy, np.empty_like(plan.energy)
 
-    at_u = _Point(u, f, mask, pd, grad, scratch, div_u)
-    res = _linf(at_u.residual())
-    history = [at_u.total]
+    total = _energy_total(plan.evaluate(u, e_u))
+    res = _linf(plan.residual(div_u))
+    history = [total]
 
     step = 1.0
     iters = evaluations = 0
@@ -254,16 +264,18 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
         iters += 1
         step = min(step, _STEP_MAX)
         while True:
-            np.multiply(step, at_u.density_residual, out=trial)
+            np.multiply(step, div_u, out=trial)
             np.subtract(u, trial, out=trial)
-            cand = _fidelity_prox(trial, f, mask, pd, step, out=spare)
+            cand = _fidelity_prox(trial.T, f_pixels, plan.mask, pd, step, out=spare.T).T
             s = np.subtract(cand, u, out=trial)
-            ss = float(np.add.reduce(np.multiply(s, s, out=scratch), axis=None))
-            at_cand = _Point(cand, f, mask, pd, grad, scratch, div_spare)
+            ss = float(np.add.reduce(np.multiply(s, s, out=plan.dev_rows), axis=None))
+            plan.evaluate(cand, e_cand)
             evaluations += 1
-            change = float(np.add.reduce(at_cand.pixel_energy - at_u.pixel_energy, axis=None))
-            if change <= -_SUFFICIENT_DECREASE * ss / step and at_cand.total < at_u.total:
-                break
+            change = float(np.add.reduce(np.subtract(e_cand, e_u, out=plan.temp), axis=None))
+            if change <= -_SUFFICIENT_DECREASE * ss / step:
+                cand_total = _energy_total(e_cand)
+                if cand_total < total:
+                    break
             if not step > min_step:  # also ends on a non-finite step
                 stop_reason = "stagnated"
                 break
@@ -271,29 +283,30 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
         if stop_reason is not None:
             break
 
-        res = _linf(at_cand.residual())
+        res = _linf(plan.residual(div_spare))
         # Barzilai-Borwein trial step from the density curvature alone; the
         # fidelity is handled exactly by the prox.  s.y > 0 implies y.y > 0.
-        y = at_u.density_residual  # grad D(u), no longer needed
-        np.subtract(at_cand.density_residual, y, out=y)
-        sy = float(np.add.reduce(np.multiply(s, y, out=scratch), axis=None))
+        y = div_u  # grad D(u), no longer needed
+        np.subtract(div_spare, y, out=y)
+        sy = float(np.add.reduce(np.multiply(s, y, out=plan.dev_rows), axis=None))
         if sy > 0.0:
             if iters % 2:
                 step = ss / sy
             else:
-                step = sy / float(np.add.reduce(np.multiply(y, y, out=scratch), axis=None))
+                step = sy / float(np.add.reduce(np.multiply(y, y, out=plan.dev_rows), axis=None))
         else:
             step = 2.0 * step
         # A prox that returns an array of its own (a test double) leaves the
         # old u as the next candidate's slot all the same.
-        u, spare, div_spare, at_u = cand, u, y, at_cand
-        history.append(at_u.total)
+        u, spare, div_u, div_spare = cand, u, div_spare, y
+        e_u, e_cand, total = e_cand, e_u, cand_total
+        history.append(total)
 
     if stop_reason is None:  # below tol, at the cap, or a residual that is not a number
         capped = iters == cfg.inner_max_iters
         stop_reason = "residual" if res <= tol else "cap" if capped else "stagnated"
     return InnerResult(
-        u=u,
+        u=u.T.reshape(f.shape),
         iterations=iters,
         residual_inf=res,
         stop_reason=stop_reason,

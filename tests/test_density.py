@@ -206,8 +206,8 @@ class TestDensityGradient:
 class TestDensityGradientOut:
     """``out=P`` writes the flux over its own argument with the same bits.
 
-    The norms are given on the in-place side, as ``_Point`` and ``certify``
-    give them.
+    The norms are given on the in-place side, as ``energy._Plan.flux`` and
+    ``certify`` give them.
     """
 
     @staticmethod

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -13,15 +14,18 @@ from viscotv.density import DensityParams, density_gradient, density_value
 from viscotv.dual import certify, dual_from_primal, dual_value, sup_known_norm
 from viscotv.energy import (
     ModelParams,
+    _energy_total,
+    _fidelity_field,
     _fidelity_prox,
     _fsum,
     _newton_shrink,
-    _Point,
+    _Plan,
     euler_residual,
     fidelity,
     primal_energy,
 )
-from viscotv.grid import _planar_empty, channel_norms, divergence, gradient
+from viscotv.grid import _planar, _planar_empty, _plane_rows, channel_norms, divergence, gradient
+from viscotv.grid import pixel_norms
 from viscotv.solver import (
     SolverConfig,
     check_max_principle,
@@ -596,15 +600,18 @@ class TestOverflowingGradientNorm:
 
 class TestResidualBuffers:
     def test_peak_below_two_gradient_fields(self):
-        # The flux is written over the point's gradient: the residual's own
-        # arrays peak at ~1.2 gradient fields (flux, divergence and residual);
-        # a flux in a buffer of its own would make it ~2.2.
+        # The flux is written over the plan's gradient and the residual over
+        # its u - f: the residual's own arrays are the density residual's
+        # rows, ~0.5 gradient fields; a flux in a buffer of its own would add one.
         u, f, mask = hole_instance_color()
         params = ModelParams(lam=10.0, zeta=2.0, density=DensityParams(2.0, 0.01))
-        _Point(u, f, mask, params).residual()  # warm-up
-        point = _Point(u, f, mask, params)
+        plan = _Plan(f, mask, params)
+        rows = _plane_rows(u, (2, 0, 1))
+        plan.evaluate(rows, plan.energy)
+        plan.residual(np.empty(rows.shape))  # warm-up
+        plan.evaluate(rows, plan.energy)
         field = gradient(u).nbytes
-        assert peak_allocation(point.residual) < 1.7 * field
+        assert peak_allocation(lambda: plan.residual(np.empty(rows.shape))) < 1.7 * field
 
 class TestLayoutIndependence:
     @pytest.mark.parametrize("channels", [1, 3])
@@ -633,36 +640,75 @@ class TestLayoutIndependence:
         assert len(certificates) == 1
 
 
+def composed_evaluation(u, f, mask, params):
+    """Pixel energies, density residual and residual at u, composed from the public rules.
+
+    The reference for ``_Plan``: each operation in the plan's order, on
+    freshly allocated arrays, with the fidelity factor of ``euler_residual``.
+    """
+    grad, dev = gradient(u), u - f
+    dev_norms = channel_norms(dev)
+    norms = pixel_norms(grad)
+    energy = density_value(params.density, grad, norms=norms)
+    energy = energy + _fidelity_field(dev_norms, mask, params)
+    density_residual = -divergence(density_gradient(params.density, grad, norms=norms))
+    coef = params.lam * (~mask)[..., None]
+    if params.zeta != 2.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            power = dev_norms ** (params.zeta - 2.0)
+        coef = coef * np.where((dev_norms > 0.0) & ~mask, power, 0.0)[..., None]
+    return energy, density_residual, dev * coef + density_residual
+
+
 class TestFusedEvaluation:
-    @pytest.mark.parametrize("channels,zeta", [(1, 2.0), (3, 1.5), (2, 1.2)])
+    CASES = list(
+        itertools.product(
+            [(1, 1), (1, 7), (7, 1), (9, 8)],  # grids
+            [1.2, 2.0, 3.0],  # mu
+            [0.0, 0.01],  # delta
+            [False, True],  # a hole
+            [1.0, 255.0],  # data scale
+        )
+    )
+
+    @pytest.mark.parametrize(
+        "channels,zeta", list(itertools.product([1, 2, 3], [1.2, 1.5, 2.0, 3.0]))
+    )
     def test_matches_public_functions_exactly(self, channels, zeta):
+        # Every case, bit for bit: the plan's pixel energies, total, density
+        # residual and residual, written into its buffers and the caller's,
+        # against the public rules composed; a point equal to f on one known
+        # pixel takes the zeta < 2 limit there.
         rng = np.random.default_rng(41)
-        f, mask = random_instance(rng, shape=(10, 7), channels=channels)
-        u = rng.normal(size=f.shape)
-        params = ModelParams(lam=2.0, zeta=zeta, density=DensityParams(2.0, 0.05))
-        point = _Point(u, f, mask, params)
-        assert point.pixel_energy.shape == mask.shape
-        total = point.total
-        residual = point.residual()
-        assert total == primal_energy(u, f, mask, params)
-        assert np.array_equal(residual, euler_residual(u, f, mask, params))
-        assert point.residual() is residual
-        assert total == _fsum(point.pixel_energy)
-        # On the solver's buffers: the gradient, u - f (then the residual)
-        # and the density residual land in them, with the same bits.  A
-        # u - f of the point's own receives its residual the same way.
-        own = _Point(u, f, mask, params)
-        dev = own.dev
-        assert same_bits(dev, u - f) and own.residual() is dev
-        buffers = [_planar_empty(s) for s in (u.shape[:2] + (2, channels), u.shape, u.shape)]
-        for buffer in buffers:
-            buffer.fill(np.nan)
-        given = _Point(u, f, mask, params, *buffers)
-        assert given.grad is buffers[0] and given.dev is buffers[1]
-        assert given.total == total and same_bits(given.pixel_energy, point.pixel_energy)
-        assert given.residual() is buffers[1] and same_bits(buffers[1], residual)
-        assert given.density_residual is buffers[2]
-        assert same_bits(buffers[2], point.density_residual)
+        for (h, w), mu, delta, hole, scale in self.CASES:
+            case = ((h, w), channels, mu, zeta, delta, hole, scale)
+            f = scale * rng.uniform(size=(h, w, channels))
+            u = _planar(f + scale * rng.normal(0.0, 0.3, size=f.shape))
+            mask = np.zeros((h, w), dtype=bool)
+            if hole:
+                mask[h // 2, w // 2] = True
+            u[-1, 0] = f[-1, 0]
+            params = ModelParams(lam=2.0, zeta=zeta, density=DensityParams(mu, delta))
+            energy, density_residual, residual = composed_evaluation(u, f, mask, params)
+
+            plan = _Plan(f, mask, params)
+            for buffer in (plan.grad, plan.dev, plan.energy):
+                buffer.fill(np.nan)
+            pixel_energy = plan.evaluate(_plane_rows(u, (2, 0, 1)), plan.energy)
+            assert pixel_energy is plan.energy, case
+            assert same_bits(pixel_energy.reshape(mask.shape), energy), case
+            assert _energy_total(pixel_energy) == _fsum(energy), case
+            density_out = _planar_empty(u.shape)
+            density_out.fill(np.nan)
+            density_rows = _plane_rows(density_out, (2, 0, 1), copy=False)
+            assert plan.residual(density_rows) is plan.dev_rows, case
+            assert same_bits(density_out, density_residual), case
+            assert same_bits(plan.dev, residual), case
+            # The public functions evaluate through a plan of their own, here
+            # on a row-major u (f is row-major throughout).
+            row_major = np.ascontiguousarray(u)
+            assert primal_energy(row_major, f, mask, params) == _fsum(energy), case
+            assert same_bits(euler_residual(row_major, f, mask, params), residual), case
 
     def test_total_is_density_plus_fidelity(self):
         rng = np.random.default_rng(43)
@@ -678,8 +724,9 @@ class TestFusedEvaluation:
         u, f, mask = single_pixel(0.5, 0.0)
         params = ModelParams(lam=2.0, zeta=2.0, density=DensityParams(2.0))
         u[0, 1, 0] = 7.0
-        point = _Point(u, f, mask, params)
-        assert point.pixel_energy[0, 1] == 0.0
-        assert point.pixel_energy[0, 0] == pytest.approx(
+        plan = _Plan(f, mask, params)
+        pixel_energy = plan.evaluate(_plane_rows(u, (2, 0, 1)), plan.energy)
+        assert pixel_energy[1] == 0.0
+        assert pixel_energy[0] == pytest.approx(
             0.25 + density_value(params.density, gradient(u))[0, 0], rel=1e-15
         )

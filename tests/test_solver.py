@@ -25,7 +25,7 @@ from viscotv import dual, energy, solver
 from viscotv.density import DensityParams
 from viscotv.dual import sup_known_norm
 from viscotv.energy import ModelParams, euler_residual, primal_energy
-from viscotv.grid import clamp_to_ball, gradient
+from viscotv.grid import _plane_rows, clamp_to_ball, gradient
 from viscotv.solver import (
     SolverConfig,
     check_max_principle,
@@ -215,18 +215,18 @@ class TestMinimizeSmooth:
         # density's curvature, which at delta = 1 (L = 16) rejects the trial
         # steps 1, 1/2 and 1/4 before it accepts 1/8.
         calls = {"fsum": 0, "points": 0}
-        fsum, point_init = energy._fsum, energy._Point.__init__
+        fsum, evaluate = energy._fsum, energy._Plan.evaluate
 
         def counting_fsum(values):
             calls["fsum"] += 1
             return fsum(values)
 
-        def counting_init(self, *args):
+        def counting_evaluate(self, *args):
             calls["points"] += 1
-            point_init(self, *args)
+            return evaluate(self, *args)
 
         monkeypatch.setattr(energy, "_fsum", counting_fsum)
-        monkeypatch.setattr(energy._Point, "__init__", counting_init)
+        monkeypatch.setattr(energy._Plan, "evaluate", counting_evaluate)
         f, mask = checkerboard_instance(n=10, block=(4, 7))
         cfg = SolverConfig(inner_max_iters=1)
         params = params_for(lam=0.1, zeta=zeta)
@@ -251,13 +251,13 @@ class TestMinimizeSmooth:
     def test_evaluations_count_every_candidate(self, monkeypatch):
         # Every point but the start is a candidate, accepted or not.
         calls = {"points": 0}
-        point_init = energy._Point.__init__
+        evaluate = energy._Plan.evaluate
 
-        def counting_init(self, *args):
+        def counting_evaluate(self, *args):
             calls["points"] += 1
-            point_init(self, *args)
+            return evaluate(self, *args)
 
-        monkeypatch.setattr(energy._Point, "__init__", counting_init)
+        monkeypatch.setattr(energy._Plan, "evaluate", counting_evaluate)
         f, mask = checkerboard_instance(n=10, block=(4, 7))
         cfg = SolverConfig(inner_max_iters=8)
         res = minimize_smooth(default_initial(f, mask), 1e-2, f, mask, params_for(lam=0.1), cfg)
@@ -283,25 +283,30 @@ class TestMinimizeSmooth:
         res = minimize_smooth(u0, delta, f, mask, params, SolverConfig(inner_tol=1e-6))
         assert res.stop_reason == "residual" and res.iterations >= 6
 
-        # The accepted candidates are those whose energy is the next history entry.
-        pd = params.with_delta(delta)
-        iterates, firsts = [u0], [0]
+        # The accepted candidates are those whose energy is the next history
+        # entry.  The prox takes pixels by channels, so a candidate's
+        # transpose is its stitched rows, as the plan takes them.
+        plan = energy._Plan(f, mask, params.with_delta(delta))
+        iterates, firsts = [_plane_rows(u0, (2, 0, 1))], [0]
         for i, (_, cand) in enumerate(trials):
-            if energy._Point(cand, f, mask, pd).total == res.energy_history[len(iterates)]:
-                iterates.append(cand)
+            total = energy._energy_total(plan.evaluate(cand.T, plan.energy))
+            if total == res.energy_history[len(iterates)]:
+                iterates.append(cand.T)
                 firsts.append(i + 1)
                 if len(iterates) == len(res.energy_history):
                     break
         assert len(iterates) == res.iterations + 1
         assert firsts[-1] == len(trials)  # the last accepted candidate is the last trial
 
-        points = [energy._Point(u, f, mask, pd) for u in iterates]
-        for point in points:
-            point.residual()
+        density_residuals = []
+        for u in iterates:
+            plan.evaluate(u, plan.energy)
+            density_residuals.append(np.empty(u.shape))
+            plan.residual(density_residuals[-1])
         shorter = 0
         for j in range(1, res.iterations):  # iteration j is done, j + 1 starts
             s = iterates[j] - iterates[j - 1]
-            y = points[j].density_residual - points[j - 1].density_residual
+            y = density_residuals[j] - density_residuals[j - 1]
             ss, sy, yy = (float(np.sum(a * b)) for a, b in ((s, s), (s, y), (y, y)))
             assert sy > 0.0  # D is convex
             bb1, bb2 = ss / sy, sy / yy
@@ -658,7 +663,8 @@ class TestContinuation:
         assert len(recs) == 1  # schedule exhausted after one level
         assert np.isfinite(cert.relative_gap)
 
-    # certify warns of a tiny dual feasibility margin where gradients are enormous.
+    # certify warns of a dual feasibility margin below 1e-12: at large mu and
+    # [0, 255] data some |tau| rounds to within 1e-12 of cbar.
     @pytest.mark.filterwarnings("ignore:dual feasibility margin:RuntimeWarning")
     @settings(max_examples=30)
     @given(
