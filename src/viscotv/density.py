@@ -74,10 +74,14 @@ def phi(params: DensityParams, t):
     second form cancels, losing of the order of ``cbar t eps``; the third stays
     within about ``20 t eps`` there but degrades toward mu = 2.  At mu != 2,
     t below ``_RADIAL_TOL`` takes the Taylor form ``(t^2/2)(1 - mu t/3)``,
-    which keeps phi >= 0 where those errors would exceed phi itself.
+    which keeps phi >= 0 where those errors would exceed phi itself.  A value
+    beyond the float range, t = inf included, is inf, without a warning.
     """
     scalar_in = np.ndim(t) == 0
-    return _maybe_scalar(_phi(params.mu, _check_nonneg(t)), scalar_in)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _phi(params.mu, _check_nonneg(t))
+    # phi is finite and increasing, so a nan (inf - inf) is a value beyond the float range.
+    return _maybe_scalar(np.where(np.isnan(value), np.inf, value), scalar_in)
 
 
 def _phi(mu, t, out=None):
@@ -114,13 +118,12 @@ def _phi_prime(mu, t):
     return -np.expm1((1.0 - mu) * np.log1p(t)) / (mu - 1.0)
 
 
-def density_value(params: DensityParams, P, *, norms=None):
+def density_value(params: DensityParams, P):
     """``(delta/2)|P|^2 + phi(|P|)`` with |P| the Frobenius norm.
 
     P has shape (..., 2, M); the result drops the trailing two axes.
-    ``norms``, if given, is ``pixel_norms(P)`` already computed by the caller.
     """
-    return _density_value(params, pixel_norms(P) if norms is None else norms)
+    return _density_value(params, pixel_norms(P))
 
 
 def _density_value(params: DensityParams, r, out=None, temp=None):
@@ -151,19 +154,13 @@ def _radial_quotient(params: DensityParams, r, out=None):
     return _into(np.where(small, 1.0 - 0.5 * params.mu * r, q), out)
 
 
-def density_gradient(params: DensityParams, P, *, norms=None, out=None):
-    """Gradient ``delta*P + phi'(|P|) P/|P|`` with the value 0 at P = 0.
-
-    ``norms``, if given, is ``pixel_norms(P)`` already computed by the caller.
-    ``out``, if given, receives the result and is returned.  It may be P
-    itself, which is then overwritten by the flux (``_flux``).
-    """
+def density_gradient(params: DensityParams, P):
+    """Gradient ``delta*P + phi'(|P|) P/|P|`` with the value 0 at P = 0."""
     P = np.asarray(P, dtype=float)
-    r = pixel_norms(P) if norms is None else norms
-    if out is None:
-        out = np.empty_like(P)
+    out = np.empty_like(P)
     order = (P.ndim - 2, P.ndim - 1, *range(P.ndim - 2))
-    _flux(params, _radial_quotient(params, r), P.transpose(order), out.transpose(order))
+    q = _radial_quotient(params, pixel_norms(P))
+    _flux(params, q, P.transpose(order), out.transpose(order))
     return out
 
 

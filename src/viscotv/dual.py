@@ -35,9 +35,8 @@ import numpy as np
 
 from .density import density_gradient, phi_conjugate, recession_constant
 from .energy import ModelParams, _energy_total, _fsum, _Plan
-from .grid import _check_bound, _field_check, _image_check, _negative_divergence
-from .grid import _plane_rows, _shape_check, _sum_products, _sup_known, channel_norms, gradient
-from .grid import pixel_norms
+from .grid import _check_bound, _field_check, _image_check, _plane_rows, _shape_check
+from .grid import _sum_products, _sup_known, channel_norms, divergence, gradient, pixel_norms
 
 __all__ = [
     "DualCertificate",
@@ -109,7 +108,8 @@ def dual_value(tau, f, mask, mparams: ModelParams, bound: float) -> float:
     _, f, mask = _shape_check(None, f, mask)
     tau = _field_check(tau, f)
     bound = _check_bound(f, mask, bound)
-    split = _split(_negative_divergence(tau), f, mask)
+    div = divergence(tau)
+    split = _split(np.negative(div, out=div), f, mask)
     return _dual_value(pixel_norms(tau), split, mparams, bound)
 
 

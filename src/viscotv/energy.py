@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .density import DensityParams, _density_value, _flux, _radial_quotient
-from .grid import _divergence_rows, _gradient_rows, _planar_empty, _plane_rows
+from .grid import _divergence_rows, _gradient_rows, _plane_rows, _unstitched
 from .grid import _root_sum_squares, _scalar_check, _shape_check, channel_norms
 
 __all__ = ["ModelParams", "fidelity", "primal_energy", "euler_residual"]
@@ -168,9 +168,10 @@ class _Plan:
     Built once per ``solver.minimize_smooth`` call, ``dual.certify`` band,
     ``primal_energy`` or ``euler_residual`` call, it binds once what every
     point reuses: f as (M, H, W) planes, the flat mask, the known-pixel
-    weight ``lam * 1_known`` (on the first residual), a channel-planar
-    gradient field ``grad`` (H, W, 2, M) and image ``dev`` (H, W, M) with
-    their stitched rows (``grid._plane_rows``) and per-pixel views, and flat
+    weight ``lam * 1_known`` (on the first residual), the stitched rows of a
+    gradient field ``grad_rows`` (2, M, H*W) and an image ``dev_rows``
+    (M, H*W) with their public-shape views ``grad`` (H, W, 2, M) and ``dev``
+    (H, W, M) (``grid._unstitched``), planes and per-pixel views, and flat
     per-pixel buffers: |grad u| ``norms``, |u - f| ``dev_norms``, one plane
     temporary ``temp`` and the pixel energies ``energy``.  Points and
     density residuals are passed as stitched rows (M, H*W).  Each rule keeps
@@ -197,10 +198,9 @@ class _Plan:
         self.width = w
         self.f = f.transpose(2, 0, 1)
         self.mask = mask.reshape(-1)
-        self.grad, self.dev = _planar_empty((h, w, 2, m)), _planar_empty(f.shape)
-        self.grad_rows = _plane_rows(self.grad, (2, 3, 0, 1), copy=False)
-        self.dev_planes = self.dev.transpose(2, 0, 1)
-        self.dev_rows = _plane_rows(self.dev, (2, 0, 1), copy=False)
+        self.grad_rows, self.dev_rows = np.empty((2, m, h * w)), np.empty((m, h * w))
+        self.grad, self.dev = _unstitched(self.grad_rows, h, w), _unstitched(self.dev_rows, h, w)
+        self.dev_planes = self.dev_rows.reshape(m, h, w)
         # Pixel by (component, channel) and pixel by channel: the last axis is summed.
         self.grad_pixels = self.grad_rows.reshape(2 * m, h * w).T
         self.dev_pixels = self.dev_rows.T

@@ -8,23 +8,21 @@ Conventions used throughout the package:
   holding one 2 x M matrix per pixel, component 0 the forward difference
   along x (width), component 1 along y (height), pixel spacing 1.
 
-In memory the fields are channel-planar: ``gradient`` fills a
-``(2, M, height, width)`` buffer and ``divergence`` an ``(M, height, width)``
-one, and each returns the transposed view with the public shape, so every
-(component, channel) pair is one contiguous ``(height, width)`` plane
-(``_planar_empty``).  Both take an optional ``out`` of the public shape
-instead, and a solve takes f planar (``_planar``).  numpy's elementwise
-operations keep the memory order of their inputs, so the fields derived from
-these stay planar, and the per-plane loop of ``_sum_products`` (every norm,
-the dual's ``d . f``) runs over contiguous memory instead of 3-wide strided
-rows.  At M = 1 a planar image is the same memory as a row-major one.
-``gradient`` and ``divergence`` take each difference as one pass over a
-plane's rows stitched end to end (``_plane_rows``), a view that planar and
-row-major arrays and their row bands ``x[a:b]`` all have, and then rewrite
-the edge column; an ``out`` without that view is rejected.  The passes
-themselves are ``_gradient_rows`` and ``_divergence_rows``, which take the
-stitched rows; ``energy._Plan`` binds those rows once per solve and calls
-the same two kernels.
+In memory the fields are channel-planar: ``gradient`` fills stitched rows
+``(2, M, height*width)`` and ``divergence`` rows ``(M, height*width)``, each
+plane's rows end to end, and each returns the view with the public shape
+(``_unstitched``), so every (component, channel) pair is one contiguous
+``(height, width)`` plane.  A solve takes f planar (``_planar``).  numpy's
+elementwise operations keep the memory order of their inputs, so the fields
+derived from these stay planar, and the per-plane loop of ``_sum_products``
+(every norm, the dual's ``d . f``) runs over contiguous memory instead of
+3-wide strided rows.  At M = 1 a planar image is the same memory as a
+row-major one.  The differences are taken on the stitched rows of the input
+(``_plane_rows``), a view that planar and row-major arrays and their row
+bands ``x[a:b]`` all have and a copy for any other input, by
+``_gradient_rows`` and ``_divergence_rows``, which then rewrite the edge
+column; ``energy._Plan`` binds its rows once per solve and calls the same
+two kernels.
 
 The public entry points check all their inputs here, once per call: arrays by
 ``_image_check`` (every image), ``_shape_check`` and ``_field_check``, L by
@@ -175,44 +173,30 @@ def pixel_norms(p) -> np.ndarray:
     return _root_sum_squares(p.reshape(p.shape[:-2] + (-1,)))
 
 
-def _planar_empty(shape) -> np.ndarray:
-    """An uninitialized float array of the given (H, W, ...) shape, channel-planar.
-
-    The axes after the two grid axes are outermost in memory, the layout of
-    ``_planar``: ``(M, H, W)`` for an image, ``(2, M, H, W)`` for a field.
-    """
-    n = len(shape)
-    return np.empty(shape[2:] + shape[:2]).transpose(n - 2, n - 1, *range(n - 2))
-
-
-def _plane_rows(x, axes, copy=None) -> np.ndarray:
-    """``x.transpose(axes)``, each plane's rows end to end, by numpy's ``reshape(..., copy=)``.
-
-    A view if one exists, else a copy (``copy=None``) or ValueError (``copy=False``).
-    The keyword is passed only when needed: numpy parses it at a cost of about
-    a third of a 48x48 reshape.
-    """
+def _plane_rows(x, axes) -> np.ndarray:
+    """``x.transpose(axes)``, each plane's rows end to end: a view if one exists, else a copy."""
     planes = x.transpose(axes)
-    shape = planes.shape[:-2] + (-1,)
-    return planes.reshape(shape) if copy is None else planes.reshape(shape, copy=copy)
+    return planes.reshape(planes.shape[:-2] + (-1,))
 
 
-def gradient(u, out=None) -> np.ndarray:
+def _unstitched(rows, h: int, w: int) -> np.ndarray:
+    """The (H, W, ...) view of the stitched rows (..., H*W) of an h x w grid."""
+    planes = rows.reshape(rows.shape[:-1] + (h, w))
+    n = planes.ndim
+    return planes.transpose(n - 2, n - 1, *range(n - 2))
+
+
+def gradient(u) -> np.ndarray:
     """Forward differences with zero one-sided difference at the far edges.
 
-    Returns the (H, W, 2, M) view of a (2, M, H, W) buffer (``_planar_empty``).
-    ``out``, if given, is an (H, W, 2, M) array that receives the result and
-    is returned; a channel-planar one keeps every plane contiguous.  The
-    differences are taken by ``_gradient_rows`` on stitched rows
-    (``_plane_rows``); an ``out`` whose planes have no such view (a
-    Fortran-ordered one, say) raises ValueError.
+    Returns the (H, W, 2, M) view (``_unstitched``) of stitched rows
+    (2, M, H*W), filled by ``_gradient_rows`` from u's rows (``_plane_rows``).
     """
     u = np.asarray(u, dtype=float)
-    if out is None:
-        out = _planar_empty(u.shape[:2] + (2,) + u.shape[2:])
-    gs = _plane_rows(out, (2, 3, 0, 1), copy=False)
-    _gradient_rows(_plane_rows(u, (2, 0, 1)), gs, u.shape[1])
-    return out
+    h, w, m = u.shape
+    gs = np.empty((2, m, h * w))
+    _gradient_rows(_plane_rows(u, (2, 0, 1)), gs, w)
+    return _unstitched(gs, h, w)
 
 
 def _gradient_rows(us, gs, w: int) -> None:
@@ -229,22 +213,17 @@ def _gradient_rows(us, gs, w: int) -> None:
     gy[:, -w:].fill(0.0)
 
 
-def divergence(p, out=None) -> np.ndarray:
+def divergence(p) -> np.ndarray:
     """Negative adjoint of ``gradient``; backward differences with truncation.
 
     Entries in the last column's x-component and last row's y-component are
     never read (the gradient's range has them zero).  Returns the (H, W, M)
-    view of an (M, H, W) buffer; ``out``, if given, is an (H, W, M) array,
-    not sharing memory with p and with a stitched view as in ``gradient``,
-    that receives the result and is returned.  The differences are taken by
-    ``_divergence_rows``.
+    view of stitched rows (M, H*W), filled by ``_divergence_rows``.
     """
     p = np.asarray(p, dtype=float)
-    if out is None:
-        out = _planar_empty(p.shape[:2] + p.shape[3:])
-    d = _plane_rows(out, (2, 0, 1), copy=False)
-    _divergence_rows(_plane_rows(p, (2, 3, 0, 1)), d, p.shape[1])
-    return out
+    h, w, _, m = p.shape
+    d = _divergence_rows(_plane_rows(p, (2, 3, 0, 1)), np.empty((m, h * w)), w)
+    return _unstitched(d, h, w)
 
 
 def _divergence_rows(ps, d, w: int) -> np.ndarray:
@@ -268,12 +247,6 @@ def _divergence_rows(ps, d, w: int) -> np.ndarray:
     np.add(top, py[:, :-w], out=top)
     np.subtract(below, py[:, :-w], out=below)
     return d
-
-
-def _negative_divergence(p, out=None) -> np.ndarray:
-    """``-divergence(p)``, negated in place of the divergence's own buffer (or ``out``)."""
-    div = divergence(p, out)
-    return np.negative(div, out=div)
 
 
 def clamp_to_ball(u, radius: float) -> np.ndarray:

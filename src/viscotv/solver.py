@@ -39,7 +39,7 @@ import numpy as np
 
 from .dual import certify
 from .energy import ModelParams, _energy_total, _fidelity_prox, _Plan
-from .grid import _clamp_in_place, _known, _planar, _plane_rows, _scalar_check
+from .grid import _clamp_in_place, _known, _planar, _plane_rows, _scalar_check, _unstitched
 from .grid import _shape_check, _sup_known, channel_norms, clamp_to_ball
 
 __all__ = [
@@ -306,7 +306,7 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
         capped = iters == cfg.inner_max_iters
         stop_reason = "residual" if res <= tol else "cap" if capped else "stagnated"
     return InnerResult(
-        u=u.T.reshape(f.shape),
+        u=_unstitched(u, *f.shape[:2]),
         iterations=iters,
         residual_inf=res,
         stop_reason=stop_reason,

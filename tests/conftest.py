@@ -56,6 +56,16 @@ def layouts(u):
     return [np.ascontiguousarray(u), np.asfortranarray(u), shifted, planar]
 
 
+def planar_empty(shape):
+    """An uninitialized float array of the given (H, W, ...) shape, channel-planar.
+
+    The axes after the two grid axes are outermost in memory, the layout of
+    ``grid._planar``: ``(M, H, W)`` for an image, ``(2, M, H, W)`` for a field.
+    """
+    n = len(shape)
+    return np.empty(shape[2:] + shape[:2]).transpose(n - 2, n - 1, *range(n - 2))
+
+
 def same_bits(a, b):
     """a and b have one shape and the same bytes entry by entry, signed zeros included."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import layouts, same_bits
+from conftest import layouts, planar_empty, same_bits
 from oracle import phi_by_quadrature
 from viscotv.density import (
     _RADIAL_TOL,
     DensityParams,
+    _flux,
     _phi_prime,
     _radial_quotient,
     density_gradient,
@@ -20,7 +21,7 @@ from viscotv.density import (
     phi_prime,
     recession_constant,
 )
-from viscotv.grid import _planar_empty, pixel_norms
+from viscotv.grid import pixel_norms
 
 MUS = (1.5, 2.0, 3.0)
 
@@ -64,6 +65,21 @@ class TestPhi:
             phi(DensityParams(2.0), -0.1)
         with pytest.raises(ValueError):
             phi_prime(DensityParams(2.0), np.array([0.5, -1.0]))
+
+    @pytest.mark.parametrize("mu", [1.0001, 1.2, 1.5, 2.0, 3.0, 15.0])
+    def test_extreme_arguments(self, mu):
+        # phi grows toward slope cbar = 1/(mu - 1), so at mu < 2 it passes the
+        # float max before t = 1e308; it is inf there and at t = inf, and
+        # neither warns.  Convexity and phi(0) = 0 put phi(t) between the
+        # supporting line at t/2 and t phi'(t).
+        p = DensityParams(mu)
+        ts = np.array([1e300, 1e308, math.inf])
+        values = phi(p, ts)
+        for t, value in zip(ts[:2].tolist(), values[:2].tolist()):
+            assert phi_prime(p, t / 2) * (t / 2) <= value <= phi_prime(p, t) * t
+        assert (values[1] == math.inf) == (mu < 2.0)
+        assert values[2] == math.inf
+        assert [phi(p, t) for t in ts.tolist()] == values.tolist()
 
     @pytest.mark.parametrize("fn", [phi, phi_prime, phi_conjugate])
     @pytest.mark.parametrize("t", [math.nan, np.array([0.5, math.nan])], ids=["scalar", "array"])
@@ -204,10 +220,10 @@ class TestDensityGradient:
 
 
 class TestDensityGradientOut:
-    """``out=P`` writes the flux over its own argument with the same bits.
+    """``_flux`` writes the flux into given planes, P's own included.
 
-    The norms are given on the in-place side, as ``energy._Plan.flux`` and
-    ``certify`` give them.
+    Its bits are those of ``density_gradient``; ``energy._Plan.flux`` writes
+    it over the plan's gradient rows that way.
     """
 
     @staticmethod
@@ -238,13 +254,13 @@ class TestDensityGradientOut:
             if delta > 0.0:
                 expected += delta * P
             assert same_bits(fresh, expected)
-            buffer = _planar_empty(P.shape)
-            assert density_gradient(p, P, out=buffer) is buffer
+            q = _radial_quotient(p, pixel_norms(P))
+            buffer = planar_empty(P.shape)
+            _flux(p, q, P.transpose(2, 3, 0, 1), buffer.transpose(2, 3, 0, 1))
             assert same_bits(buffer, expected)
-            result = density_gradient(p, target, norms=pixel_norms(target), out=target)
-            assert result is target
-            assert np.array_equal(result, fresh)
-            assert same_bits(result, expected)
+            planes = target.transpose(2, 3, 0, 1)
+            assert _flux(p, q, planes, planes) is planes
+            assert same_bits(target, expected)
 
 
 class TestRadialQuotient:
