@@ -118,6 +118,9 @@ def _build_parser() -> _Parser:
     return p
 
 
+_PARSER = _build_parser()
+
+
 def _fill(cls, args, **given):
     """cls built from given and the settings fields of args that cls has."""
     for f in dataclasses.fields(cls):
@@ -175,9 +178,8 @@ def _write_csv(path, records) -> None:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         params, cfg = _settings(args)
         source = netpbm.read(args.input)
         f = _intensities(source)

@@ -88,23 +88,19 @@ def _phi(mu, t, out=None):
     """``phi`` on a float array t >= 0, unchecked; ``out``, if given, receives it."""
     if mu == 2.0:
         return np.subtract(t, np.log1p(t, out=out), out=out)
+    if out is None:
+        out = np.empty(np.shape(t))
     if mu < 1.5:
-        value = ((1.0 + t) * _phi_prime(mu, t) - t) / (2.0 - mu)
+        value = np.divide((1.0 + t) * _phi_prime(mu, t) - t, 2.0 - mu, out=out)
     else:
-        value = t / (mu - 1.0) - np.expm1((2.0 - mu) * np.log1p(t)) / (
-            (mu - 1.0) * (2.0 - mu)
-        )
+        curved = np.expm1((2.0 - mu) * np.log1p(t)) / ((mu - 1.0) * (2.0 - mu))
+        value = np.subtract(t / (mu - 1.0), curved, out=out)
     # Both forms cancel to about t*eps, which exceeds phi ~ t^2/2 for tiny t
     # and can turn it negative; the Taylor expansion about 0 cannot.
-    return _into(np.where(t < _RADIAL_TOL, 0.5 * t * t * (1.0 - mu * t / 3.0), value), out)
-
-
-def _into(value, out):
-    """value, copied into ``out`` if that is given."""
-    if out is None:
-        return value
-    np.copyto(out, value)
-    return out
+    small = t < _RADIAL_TOL
+    tiny = t[small]
+    value[small] = 0.5 * tiny * tiny * (1.0 - mu * tiny / 3.0)
+    return value
 
 
 def phi_prime(params: DensityParams, t):
@@ -149,9 +145,13 @@ def _radial_quotient(params: DensityParams, r, out=None):
         return np.divide(1.0, np.add(1.0, r, out=out), out=out)
     small = r < _RADIAL_TOL
     safe = np.where(small, 1.0, r)
-    q = _phi_prime(params.mu, safe) / safe
-    # First-order Taylor of phi'(r)/r about 0.
-    return _into(np.where(small, 1.0 - 0.5 * params.mu * r, q), out)
+    # First-order Taylor of phi'(r)/r about 0, taken before out overwrites r.
+    taylor = 1.0 - 0.5 * params.mu * r[small]
+    if out is None:
+        out = np.empty(np.shape(r))
+    q = np.divide(_phi_prime(params.mu, safe), safe, out=out)
+    q[small] = taylor
+    return q
 
 
 def density_gradient(params: DensityParams, P):

@@ -35,8 +35,9 @@ import numpy as np
 
 from .density import density_gradient, phi_conjugate, recession_constant
 from .energy import ModelParams, _energy_total, _fsum, _Plan
-from .grid import _check_bound, _field_check, _image_check, _plane_rows, _shape_check
-from .grid import _sum_products, _sup_known, channel_norms, divergence, gradient, pixel_norms
+from .grid import _check_bound, _field_check, _image_check, _plane_rows, _root_sum_squares
+from .grid import _shape_check, _sum_products, _sup_known, channel_norms, divergence, gradient
+from .grid import pixel_norms
 
 __all__ = [
     "DualCertificate",
@@ -178,24 +179,25 @@ def _join(pieces):
 def _certify_band(u, f, mask, target: ModelParams, r0: int, r1: int):
     """certify's per-pixel outputs on rows ``[r0, r1)`` for delta-free ``target``.
 
-    Returns the pixel energy, ``|tau|`` and ``_split(-div tau)``.  The band's
-    plan (``energy._Plan``) is built on the halo rows ``[r0 - 1, r1 + 1)``,
-    clipped to the grid: ``-div`` of row r0 reads the flux of row r0 - 1,
-    and the gradient of row r1 - 1 reads u of row r1.  Unless r1 = h, the
-    plan's last row, whose gradient and divergence are truncated, is then
-    row r1, which is not kept.  tau is written over the plan's gradient and
-    ``-div tau`` over its ``u - f``, which certify never reads.
+    Returns the pixel energy, ``|tau|`` and ``_split(-div tau)``, flat by
+    pixel.  The band's plan (``energy._Plan``) is built on the halo rows
+    ``[r0 - 1, r1 + 1)``, clipped to the grid: ``-div`` of row r0 reads the
+    flux of row r0 - 1, and the gradient of row r1 - 1 reads u of row r1.
+    Unless r1 = h, the plan's last row, whose gradient and divergence are
+    truncated, is then row r1, which is not kept.  tau is written over the
+    plan's gradient rows and ``-div tau`` over its u - f rows, and the kept
+    pixels are read through the plan's pixel views.
     """
     a, b = max(r0 - 1, 0), min(r1 + 1, len(u))
-    keep = slice(r0 - a, r1 - a)
+    keep = slice((r0 - a) * u.shape[1], (r1 - a) * u.shape[1])
     plan = _Plan(f[a:b], mask[a:b], target)
     energy = plan.evaluate(_plane_rows(u[a:b], (2, 0, 1)), plan.energy)
-    tau = plan.flux()
+    plan.flux()
     plan.negative_divergence(plan.dev_rows)
-    d = plan.dev
+    tau, d = plan.grad_pixels[keep], plan.dev_pixels[keep]
+    f_pixels, damaged = plan.f_rows.T[keep], plan.mask[keep]
     del plan  # and with it the per-pixel buffers that energy, tau and d do not view
-    split = _split(d[keep], f[r0:r1], mask[r0:r1])
-    return [energy.reshape(b - a, -1)[keep], pixel_norms(tau[keep]), *split]
+    return [energy[keep], _root_sum_squares(tau), *_split(d, f_pixels, damaged)]
 
 
 def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
@@ -217,13 +219,14 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     is infinite; where a gradient entry overflows, tau's flux there is
     ``0 * inf = nan`` and its bound is -inf.
 
-    tau comes from ``density_gradient``, the flux rule of the residual.
+    tau comes from ``energy._Plan.flux``, which shares ``density._flux``,
+    the flux rule of the residual, with ``density_gradient``.
     Every per-pixel quantity is evaluated one row band at a time
     (``_certify_band``): n = ceil(h w M / _BAND) bands of ceil(h/n) rows,
     each evaluated by a plan (``energy._Plan``) built with one halo row
     above and one below, so a band's fields stay in L2 and no
     gradient-sized array covers the grid.
-    Row bands are contiguous in row-major order, so the bands' pixel
+    Row bands are contiguous in row-major order, so the bands' flat pixel
     energies, norms and splits, joined in band order, are the whole-grid
     arrays, and every reduction then runs on the whole grid: each output
     has the same bits for every band size.  A grid of at most _BAND values
@@ -232,9 +235,9 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     u, f, mask = _shape_check(u, f, mask)
     bound = _check_bound(f, mask, bound)
     target = mparams.without_viscosity()
-    # An overflowing sum is inf (``energy._fsum``).  A block, not a decorator,
+    # Inf totals as in ``energy.primal_energy``.  A block, not a decorator,
     # whose wrapper frame would take the place of the caller in the warning.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         bands = [_certify_band(u, f, mask, target, *rows) for rows in _row_bands(u.shape)]
         energy, norms, *split = map(_join, zip(*bands))
         del bands

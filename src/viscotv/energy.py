@@ -15,8 +15,7 @@ the density part and the residual; ``primal_energy``, ``euler_residual``,
 ``solver.minimize_smooth`` and ``dual.certify`` evaluate through it.
 ``_fidelity_prox`` is the exact proximal map of the fidelity, which is
 pixel-separable and radial, so it reduces to one scalar root per known
-pixel; it writes into a buffer the caller may pass and allocates one
-otherwise, with the same bits either way.
+pixel; it writes into a buffer the caller passes.
 
 Scalar reductions use ``_fsum``, a compensated sum in a fixed block order for
 a given size: ``np.sum`` over consecutive 64-element blocks of the row-major
@@ -127,36 +126,30 @@ def _newton_shrink(a, c, zeta):
     return np.divide(r, a, out=np.zeros_like(a), where=a > 0.0)
 
 
-def _prox_shrink(a, c, zeta):
-    """``r/a`` for the root r >= 0 of ``r + c*r**(zeta-1) = a``, zeta != 2.
-
-    A closed form at zeta = 1.5, Newton otherwise; ``_fidelity_prox`` takes
-    zeta = 2 itself.  At zeta = 1.5 the closed form made a 32x32 inpainting
-    solve 1.4-2.1x faster than Newton (2-vCPU host, BENCH_4.json).
-    """
-    if zeta == 1.5:  # sqrt(r) = 2a / (c + sqrt(c^2 + 4a))
-        return 4.0 * a / (c + np.sqrt(c * c + 4.0 * a)) ** 2
-    return _newton_shrink(a, c, zeta)
-
-
-def _fidelity_prox(w, f, mask, params: ModelParams, gamma: float, *, out=None) -> np.ndarray:
+def _fidelity_prox(w, f, mask, params: ModelParams, gamma: float, *, out) -> np.ndarray:
     """``argmin_v gamma * fidelity(v) + |v - w|^2 / 2``, exact for every zeta > 1.
 
     On a known pixel ``v = f + (r/a)(w - f)`` with ``a = |w - f|`` and r the
     root of ``r + gamma*lam*r**(zeta-1) = a``; damaged pixels keep w, so f
-    there never matters (their shrink is taken at ``a = 0``).  The
-    arrays are taken as given: w, f float of one shape (..., M), channels
-    last, mask boolean of their leading shape: (H, W) for images, (H*W,) for
-    the transposed stitched rows the solver passes.
-    ``out``, if given, is an array of that shape, not sharing memory with w
-    or f, that receives the result and is returned.
+    there never matters (their shrink is taken at ``a = 0``).  The arrays
+    are taken as given: w, f float of one shape (..., M), channels last,
+    mask boolean of their leading shape: (H, W) for images, (H*W,) for the
+    transposed stitched rows the solver passes.  ``out``, an array of that
+    shape not sharing memory with w or f, receives the result and is returned.
     """
     prox = np.subtract(w, f, out=out)  # the deviation, shrunk and shifted back in place
     c = gamma * params.lam
     if params.zeta == 2.0:  # r/a = 1/(1 + c) for every a: no deviation norms
         prox *= 1.0 / (1.0 + c)
     else:
-        prox *= _prox_shrink(np.where(mask, 0.0, channel_norms(prox)), c, params.zeta)[..., None]
+        a = np.where(mask, 0.0, channel_norms(prox))
+        if params.zeta == 1.5:  # sqrt(r) = 2a / (c + sqrt(c^2 + 4a))
+            # The closed form made a 32x32 inpainting solve 1.4-2.1x faster
+            # than Newton (2-vCPU host, BENCH_4.json).
+            shrink = 4.0 * a / (c + np.sqrt(c * c + 4.0 * a)) ** 2
+        else:
+            shrink = _newton_shrink(a, c, params.zeta)
+        prox *= shrink[..., None]
     prox += f
     np.copyto(prox, w, where=mask[..., None])
     return prox
@@ -167,40 +160,42 @@ class _Plan:
 
     Built once per ``solver.minimize_smooth`` call, ``dual.certify`` band,
     ``primal_energy`` or ``euler_residual`` call, it binds once what every
-    point reuses: f as (M, H, W) planes, the flat mask, the known-pixel
-    weight ``lam * 1_known`` (on the first residual), the stitched rows of a
-    gradient field ``grad_rows`` (2, M, H*W) and an image ``dev_rows``
-    (M, H*W) with their public-shape views ``grad`` (H, W, 2, M) and ``dev``
-    (H, W, M) (``grid._unstitched``), planes and per-pixel views, and flat
+    point reuses, each as stitched rows or a view of them: f as ``f_rows``
+    (M, H*W), contiguous (a view of a planar f, one copy of any other, so no
+    point reads f strided), the flat mask, the known-pixel weight
+    ``lam * 1_known`` (on the first residual), the rows of a gradient field
+    ``grad_rows`` (2, M, H*W) and an image ``dev_rows`` (M, H*W) with their
+    per-pixel views ``grad_pixels`` (H*W, 2M), by (component, channel) as
+    ``grid.pixel_norms`` orders them, and ``dev_pixels`` (H*W, M), and flat
     per-pixel buffers: |grad u| ``norms``, |u - f| ``dev_norms``, one plane
-    temporary ``temp`` and the pixel energies ``energy``.  Points and
-    density residuals are passed as stitched rows (M, H*W).  Each rule keeps
-    its one definition: the stencils of ``grid``, the norm order of
-    ``grid._sum_products``, the density and flux of ``density`` and the
-    fidelity here, each applied to the bound views with ``out=`` into the
-    buffers, so a point costs a fixed list of ufunc calls and allocates
+    temporary ``temp`` and the pixel energies ``energy``; ``dev`` (H, W, M)
+    is ``euler_residual``'s view of ``dev_rows``.  Points and density
+    residuals are passed as stitched rows, and f's pixels are ``f_rows.T``.
+    Each rule keeps its one definition: the stencils of ``grid``, the norm
+    order of ``grid._sum_products``, the density and flux of ``density`` and
+    the fidelity here, each applied to the bound views with ``out=`` into
+    the buffers, so a point costs a fixed list of ufunc calls and allocates
     nothing at mu = 2 and zeta = 2.
 
     ``evaluate(u, out)`` writes the pixel energies of u into ``out`` and
-    leaves u's gradient in ``grad``, u - f in ``dev`` and both norms in their
-    buffers; ``_energy_total`` sums them exactly.  Until the next
-    ``evaluate``, ``flux`` writes the flux ``DF_delta(grad u)`` over ``grad``
-    (and its quotient over ``norms``), and ``residual(density_out)`` writes
-    ``-div`` of that flux, the gradient of the density part alone, into the
-    rows ``density_out`` and the residual, the exact gradient of the energy,
-    over ``dev``, whose rows it returns.  f and mask are taken as
-    ``grid._shape_check`` returns them.
+    leaves u's gradient in ``grad_rows``, u - f in ``dev_rows`` and both norms
+    in their buffers; ``_energy_total`` sums them exactly.  Until the next
+    ``evaluate``, ``flux()`` writes the flux ``DF_delta(grad u)`` over
+    ``grad_rows`` (and its quotient over ``norms``), and
+    ``residual(density_out)`` writes ``-div`` of that flux, the gradient of
+    the density part alone, into the rows ``density_out`` and the residual,
+    the exact gradient of the energy, over ``dev_rows``, which it returns.
+    f and mask are taken as ``grid._shape_check`` returns them.
     """
 
     def __init__(self, f, mask, params: ModelParams):
         h, w, m = f.shape
         self.params = params
         self.width = w
-        self.f = f.transpose(2, 0, 1)
+        self.f_rows = np.ascontiguousarray(_plane_rows(f, (2, 0, 1)))
         self.mask = mask.reshape(-1)
         self.grad_rows, self.dev_rows = np.empty((2, m, h * w)), np.empty((m, h * w))
-        self.grad, self.dev = _unstitched(self.grad_rows, h, w), _unstitched(self.dev_rows, h, w)
-        self.dev_planes = self.dev_rows.reshape(m, h, w)
+        self.dev = _unstitched(self.dev_rows, h, w)
         # Pixel by (component, channel) and pixel by channel: the last axis is summed.
         self.grad_pixels = self.grad_rows.reshape(2 * m, h * w).T
         self.dev_pixels = self.dev_rows.T
@@ -211,7 +206,7 @@ class _Plan:
         params, temp = self.params, self.temp
         _gradient_rows(u, self.grad_rows, self.width)
         _root_sum_squares(self.grad_pixels, self.norms, temp)
-        np.subtract(u.reshape(self.f.shape), self.f, out=self.dev_planes)
+        np.subtract(u, self.f_rows, out=self.dev_rows)
         _root_sum_squares(self.dev_pixels, self.dev_norms, temp)
         _density_value(params.density, self.norms, out, temp)
         out += _fidelity_field(self.dev_norms, self.mask, params, temp)
@@ -222,22 +217,22 @@ class _Plan:
         """``lam * 1_known`` per pixel, taken on the first residual."""
         return self.params.lam * ~self.mask
 
-    def flux(self) -> np.ndarray:
-        """``DF_delta(grad u)`` of the last point, written over ``grad``, which is returned."""
+    def flux(self) -> None:
+        """``DF_delta(grad u)`` of the last point, written over ``grad_rows``."""
         density = self.params.density
         q = _radial_quotient(density, self.norms, self.norms)
         _flux(density, q, self.grad_rows, self.grad_rows, self.temp)
-        return self.grad
 
-    def negative_divergence(self, out) -> np.ndarray:
-        """``-div`` of the field in ``grad`` into the rows ``out``, negated in place; out returned."""
+    def negative_divergence(self, out) -> None:
+        """``-div`` of the field in ``grad_rows`` into the rows ``out``, negated in place."""
         _divergence_rows(self.grad_rows, out, self.width)
-        return np.negative(out, out=out)
+        np.negative(out, out=out)
 
     def residual(self, density_out) -> np.ndarray:
-        """The residual of the last point over ``dev``; ``-div DF_delta(grad u)`` into density_out.
+        """The residual of the last point over ``dev_rows``, which is returned.
 
-        Both are stitched rows (M, H*W).  The fidelity part is
+        ``-div DF_delta(grad u)`` goes into ``density_out``; both are stitched
+        rows (M, H*W).  The fidelity part is
         ``lam * 1_known * |u - f|^(zeta - 2) (u - f)``, its factor taken as 0
         at u = f when zeta < 2 (its continuous limit).
         """
@@ -271,13 +266,15 @@ def _evaluated(u, f, mask, params: ModelParams) -> _Plan:
     return plan
 
 
-@np.errstate(over="ignore")
+# An overflowing sum or norm is inf, and phi's inf - inf at an inf norm is a
+# nan pixel energy, which ``_energy_total`` maps to inf.
+@np.errstate(over="ignore", invalid="ignore")
 def primal_energy(u, f, mask, params: ModelParams) -> float:
     """Density term plus fidelity; with ``delta = 0`` this is the target energy."""
     return _energy_total(_evaluated(u, f, mask, params).energy)
 
 
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", invalid="ignore")  # the energy's, as in ``primal_energy``
 def euler_residual(u, f, mask, params: ModelParams) -> np.ndarray:
     """Exact gradient of ``primal_energy`` with respect to every pixel value.
 

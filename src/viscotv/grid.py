@@ -12,7 +12,7 @@ In memory the fields are channel-planar: ``gradient`` fills stitched rows
 ``(2, M, height*width)`` and ``divergence`` rows ``(M, height*width)``, each
 plane's rows end to end, and each returns the view with the public shape
 (``_unstitched``), so every (component, channel) pair is one contiguous
-``(height, width)`` plane.  A solve takes f planar (``_planar``).  numpy's
+``(height, width)`` plane.  Continuation takes f planar (``_planar``).  numpy's
 elementwise operations keep the memory order of their inputs, so the fields
 derived from these stay planar, and the per-plane loop of ``_sum_products``
 (every norm, the dual's ``d . f``) runs over contiguous memory instead of

@@ -193,7 +193,7 @@ def _linf(g) -> float:
     return float(np.maximum.reduce(np.abs(g, out=g), axis=None))
 
 
-@np.errstate(over="ignore")  # an overflowing sum is inf (``energy._fsum``)
+@np.errstate(over="ignore", invalid="ignore")  # inf energies, as in ``energy.primal_energy``
 def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) -> InnerResult:
     """Minimize the viscous energy at fixed delta > 0 from the start u0.
 
@@ -220,24 +220,22 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     after an odd iteration, ``BB2 = s.y/y.y <= BB1`` after an even one, and
     twice the accepted gamma when ``s.y <= 0``.
 
-    The call builds one evaluation plan (``energy._Plan``), which holds the
-    gradient field, the image for ``u - f``, the residual and the products
-    summed into s.s, s.y and y.y, and the per-pixel buffers, among them the
-    pixel energies of u; a second such slot takes the candidate's, and the
-    two are swapped on acceptance.  The call allocates its own images once
-    as stitched rows (M, H*W), the layout of
-    planar memory: one for the trial point ``u - gamma grad D(u)`` and then
-    s; two slots for ``grad D``, the old one overwritten by y; and two
-    iterate slots, u and the candidate, swapped on acceptance.  Every
-    iteration writes into these buffers.  The prox takes and returns pixels
-    by channels, the transposed rows (H*W, M).  u0 is copied into an iterate
-    slot and never written, and the returned ``u`` is the (H, W, M) view of
-    the accepted slot itself.
+    The call builds one evaluation plan (``energy._Plan``), which binds f as
+    stitched rows and holds the gradient field, the image for ``u - f``, the
+    residual and the products summed into s.s, s.y and y.y, and the
+    per-pixel buffers, among them the pixel energies of u; a second such
+    slot takes the candidate's, and the two are swapped on acceptance.  The
+    call allocates its own images once as stitched rows (M, H*W): one for
+    the trial point ``u - gamma grad D(u)`` and then s; two slots for
+    ``grad D``, the old one overwritten by y; and two iterate slots, u and
+    the candidate, swapped on acceptance.  Every iteration writes into these
+    buffers.  The prox takes and returns pixels by channels, the transposed
+    rows (H*W, M), f among them as the plan's ``f_rows.T``.  u0 is copied
+    into an iterate slot and never written, and the returned ``u`` is the
+    (H, W, M) view of the accepted slot itself.
     """
     pd = params.with_delta(_scalar_check(delta, "delta", 0.0))
     u0, f, mask = _shape_check(u0, f, mask)
-    # Planar buffers fix the memory order in which the step sums below reduce.
-    f = _planar(f)
     tol = cfg.inner_tol * (1.0 + _sup_known(f, mask))
     min_step = 1.0 / (8.0 * (1.0 + pd.density.delta))
     # The iterate slots come last, so the slot returned as u tends to lie above
@@ -248,8 +246,6 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     plan = _Plan(f, mask, pd)
     trial, div_u, div_spare, spare, u = (np.empty(plan.dev_rows.shape) for _ in range(5))
     np.copyto(u, _plane_rows(u0, (2, 0, 1)))
-    # The prox takes pixels by channels, (H*W, M): the transposed rows.
-    f_pixels = _plane_rows(f, (2, 0, 1)).T
     # The pixel energies of u and of the candidate, swapped on acceptance.
     e_u, e_cand = plan.energy, np.empty_like(plan.energy)
 
@@ -266,7 +262,7 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
         while True:
             np.multiply(step, div_u, out=trial)
             np.subtract(u, trial, out=trial)
-            cand = _fidelity_prox(trial.T, f_pixels, plan.mask, pd, step, out=spare.T).T
+            cand = _fidelity_prox(trial.T, plan.f_rows.T, plan.mask, pd, step, out=spare.T).T
             s = np.subtract(cand, u, out=trial)
             ss = float(np.add.reduce(np.multiply(s, s, out=plan.dev_rows), axis=None))
             plan.evaluate(cand, e_cand)

@@ -324,7 +324,7 @@ class TestFidelityProx:
         params = ModelParams(lam=1.0, zeta=zeta, density=DensityParams(2.0))
         out = planar_empty(w.shape)
         for c in np.logspace(-8, 4, 13):
-            v = _fidelity_prox(w, f, mask, params, c)
+            v = _fidelity_prox(w, f, mask, params, c, out=np.empty_like(w))
             out.fill(np.nan)
             assert _fidelity_prox(w, f, mask, params, c, out=out) is out
             assert same_bits(out, v)
@@ -343,7 +343,8 @@ class TestFidelityProx:
         """The factor by which ``_fidelity_prox`` shrinks deviations of norms a (f = 0)."""
         w = a[None, :, None]
         params = ModelParams(lam=1.0, zeta=zeta, density=DensityParams(2.0))
-        v = _fidelity_prox(w, np.zeros_like(w), np.zeros((1, a.size), bool), params, c)
+        mask = np.zeros((1, a.size), bool)
+        v = _fidelity_prox(w, np.zeros_like(w), mask, params, c, out=np.empty_like(w))
         return v[0, :, 0] / a
 
     @pytest.mark.parametrize("zeta", [1.5, 2.0])
@@ -584,6 +585,23 @@ class TestOverflowingGradientNorm:
             assert cert.primal_value == math.inf
             assert cert.relative_gap == math.inf
 
+    @pytest.mark.parametrize("mu", [1.5, 2.0, 3.0])
+    def test_overflowing_norms_warn_nothing(self, mu):
+        # Every pixel's gradient norm overflows to inf.  Under the suite's
+        # error::RuntimeWarning, phi's inf - inf (mu <= 2) and the solver's
+        # difference of two inf energies must not warn.
+        u = np.where(np.indices((4, 4)).sum(axis=0)[..., None] % 2 == 0, 1e200, -1e200)
+        f, mask = np.zeros_like(u), np.zeros((4, 4), dtype=bool)
+        params = ModelParams(lam=1.0, zeta=2.0, density=DensityParams(mu))
+        assert primal_energy(u, f, mask, params) == math.inf
+        # The flux q*grad u is 0 where q = phi'(inf)/inf = 0: lam (u - f) is left.
+        assert same_bits(euler_residual(u, f, mask, params), u)
+        cert = certify(u, f, mask, params, 0.0)
+        assert (cert.primal_value, cert.dual_value, cert.relative_gap) == (math.inf, 0.0, math.inf)
+        res = minimize_smooth(u, 1e-2, f, mask, params, SolverConfig(inner_max_iters=3))
+        assert (res.iterations, res.stop_reason, res.energy_history) == (1, "stagnated", [math.inf])
+        assert same_bits(res.u, u)
+
     def test_continuation_reports_inf(self):
         # L = 1e154 is finite, but the gradient at the known spike is not.
         f = np.zeros((4, 4, 1))
@@ -619,21 +637,30 @@ class TestResidualBuffers:
 class TestPlanViews:
     @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 7, 3), (6, 1, 2), (5, 4, 3)])
     def test_public_views_alias_their_rows(self, shape):
-        # The plan allocates stitched rows and takes every other shape as a
-        # view of them: a write through the rows shows in the view.
+        # The plan allocates stitched rows; ``dev``, euler_residual's return
+        # value, is a view of them: a write through the rows shows in it.
         h, w, _ = shape
         f = np.random.default_rng(3).uniform(size=shape)
         mask = np.zeros((h, w), dtype=bool)
         plan = _Plan(f, mask, ModelParams(lam=1.0, zeta=2.0, density=DensityParams(2.0)))
-        for view, rows, axes in (
-            (plan.grad, plan.grad_rows, (2, 3, 0, 1)),
-            (plan.dev, plan.dev_rows, (1, 2, 0)),
-            (plan.dev_planes, plan.dev_rows, (0, 1, 2)),
-        ):
-            assert np.shares_memory(view, rows)
-            rows[...] = np.arange(rows.size, dtype=float).reshape(rows.shape)
-            expected = rows.copy().reshape(rows.shape[:-1] + (h, w)).transpose(axes)
-            assert same_bits(view, expected)
+        rows = plan.dev_rows
+        assert np.shares_memory(plan.dev, rows)
+        rows[...] = np.arange(rows.size, dtype=float).reshape(rows.shape)
+        expected = rows.copy().reshape(rows.shape[:-1] + (h, w)).transpose(1, 2, 0)
+        assert same_bits(plan.dev, expected)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_binds_f_as_rows(self, channels):
+        # f's contiguous stitched rows are a view of a planar f (a row-major
+        # one at M = 1) and one copy of any other layout; the rows hold f's
+        # planes either way.
+        f = np.random.default_rng(5).uniform(size=(4, 6, channels))
+        mask = np.zeros((4, 6), dtype=bool)
+        params = ModelParams(lam=1.0, zeta=2.0, density=DensityParams(2.0))
+        for given, view in ((_planar(f), True), (f, channels == 1), (np.asfortranarray(f), False)):
+            rows = _Plan(given, mask, params).f_rows
+            assert rows.flags.c_contiguous and np.shares_memory(rows, given) == view
+            assert same_bits(_unstitched(rows, 4, 6), f)
 
 
 class TestLayoutIndependence:
@@ -713,7 +740,7 @@ class TestFusedEvaluation:
             energy, density_residual, residual = composed_evaluation(u, f, mask, params)
 
             plan = _Plan(f, mask, params)
-            for buffer in (plan.grad, plan.dev, plan.energy):
+            for buffer in (plan.grad_rows, plan.dev, plan.energy):
                 buffer.fill(np.nan)
             pixel_energy = plan.evaluate(_plane_rows(u, (2, 0, 1)), plan.energy)
             assert pixel_energy is plan.energy, case
