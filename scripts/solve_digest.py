@@ -51,8 +51,11 @@ every ``minimize_smooth`` call, and ``certify`` calls are counted, by
 wrapping ``solver.minimize_smooth``, ``solver.certify`` and
 ``dual.certify``, which changes no bit.  Each line ends with the set's own
 digest, the first 12 hex digits of a sha256 over that set's contributions
-to the digest, so a census shows which sets a change moved.  The digest
-stays the last line on stdout.
+to the digest, so a census shows which sets a change moved, and, on every
+set but the audit, its iterate digest, the same over the set's restored
+images alone: u of each solve, the output file of each CLI run.  A change
+that only re-rounds the reported totals moves a set digest and leaves its
+iterate digest.  The digest stays the last line on stdout.
 
 With ``--expect HEX`` the script exits 1 when the digest differs from HEX.
 ``scripts/solve_digest.expected`` holds the digest of the current tree, and
@@ -142,7 +145,7 @@ def main(argv=None):
             run.reference_seconds()
             instances[0].call()  # warm-up, outside the census and the digest
         counts.update(dict.fromkeys(counts, 0))
-        part = hashlib.sha256()
+        part, iterate = hashlib.sha256(), hashlib.sha256()
         faults = extrapolated = edge = 0
         largest_gap = 0.0
         for instance in instances:
@@ -153,11 +156,13 @@ def main(argv=None):
             if wl.kind == "audit":
                 chunks, gap = [repr(result).encode()], result.relative_gap
             elif wl.kind == "cli":
+                iterate.update(instance.output.read_bytes())  # check() deletes the file
                 outcome = instance.check(result)
                 chunks, gap = [outcome.fingerprint], outcome.gap
             else:
                 u, cert, records = result
                 chunks = [np.ascontiguousarray(u).tobytes()]
+                iterate.update(chunks[0])
                 chunks += [repr(replace(record, wall_seconds=0.0)).encode() for record in records]
                 extrapolated += cert.relative_gap != records[-1].relative_gap
                 edge += cert.dual_scale < 1.0
@@ -186,6 +191,8 @@ def main(argv=None):
                 f"{edge} scaled at the rounding edge",
             ]
         census += [f"largest gap {largest_gap:.2e}", f"set digest {part.hexdigest()[:12]}"]
+        if wl.kind != "audit":
+            census.append(f"iterate digest {iterate.hexdigest()[:12]}")
         print(f"{name}: " + ", ".join(census), file=sys.stderr)
     print(digest.hexdigest())
     if args.expect is not None and digest.hexdigest() != args.expect.strip():

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import density_gradient, phi_conjugate, recession_constant
-from .energy import ModelParams, _energy_total, _fsum, _Plan
+from .energy import ModelParams, _energy_total, _Plan, _total
 from .grid import _check_bound, _field_check, _image_check, _plane_rows, _root_sum_squares
 from .grid import _shape_check, _sum_products, _sup_known, channel_norms, divergence, gradient
 from .grid import pixel_norms
@@ -98,7 +98,7 @@ def _known_infimum(dot, d_norms, lam: float, zeta: float):
     return dot - (lam / zc) * (d_norms / lam) ** zc
 
 
-@np.errstate(over="ignore")  # an overflowing sum is inf (``energy._fsum``)
+@np.errstate(over="ignore")  # an overflowing sum is inf (``energy._total``)
 def dual_value(tau, f, mask, mparams: ModelParams, bound: float) -> float:
     """Certified lower bound on the minimal delta = 0 energy.
 
@@ -132,11 +132,11 @@ def _dual_value(norms, split, mparams: ModelParams, bound: float) -> float:
     edge (``_edge_dual``).
     """
     dot_known, d_known, d_damaged = split
-    value = _fsum(-phi_conjugate(mparams.density.without_viscosity(), norms))
+    value = _total(-phi_conjugate(mparams.density.without_viscosity(), norms))
     if value == -math.inf:
         return value
     known_terms = _known_infimum(dot_known, d_known, mparams.lam, mparams.zeta)
-    return value + _fsum(known_terms) + _fsum(-bound * d_damaged)
+    return value + _total(known_terms) + _total(-bound * d_damaged)
 
 
 def _edge_dual(norms, split, mparams: ModelParams, bound: float):

@@ -17,13 +17,13 @@ the density part and the residual; ``primal_energy``, ``euler_residual``,
 pixel-separable and radial, so it reduces to one scalar root per known
 pixel; it writes into a buffer the caller passes.
 
-Scalar reductions use ``_fsum``, a compensated sum in a fixed block order for
-a given size: ``np.sum`` over consecutive 64-element blocks of the row-major
-values, then ``math.fsum`` over the block totals and the tail.  The per-pixel
-norms (``grid.channel_norms``, ``grid.pixel_norms``) sum the squares of their
-components one by one in a fixed order (``grid._sum_products``).  Energies are
-therefore reproducible bit for bit for a given grid, whatever the memory
-layout of u.
+Every scalar total, here, in ``dual`` and in ``solver``, is ``_total``: one
+``np.add.reduce`` over the row-major values, numpy's pairwise summation, whose
+error is at most about ``ceil(log2 n) * eps * sum|x|`` for n values.  The
+per-pixel norms (``grid.channel_norms``, ``grid.pixel_norms``) sum the squares
+of their components one by one in a fixed order (``grid._sum_products``).
+Energies are therefore reproducible bit for bit for a given grid, whatever the
+memory layout of u.
 """
 
 from __future__ import annotations
@@ -64,36 +64,27 @@ class ModelParams:
         return self if self.density.delta == 0.0 else self.with_delta(0.0)
 
 
-_FSUM_BLOCK = 64
+def _total(values) -> float:
+    """The sum of the values in row-major order: one pairwise ``np.add.reduce``.
 
-
-def _fsum(values) -> float:
-    """Sum in a fixed order: ``np.sum`` per 64-element block, ``math.fsum`` of those.
-
-    A total beyond the float range is returned as inf of its sign.  numpy
-    warns when a block sum overflows; the public entry points that sum ignore
-    that warning once per call (``np.errstate``, a decorator or, in
-    ``certify``, a with-block), not here, where the context would cost about
-    half a block sum at every call.
+    ``np.ravel`` fixes the order, so every layout of the same values gives
+    the same bits; on a C-contiguous array it is a view.  A total beyond the
+    float range is inf; numpy warns when a sum overflows, and the public
+    entry points that sum ignore that warning once per call (``np.errstate``,
+    a decorator or, in ``certify``, a with-block), not here, where the
+    context would cost about half the sum of a 48x48 field.
     """
-    x = np.asarray(values, dtype=float).ravel()
-    cut = x.size - x.size % _FSUM_BLOCK
-    blocks = x[:cut].reshape(-1, _FSUM_BLOCK).sum(axis=1)
-    parts = blocks.tolist() + x[cut:].tolist()
-    try:
-        return math.fsum(parts)
-    except OverflowError:  # a partial sum of finite parts overflowed
-        return math.copysign(math.inf, math.fsum(p * 2.0**-64 for p in parts))
+    return float(np.add.reduce(np.ravel(values)))
 
 
 def _energy_total(pixel_energy) -> float:
-    """The exact sum of a pixel energy field, +inf where that sum is nan.
+    """The total of a pixel energy field (``_total``), +inf where that total is nan.
 
     For finite u and f a pixel energy is nan only where a norm overflowed
     (``inf - inf`` in ``phi``, ``0*inf`` in the viscous term), so the energy
     is beyond the float range.
     """
-    total = _fsum(pixel_energy)
+    total = _total(pixel_energy)
     return math.inf if math.isnan(total) else total
 
 
@@ -179,7 +170,7 @@ class _Plan:
 
     ``evaluate(u, out)`` writes the pixel energies of u into ``out`` and
     leaves u's gradient in ``grad_rows``, u - f in ``dev_rows`` and both norms
-    in their buffers; ``_energy_total`` sums them exactly.  Until the next
+    in their buffers; ``_energy_total`` sums them.  Until the next
     ``evaluate``, ``flux()`` writes the flux ``DF_delta(grad u)`` over
     ``grad_rows`` (and its quotient over ``norms``), and
     ``residual(density_out)`` writes ``-div`` of that flux, the gradient of
@@ -251,11 +242,11 @@ class _Plan:
         return dev
 
 
-@np.errstate(over="ignore")  # an overflowing sum is inf (``_fsum``)
+@np.errstate(over="ignore")  # an overflowing sum is inf (``_total``)
 def fidelity(u, f, mask, params: ModelParams) -> float:
     """``(lam/zeta) sum_{known pixels} |u - f|^zeta``; f is ignored on damaged pixels."""
     u, f, mask = _shape_check(u, f, mask)
-    return _fsum(_fidelity_field(channel_norms(u - f), mask, params))
+    return _total(_fidelity_field(channel_norms(u - f), mask, params))
 
 
 def _evaluated(u, f, mask, params: ModelParams) -> _Plan:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dual import certify
-from .energy import ModelParams, _energy_total, _fidelity_prox, _Plan
+from .energy import ModelParams, _energy_total, _fidelity_prox, _Plan, _total
 from .grid import _clamp_in_place, _known, _planar, _plane_rows, _scalar_check, _unstitched
 from .grid import _shape_check, _sup_known, channel_norms, clamp_to_ball
 
@@ -211,8 +211,9 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
     rounding can cause, ends the solve instead of halving further.  The test
     runs on the sum of the per-pixel energy differences, free of the
     cancellation between two large totals; a candidate that passes it is
-    accepted only if its exact total is also strictly below the current one,
-    so every accepted step strictly decreases the energy.
+    accepted only if its total is also strictly below the current one, so
+    every accepted step strictly decreases the computed energy.  Every total
+    and inner product is one ``energy._total``.
 
     The first iteration starts from gamma = 1.0, each later one from a
     Barzilai-Borwein step on the last accepted move ``s = cand - u`` and
@@ -264,10 +265,10 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
             np.subtract(u, trial, out=trial)
             cand = _fidelity_prox(trial.T, plan.f_rows.T, plan.mask, pd, step, out=spare.T).T
             s = np.subtract(cand, u, out=trial)
-            ss = float(np.add.reduce(np.multiply(s, s, out=plan.dev_rows), axis=None))
+            ss = _total(np.multiply(s, s, out=plan.dev_rows))
             plan.evaluate(cand, e_cand)
             evaluations += 1
-            change = float(np.add.reduce(np.subtract(e_cand, e_u, out=plan.temp), axis=None))
+            change = _total(np.subtract(e_cand, e_u, out=plan.temp))
             if change <= -_SUFFICIENT_DECREASE * ss / step:
                 cand_total = _energy_total(e_cand)
                 if cand_total < total:
@@ -284,12 +285,12 @@ def minimize_smooth(u0, delta, f, mask, params: ModelParams, cfg: SolverConfig) 
         # fidelity is handled exactly by the prox.  s.y > 0 implies y.y > 0.
         y = div_u  # grad D(u), no longer needed
         np.subtract(div_spare, y, out=y)
-        sy = float(np.add.reduce(np.multiply(s, y, out=plan.dev_rows), axis=None))
+        sy = _total(np.multiply(s, y, out=plan.dev_rows))
         if sy > 0.0:
             if iters % 2:
                 step = ss / sy
             else:
-                step = sy / float(np.add.reduce(np.multiply(y, y, out=plan.dev_rows), axis=None))
+                step = sy / _total(np.multiply(y, y, out=plan.dev_rows))
         else:
             step = 2.0 * step
         # A prox that returns an array of its own (a test double) leaves the

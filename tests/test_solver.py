@@ -209,31 +209,35 @@ class TestMinimizeSmooth:
     @pytest.mark.parametrize("zeta", [1.5, 2.0])
     def test_exact_total_only_after_armijo_passes(self, monkeypatch, zeta):
         # The sufficient-decrease test compares per-pixel energy differences;
-        # the exact total is summed once for u0 and once per candidate that
+        # the energy total is summed once for u0 and once per candidate that
         # passes it, and a passing candidate lies strictly below u0, so it is
         # accepted.  The weak fidelity (lam = 0.1) leaves the step to the
         # density's curvature, which at delta = 1 (L = 16) rejects the trial
-        # steps 1, 1/2 and 1/4 before it accepts 1/8.
-        calls = {"fsum": 0, "points": 0}
-        fsum, evaluate = energy._fsum, energy._Plan.evaluate
+        # steps 1, 1/2 and 1/4 before it accepts 1/8.  Every sum goes through
+        # ``energy._total``: s.s and the energy change per candidate, then
+        # s.y after the one (odd) iteration, and the two energy totals.
+        calls = {"totals": 0, "points": 0}
+        total, evaluate = energy._total, energy._Plan.evaluate
 
-        def counting_fsum(values):
-            calls["fsum"] += 1
-            return fsum(values)
+        def counting_total(values):
+            calls["totals"] += 1
+            return total(values)
 
         def counting_evaluate(self, *args):
             calls["points"] += 1
             return evaluate(self, *args)
 
-        monkeypatch.setattr(energy, "_fsum", counting_fsum)
+        monkeypatch.setattr(energy, "_total", counting_total)
+        monkeypatch.setattr(solver, "_total", counting_total)
         monkeypatch.setattr(energy._Plan, "evaluate", counting_evaluate)
         f, mask = checkerboard_instance(n=10, block=(4, 7))
         cfg = SolverConfig(inner_max_iters=1)
         params = params_for(lam=0.1, zeta=zeta)
         res = minimize_smooth(default_initial(f, mask), 1.0, f, mask, params, cfg)
         assert len(res.energy_history) == 2
-        assert calls["fsum"] == 2
-        assert calls["points"] > 3  # u0, then at least two backtracked candidates
+        candidates = calls["points"] - 1
+        assert candidates > 2  # at least two backtracked candidates
+        assert calls["totals"] == 2 * candidates + 1 + 2
 
     @pytest.mark.parametrize("zeta", [1.5, 2.0])
     def test_step_passes_on_armijo_fraction(self, zeta):
