@@ -9,9 +9,15 @@ relative duality gap of the iterate and of the Richardson point (blank on
 the first level) and the viscous gradient energy delta * sum |grad u|^2 for
 each outer step, then the point that was returned (iterate or extrapolated)
 and its certificate.
+
+Exits 1 when the run fails a check: a dual value above the primal value, a
+gap that is not finite, the maximum principle, or, without
+``--full-schedule``, a gap above ``--gap-tol``; 0 otherwise.
 """
 
 import argparse
+import math
+import sys
 import time
 
 import numpy as np
@@ -74,6 +80,17 @@ def main():
           f"(margin {mp.margin:.2e}, bound {mp.bound:g})")
     print(f"wall time: {wall:.2f}s")
 
+    checks = {
+        "dual value above primal value": cert.dual_value > cert.primal_value,
+        "gap not finite": not math.isfinite(cert.relative_gap),
+        "maximum principle": not mp.passed,
+        "gap above --gap-tol": not args.full_schedule and cert.relative_gap > args.gap_tol,
+    }
+    failures = [text for text, failed in checks.items() if failed]
+    for text in failures:
+        print(f"FAIL: {text}", file=sys.stderr)
+    return 1 if failures else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

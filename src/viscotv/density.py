@@ -6,7 +6,10 @@ The regularizer applied to a gradient tensor P is the radial density
 (the recession constant), which is also the radius of the ball on which the
 Fenchel conjugate ``phi_conjugate`` stays finite.  A quadratic viscosity term
 ``(delta/2)|P|**2`` can be blended in through ``DensityParams.delta``; the
-conjugate is only defined for the viscosity-free density.
+conjugate is only defined for the viscosity-free density.  Being radial, the
+density has the gradient ``DF_delta(P) = (phi'(|P|)/|P| + delta) P``: one
+factor per pixel (``_flux_factor``) times P, the one flux rule that
+``density_gradient`` and ``energy._Plan.flux`` apply.
 
 All operations are pure and accept scalars or numpy arrays (broadcasting over
 leading axes for the tensor-valued ones).
@@ -136,54 +139,32 @@ def _density_value(params: DensityParams, r, out=None, temp=None):
     return value
 
 
-def _radial_quotient(params: DensityParams, r, out=None):
-    """phi'(r)/r, continuously extended by phi''(0) = 1 at r = 0; ``out`` may be r itself.
+def _flux_factor(params: DensityParams, r, out=None):
+    """``phi'(r)/r + delta``, so that ``DF_delta(P) = factor * P``; ``out`` may be r itself.
 
-    Exact ``1/(1 + r)`` at mu = 2, finite at r = 0.
+    phi'(r)/r is continuously extended by phi''(0) = 1 at r = 0, and exact
+    ``1/(1 + r)`` at mu = 2, finite at r = 0.
     """
     if params.mu == 2.0:
-        return np.divide(1.0, np.add(1.0, r, out=out), out=out)
-    small = r < _RADIAL_TOL
-    safe = np.where(small, 1.0, r)
-    # First-order Taylor of phi'(r)/r about 0, taken before out overwrites r.
-    taylor = 1.0 - 0.5 * params.mu * r[small]
-    if out is None:
-        out = np.empty(np.shape(r))
-    q = np.divide(_phi_prime(params.mu, safe), safe, out=out)
-    q[small] = taylor
+        q = np.divide(1.0, np.add(1.0, r, out=out), out=out)
+    else:
+        small = r < _RADIAL_TOL
+        safe = np.where(small, 1.0, r)
+        # First-order Taylor of phi'(r)/r about 0, taken before out overwrites r.
+        taylor = 1.0 - 0.5 * params.mu * r[small]
+        if out is None:
+            out = np.empty(np.shape(r))
+        q = np.divide(_phi_prime(params.mu, safe), safe, out=out)
+        q[small] = taylor
+    q += params.delta
     return q
 
 
 def density_gradient(params: DensityParams, P):
-    """Gradient ``delta*P + phi'(|P|) P/|P|`` with the value 0 at P = 0."""
+    """Gradient ``DF_delta(P) = (phi'(|P|)/|P| + delta) P``, the value 0 at P = 0, in P's layout."""
     P = np.asarray(P, dtype=float)
-    out = np.empty_like(P)
-    order = (P.ndim - 2, P.ndim - 1, *range(P.ndim - 2))
-    q = _radial_quotient(params, pixel_norms(P))
-    _flux(params, q, P.transpose(order), out.transpose(order))
-    return out
-
-
-def _flux(params: DensityParams, q, P, out, temp=None):
-    """The flux of the (component, channel) planes P (2, M, ...) into out, q = phi'(|P|)/|P|.
-
-    ``q*P`` at delta = 0.  At delta > 0 each plane k is built as
-    ``t = q*P_k; out_k = delta*P_k; out_k += t`` with one plane-sized t
-    (``temp``, allocated when None), so no field-sized temporary is made; out
-    may be P itself.  IEEE addition and multiplication commute, so these are
-    the bits of ``q*P + delta*P``.
-    """
-    if params.delta == 0.0:
-        return np.multiply(q, P, out=out)
-    if temp is None:
-        temp = np.empty(np.shape(q))
-    for i in range(P.shape[0]):
-        for k in range(P.shape[1]):
-            plane, into = P[i, k, ...], out[i, k, ...]
-            np.multiply(q, plane, out=temp)
-            np.multiply(params.delta, plane, out=into)
-            into += temp
-    return out
+    q = _flux_factor(params, pixel_norms(P))
+    return np.multiply(q[..., None, None], P, out=np.empty_like(P))
 
 
 def recession_constant(params: DensityParams) -> float:

@@ -54,6 +54,8 @@ class DualCertificate:
 
     ``dual_value <= primal_value`` always (weak duality);
     ``relative_gap = (primal_value - dual_value)/max(1, |primal_value|)``.
+    A dual bound that rounding put above the primal value by at most 1e-10
+    relative is reported as the primal value, with gap 0 (``certify``).
     ``dual_scale`` is the theta that tau was scaled by to give
     ``dual_value``: 1.0 except at the mu > 2 rounding edge, where it is
     ``cbar/max|tau|`` or 0 (``certify``).
@@ -78,7 +80,11 @@ def sup_known_norm(f, mask) -> float:
 
 
 def dual_from_primal(u, params: ModelParams):
-    """Return ``(tau, sigma) = (DF(grad u), DF_delta(grad u))``; ``sigma = tau + delta grad u``."""
+    """Return ``(tau, sigma) = (DF(grad u), DF_delta(grad u))``; ``sigma = tau + delta grad u``.
+
+    Each is one factor per pixel times ``grad u`` (``density_gradient``), so
+    sigma equals ``tau + delta grad u`` up to rounding, not bit for bit.
+    """
     g = gradient(_image_check(u, "u"))
     tau = density_gradient(params.density.without_viscosity(), g)
     sigma = density_gradient(params.density, g)
@@ -192,8 +198,7 @@ def _certify_band(u, f, mask, target: ModelParams, r0: int, r1: int):
     keep = slice((r0 - a) * u.shape[1], (r1 - a) * u.shape[1])
     plan = _Plan(f[a:b], mask[a:b], target)
     energy = plan.evaluate(_plane_rows(u[a:b], (2, 0, 1)), plan.energy)
-    plan.flux()
-    plan.negative_divergence(plan.dev_rows)
+    plan.flux(plan.dev_rows)
     tau, d = plan.grad_pixels[keep], plan.dev_pixels[keep]
     f_pixels, damaged = plan.f_rows.T[keep], plan.mask[keep]
     del plan  # and with it the per-pixel buffers that energy, tau and d do not view
@@ -217,10 +222,13 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     ``divergence_residual_on_D`` and ``feasibility_margin`` describe the
     unscaled tau.  The gap is inf when the primal energy or the dual bound
     is infinite; where a gradient entry overflows, tau's flux there is
-    ``0 * inf = nan`` and its bound is -inf.
+    ``0 * inf = nan`` and its bound is -inf.  A gap that rounding made
+    negative, down to -1e-10, is reported as 0 with the dual value set to
+    the primal value; a more negative one raises ``AssertionError``.
 
-    tau comes from ``energy._Plan.flux``, which shares ``density._flux``,
-    the flux rule of the residual, with ``density_gradient``.
+    tau and ``-div tau`` come from ``energy._Plan.flux``, the flux rule of
+    the residual, whose factor ``density._flux_factor`` is also
+    ``density_gradient``'s.
     Every per-pixel quantity is evaluated one row band at a time
     (``_certify_band``): n = ceil(h w M / _BAND) bands of ceil(h/n) rows,
     each evaluated by a plan (``energy._Plan``) built with one halo row
@@ -270,7 +278,7 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
                 raise AssertionError(
                     f"weak duality violated: primal {primal} < dual {dval}"
                 )
-            gap = 0.0
+            gap, dval = 0.0, primal
     return DualCertificate(
         primal_value=primal,
         dual_value=dval,

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .density import DensityParams, _density_value, _flux, _radial_quotient
+from .density import DensityParams, _density_value, _flux_factor
 from .grid import _divergence_rows, _gradient_rows, _plane_rows, _unstitched
 from .grid import _root_sum_squares, _scalar_check, _shape_check, channel_norms
 
@@ -163,19 +163,19 @@ class _Plan:
     is ``euler_residual``'s view of ``dev_rows``.  Points and density
     residuals are passed as stitched rows, and f's pixels are ``f_rows.T``.
     Each rule keeps its one definition: the stencils of ``grid``, the norm
-    order of ``grid._sum_products``, the density and flux of ``density`` and
-    the fidelity here, each applied to the bound views with ``out=`` into
-    the buffers, so a point costs a fixed list of ufunc calls and allocates
-    nothing at mu = 2 and zeta = 2.
+    order of ``grid._sum_products``, the density and flux factor of
+    ``density`` and the fidelity here, each applied to the bound views with
+    ``out=`` into the buffers, so a point costs a fixed list of ufunc calls
+    and allocates nothing at mu = 2 and zeta = 2.
 
     ``evaluate(u, out)`` writes the pixel energies of u into ``out`` and
     leaves u's gradient in ``grad_rows``, u - f in ``dev_rows`` and both norms
     in their buffers; ``_energy_total`` sums them.  Until the next
-    ``evaluate``, ``flux()`` writes the flux ``DF_delta(grad u)`` over
-    ``grad_rows`` (and its quotient over ``norms``), and
-    ``residual(density_out)`` writes ``-div`` of that flux, the gradient of
-    the density part alone, into the rows ``density_out`` and the residual,
-    the exact gradient of the energy, over ``dev_rows``, which it returns.
+    ``evaluate``, ``flux(out)`` writes the flux ``DF_delta(grad u)`` over
+    ``grad_rows`` (and its factor over ``norms``) and ``-div`` of it, the
+    gradient of the density part alone, into the rows ``out``;
+    ``residual(density_out)`` calls it and writes the residual, the exact
+    gradient of the energy, over ``dev_rows``, which it returns.
     f and mask are taken as ``grid._shape_check`` returns them.
     """
 
@@ -208,14 +208,15 @@ class _Plan:
         """``lam * 1_known`` per pixel, taken on the first residual."""
         return self.params.lam * ~self.mask
 
-    def flux(self) -> None:
-        """``DF_delta(grad u)`` of the last point, written over ``grad_rows``."""
-        density = self.params.density
-        q = _radial_quotient(density, self.norms, self.norms)
-        _flux(density, q, self.grad_rows, self.grad_rows, self.temp)
+    def flux(self, out) -> None:
+        """``DF_delta(grad u)`` of the last point over ``grad_rows``, ``-div`` of it into ``out``.
 
-    def negative_divergence(self, out) -> None:
-        """``-div`` of the field in ``grad_rows`` into the rows ``out``, negated in place."""
+        The flux factor (``density._flux_factor``) goes over ``norms`` and
+        multiplies ``grad_rows`` in place; ``out``, rows (M, H*W), receives
+        the divergence, negated in place.
+        """
+        q = _flux_factor(self.params.density, self.norms, self.norms)
+        np.multiply(q, self.grad_rows, out=self.grad_rows)
         _divergence_rows(self.grad_rows, out, self.width)
         np.negative(out, out=out)
 
@@ -227,8 +228,7 @@ class _Plan:
         ``lam * 1_known * |u - f|^(zeta - 2) (u - f)``, its factor taken as 0
         at u = f when zeta < 2 (its continuous limit).
         """
-        self.flux()
-        self.negative_divergence(density_out)
+        self.flux(density_out)
         coef, zeta = self.known_weight, self.params.zeta
         if zeta != 2.0:  # |u - f|^(zeta - 2) is 1 at zeta = 2
             norms = self.dev_norms

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import layouts, planar_empty, same_bits
+from conftest import layouts, same_bits
 from oracle import phi_by_quadrature
 from viscotv.density import (
     _RADIAL_TOL,
     DensityParams,
-    _flux,
+    _flux_factor,
     _phi_prime,
-    _radial_quotient,
     density_gradient,
     density_value,
     phi,
@@ -21,7 +20,8 @@ from viscotv.density import (
     phi_prime,
     recession_constant,
 )
-from viscotv.grid import pixel_norms
+from viscotv.energy import ModelParams, _Plan
+from viscotv.grid import _plane_rows, _root_sum_squares, _unstitched, pixel_norms
 
 MUS = (1.5, 2.0, 3.0)
 
@@ -220,10 +220,9 @@ class TestDensityGradient:
 
 
 class TestDensityGradientOut:
-    """``_flux`` writes the flux into given planes, P's own included.
+    """``density_gradient`` is ``(phi'(|P|)/|P| + delta) * P``, one multiply, in P's layout.
 
-    Its bits are those of ``density_gradient``; ``energy._Plan.flux`` writes
-    it over the plan's gradient rows that way.
+    ``energy._Plan.flux`` writes the same bits over the plan's gradient rows.
     """
 
     @staticmethod
@@ -243,24 +242,23 @@ class TestDensityGradientOut:
     @pytest.mark.parametrize("channels", [1, 3])
     def test_in_place_bits_equal_fresh(self, delta, mu, channels):
         p = DensityParams(mu, delta)
-        # Two sets of the same layouts: one read, one written over.
-        for P, target in zip(self.fields(channels), self.fields(channels)):
+        for P in self.fields(channels):
             before = P.copy()
             fresh = density_gradient(p, P)
-            assert np.array_equal(P, before)  # out=None leaves P as it was
-            # At delta > 0 the flux is built one plane at a time, with the
-            # bits of the whole-field sum q*P + delta*P.
-            expected = _radial_quotient(p, pixel_norms(P))[..., None, None] * P
-            if delta > 0.0:
-                expected += delta * P
+            assert np.array_equal(P, before)
+            assert fresh.strides == P.strides
+            # delta is added to the delta = 0 quotient once, and the flux
+            # rounded once: the bits of (q + delta)*P, not of q*P + delta*P.
+            q = _flux_factor(DensityParams(mu), pixel_norms(P)) + delta
+            expected = q[..., None, None] * P
             assert same_bits(fresh, expected)
-            q = _radial_quotient(p, pixel_norms(P))
-            buffer = planar_empty(P.shape)
-            _flux(p, q, P.transpose(2, 3, 0, 1), buffer.transpose(2, 3, 0, 1))
-            assert same_bits(buffer, expected)
-            planes = target.transpose(2, 3, 0, 1)
-            assert _flux(p, q, planes, planes) is planes
-            assert same_bits(target, expected)
+            # The plan's flux, written over its gradient rows in place.
+            params = ModelParams(lam=1.0, zeta=2.0, density=p)
+            plan = _Plan(np.zeros((4, 5, channels)), np.zeros((4, 5), dtype=bool), params)
+            plan.grad_rows[...] = _plane_rows(P, (2, 3, 0, 1))
+            _root_sum_squares(plan.grad_pixels, plan.norms, plan.temp)
+            plan.flux(np.empty(plan.dev_rows.shape))
+            assert same_bits(_unstitched(plan.grad_rows, 4, 5), expected)
 
 
 class TestRadialQuotient:
@@ -272,7 +270,7 @@ class TestRadialQuotient:
         r = self.R
         safe = np.where(r < 1e-12, 1.0, r)
         general = np.where(r < 1e-12, 1.0 - r, _phi_prime(2.0, safe) / safe)
-        q = _radial_quotient(DensityParams(2.0), r)
+        q = _flux_factor(DensityParams(2.0), r)
         assert np.isfinite(q).all()
         assert (np.abs(q - general) <= 1e-9 * general).all()
 
@@ -281,8 +279,8 @@ class TestRadialQuotient:
         # Only mu = 2 itself takes the closed form.  phi'(r)/r itself moves by
         # up to |mu - 2| relative between the two mu (at large r, as
         # 1/((mu - 1) r)), so that is the tolerance, not rounding.
-        q2 = _radial_quotient(DensityParams(2.0), self.R)
-        q = _radial_quotient(DensityParams(mu), self.R)
+        q2 = _flux_factor(DensityParams(2.0), self.R)
+        q = _flux_factor(DensityParams(mu), self.R)
         assert (np.abs(q - q2) <= 1.01 * abs(mu - 2.0) * q2).all()
 
 
