@@ -5,7 +5,8 @@ feasible for the Fenchel dual; that set is the domain of
 ``density.phi_conjugate``, which is +inf outside it and so makes
 ``R_hat[p]`` -inf there.  Plugging a feasible p into the Lagrangian and
 taking the pointwise infimum over test images yields a rigorous lower bound
-``R_hat[p]`` on the minimal energy (weak duality):
+``R_hat[p]`` on the minimal energy (weak duality).  Like the energy, it is
+one total of a per-pixel field, each pixel's infimum minus ``phi*(|p|)``:
 
 * on known pixels the infimum of ``d . v + (lam/zeta)|v - f|^zeta`` over all
   v is available in closed form (``d = -div p``);
@@ -104,7 +105,7 @@ def _known_infimum(dot, d_norms, lam: float, zeta: float):
     return dot - (lam / zc) * (d_norms / lam) ** zc
 
 
-@np.errstate(over="ignore")  # an overflowing sum is inf (``energy._total``)
+@np.errstate(over="ignore", invalid="ignore")  # inf sums; d . f on D, which is dropped
 def dual_value(tau, f, mask, mparams: ModelParams, bound: float) -> float:
     """Certified lower bound on the minimal delta = 0 energy.
 
@@ -115,51 +116,44 @@ def dual_value(tau, f, mask, mparams: ModelParams, bound: float) -> float:
     _, f, mask = _shape_check(None, f, mask)
     tau = _field_check(tau, f)
     bound = _check_bound(f, mask, bound)
-    div = divergence(tau)
-    split = _split(np.negative(div, out=div), f, mask)
-    return _dual_value(pixel_norms(tau), split, mparams, bound)
+    d = divergence(tau)
+    split = (_sum_products(np.negative(d, out=d), f), channel_norms(d))
+    return _dual_value(pixel_norms(tau), split, mask, mparams, bound)
 
 
-def _split(d, f, mask):
-    """``d . f`` and ``|d|`` on the known pixels, ``|d|`` on the damaged ones."""
-    d_norms = channel_norms(d)
-    known = ~mask
-    return _sum_products(d, f)[known], d_norms[known], d_norms[mask]
+def _dual_value(norms, split, damaged, mparams: ModelParams, bound: float) -> float:
+    """``dual_value`` of a field p from ``|p|`` and ``split = (d . f, |d|)``, ``d = -div p``.
 
-
-def _dual_value(norms, split, mparams: ModelParams, bound: float) -> float:
-    """``dual_value`` of a field p from ``pixel_norms(p)`` and ``_split(-divergence(p), ...)``.
-
-    ``bound`` has passed ``_check_bound``.  The damaged pixels contribute
-    ``-bound |d|``, the infimum of ``d . v`` over the ball ``|v| <= bound``.
-    The bound is -inf as soon as the conjugate's sum is, before the other
-    terms can turn it into nan.  ``certify`` passes tau's own norms and
-    split, or at the mu > 2 rounding edge their copies scaled to the ball's
-    edge (``_edge_dual``).
+    All are per pixel, in the layout of the bool ``damaged``, and ``bound``
+    has passed ``_check_bound``.  Each pixel's term is ``_known_infimum``,
+    or on D ``-bound |d|``, the infimum of ``d . v`` over ``|v| <= bound``,
+    minus ``phi*(|p|)``.  R_hat is one ``_total`` of the terms, read as -inf
+    where it is nan (``inf - inf``), as a nan energy total is +inf.  ``certify``
+    passes tau's pieces, or their copies scaled to the mu > 2 rounding edge.
     """
-    dot_known, d_known, d_damaged = split
-    value = _total(-phi_conjugate(mparams.density.without_viscosity(), norms))
-    if value == -math.inf:
-        return value
-    known_terms = _known_infimum(dot_known, d_known, mparams.lam, mparams.zeta)
-    return value + _total(known_terms) + _total(-bound * d_damaged)
+    dot, d_norms = split
+    terms = _known_infimum(dot, d_norms, mparams.lam, mparams.zeta)
+    np.multiply(-bound, d_norms, out=terms, where=damaged)
+    terms -= phi_conjugate(mparams.density.without_viscosity(), norms)
+    total = _total(terms)
+    return -math.inf if math.isnan(total) else total
 
 
-def _edge_dual(norms, split, mparams: ModelParams, bound: float):
+def _edge_dual(norms, split, damaged, mparams: ModelParams, bound: float):
     """``(theta, R_hat(theta p))`` at the ball's edge ``theta = cbar/max|p|``, or ``(0.0, 0.0)``.
 
     For mu > 2, where ``phi*(cbar)`` is finite, and a p that rounding put a
-    few ulps past cbar.  ``norms`` is ``|p|`` and ``split`` is
-    ``_split(-div p, f, mask)``, both linear in theta.  theta = 0, whose
-    bound ``R_hat(0) = 0`` is always valid, is taken when the edge's bound
-    is not > 0 or p is 0 or has an infinite norm.
+    few ulps past cbar.  ``norms`` and ``split`` are ``_dual_value``'s, all
+    linear in theta.  theta = 0, whose bound ``R_hat(0) = 0`` is always valid,
+    is taken when the edge's bound is not > 0 or p is 0 or has an infinite norm.
     """
     cbar = recession_constant(mparams.density)
     n_max = np.max(norms)
     if not 0.0 < n_max < np.inf:
         return 0.0, 0.0
     theta = cbar / n_max
-    value = _dual_value(cbar * (norms / n_max), tuple(theta * s for s in split), mparams, bound)
+    scaled = tuple(theta * s for s in split)
+    value = _dual_value(cbar * (norms / n_max), scaled, damaged, mparams, bound)
     return (float(theta), value) if value > 0.0 else (0.0, 0.0)
 
 
@@ -185,9 +179,9 @@ def _join(pieces):
 def _certify_band(u, f, mask, target: ModelParams, r0: int, r1: int):
     """certify's per-pixel outputs on rows ``[r0, r1)`` for delta-free ``target``.
 
-    Returns the pixel energy, ``|tau|`` and ``_split(-div tau)``, flat by
-    pixel.  The band's plan (``energy._Plan``) is built on the halo rows
-    ``[r0 - 1, r1 + 1)``, clipped to the grid: ``-div`` of row r0 reads the
+    Returns the pixel energy, ``|tau|``, ``d . f`` and ``|d|`` with ``d = -div
+    tau``, flat by pixel.  The band's plan (``energy._Plan``) is built on the halo
+    rows ``[r0 - 1, r1 + 1)``, clipped to the grid: ``-div`` of row r0 reads the
     flux of row r0 - 1, and the gradient of row r1 - 1 reads u of row r1.
     Unless r1 = h, the plan's last row, whose gradient and divergence are
     truncated, is then row r1, which is not kept.  tau is written over the
@@ -200,9 +194,9 @@ def _certify_band(u, f, mask, target: ModelParams, r0: int, r1: int):
     energy = plan.evaluate(_plane_rows(u[a:b], (2, 0, 1)), plan.energy)
     plan.flux(plan.dev_rows)
     tau, d = plan.grad_pixels[keep], plan.dev_pixels[keep]
-    f_pixels, damaged = plan.f_rows.T[keep], plan.mask[keep]
+    f_pixels = plan.f_rows.T[keep]
     del plan  # and with it the per-pixel buffers that energy, tau and d do not view
-    return [energy[keep], _root_sum_squares(tau), *_split(d, f_pixels, damaged)]
+    return [energy[keep], _root_sum_squares(tau), _sum_products(d, f_pixels), _root_sum_squares(d)]
 
 
 def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
@@ -235,19 +229,21 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     above and one below, so a band's fields stay in L2 and no
     gradient-sized array covers the grid.
     Row bands are contiguous in row-major order, so the bands' flat pixel
-    energies, norms and splits, joined in band order, are the whole-grid
-    arrays, and every reduction then runs on the whole grid: each output
-    has the same bits for every band size.  A grid of at most _BAND values
-    is one band.
+    energies and dual pieces, joined in band order, are the whole-grid arrays
+    in the order of ``mask.reshape(-1)``, and each side is one total over the
+    whole grid: each output has the same bits for every band size.  A grid of
+    at most _BAND values is one band.
     """
     u, f, mask = _shape_check(u, f, mask)
     bound = _check_bound(f, mask, bound)
     target = mparams.without_viscosity()
-    # Inf totals as in ``energy.primal_energy``.  A block, not a decorator,
-    # whose wrapper frame would take the place of the caller in the warning.
+    # Inf totals as in ``energy.primal_energy``, and d . f on D, which is
+    # dropped.  A block, not a decorator, whose wrapper frame would take the
+    # place of the caller in the warning.
     with np.errstate(over="ignore", invalid="ignore"):
         bands = [_certify_band(u, f, mask, target, *rows) for rows in _row_bands(u.shape)]
         energy, norms, *split = map(_join, zip(*bands))
+        damaged = mask.reshape(-1)  # row-major, as the bands are joined
         del bands
         primal = _energy_total(energy)
         del energy
@@ -256,9 +252,9 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
         if math.isnan(margin):  # a 0 * inf flux where a gradient entry overflowed
             dval = -math.inf
         elif margin < 0.0 and target.density.mu > 2.0:
-            dual_scale, dval = _edge_dual(norms, split, target, bound)
+            dual_scale, dval = _edge_dual(norms, split, damaged, target, bound)
         else:
-            dval = _dual_value(norms, split, target, bound)
+            dval = _dual_value(norms, split, damaged, target, bound)
 
     if margin < 1e-12:
         warnings.warn(
@@ -267,7 +263,7 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
             RuntimeWarning,
             stacklevel=2,
         )
-    div_residual = float(np.max(split[2], initial=0.0))  # |div tau| on D
+    div_residual = float(np.max(split[1], where=damaged, initial=0.0))  # |div tau| on D
 
     if dval == -math.inf or primal == math.inf:
         gap = math.inf

@@ -67,14 +67,14 @@ class ModelParams:
 def _total(values) -> float:
     """The sum of the values in row-major order: one pairwise ``np.add.reduce``.
 
-    ``np.ravel`` fixes the order, so every layout of the same values gives
+    ``values.ravel()`` of the ndarray fixes the order, so every layout gives
     the same bits; on a C-contiguous array it is a view.  A total beyond the
     float range is inf; numpy warns when a sum overflows, and the public
     entry points that sum ignore that warning once per call (``np.errstate``,
     a decorator or, in ``certify``, a with-block), not here, where the
     context would cost about half the sum of a 48x48 field.
     """
-    return float(np.add.reduce(np.ravel(values)))
+    return float(np.add.reduce(values.ravel()))
 
 
 def _energy_total(pixel_energy) -> float:

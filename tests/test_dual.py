@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -20,7 +21,8 @@ from viscotv.dual import (
     sup_known_norm,
 )
 from viscotv.energy import ModelParams, primal_energy
-from viscotv.grid import channel_norms, clamp_to_ball, divergence, gradient, pixel_norms
+from viscotv.grid import _sum_products, channel_norms, clamp_to_ball, divergence, gradient
+from viscotv.grid import pixel_norms
 from viscotv.solver import SolverConfig, default_initial, minimize_smooth
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -257,6 +259,38 @@ class TestDualValue:
                 tau, _ = dual_from_primal(u, params)
                 dv = dual_value(tau, f, mask, params, bound)
                 assert dv <= primal_energy(u, f, mask, params) + 1e-10
+
+    @pytest.mark.parametrize("mu", [1.5, 2.0, 3.0])
+    def test_total_within_pairwise_bound_of_fsum(self, mu):
+        # R_hat is one pairwise total of per-pixel terms t (``energy._total``),
+        # so it lies within (ceil(log2 n) + 32) eps sum|t| of their exact sum;
+        # the 32 covers numpy's unrolled 128-value leaves.  The terms are
+        # rebuilt here from the pixel rules, with the grid's own norm order.
+        rng = np.random.default_rng(int(10 * mu))
+        eps = np.finfo(float).eps
+        cases = itertools.product((1.5, 2.0, 3.0), (1, 3), (1.0, 255.0), (False, True))
+        for zeta, channels, scale, hole in cases:
+            params = params_for(mu=mu, lam=float(rng.uniform(0.5, 20.0)), zeta=zeta)
+            shape = tuple(rng.integers(5, 40, size=2))
+            f = scale * rng.uniform(size=(*shape, channels))
+            mask = np.zeros(shape, dtype=bool)
+            if hole:
+                mask[1 : shape[0] // 2, 2 : shape[1] - 1] = True
+            bound = sup_known_norm(f, mask)
+            u = clamp_to_ball(f + 0.1 * scale * rng.normal(size=f.shape), bound)
+            tau, _ = dual_from_primal(u, params)
+            d = -divergence(tau)
+            d_norms = channel_norms(d)
+            terms = np.where(
+                mask,
+                -bound * d_norms,
+                _known_infimum(_sum_products(d, f), d_norms, params.lam, zeta),
+            )
+            terms -= phi_conjugate(params.density, pixel_norms(tau))
+            terms = terms.ravel().tolist()
+            value = dual_value(tau, f, mask, params, bound)
+            tol = (math.ceil(math.log2(len(terms))) + 32) * eps * math.fsum(map(abs, terms))
+            assert abs(value - math.fsum(terms)) <= tol, (zeta, channels, scale, hole)
 
 
 class TestCertify:
