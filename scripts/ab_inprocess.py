@@ -9,7 +9,8 @@ Usage (from the repository root):
 imports the viscotv package of each ``src`` directory into this one process
 under its own name (``viscotv_parent``, ``viscotv_change``) and builds
 perfbench/run.py's instances of the workload for both from the same seed
-(run.py is imported by path, by ``solve_digest.load_bench``).  After one
+(run.py and each package are imported by path, by ``solve_digest.load_bench``
+and ``solve_digest.load_package``).  After one
 untimed warm-up pass per side, each of K passes runs every input once per
 side as a pair of ops, the parent first in even pairs and the change first
 in odd ones.  Both sides thus share the host's drift, the heap and the
@@ -31,30 +32,15 @@ first-touches fresh pages: on the parent of ``BENCH_26.json`` a
 """
 
 import argparse
-import importlib
-import importlib.util
 import resource
 import statistics
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-from solve_digest import load_bench  # scripts/ is sys.path[0] when this runs
+from solve_digest import load_bench, load_package  # scripts/ is sys.path[0] when this runs
 
 SIDES = ("parent", "change")
-
-
-def load_package(src, name, layers):
-    """The viscotv package under ``src`` imported as ``name``; its layers by name."""
-    root = Path(src).resolve() / "viscotv"
-    spec = importlib.util.spec_from_file_location(
-        name, root / "__init__.py", submodule_search_locations=[str(root)]
-    )
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    return {layer: importlib.import_module(f"{name}.{layer}") for layer in layers}
 
 
 def timed(instance, reference):

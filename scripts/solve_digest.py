@@ -98,6 +98,18 @@ def load_bench():
     return run
 
 
+def load_package(src, name, layers):
+    """The viscotv package under ``src`` imported as ``name``; its layers by name."""
+    root = Path(src).resolve() / "viscotv"
+    spec = importlib.util.spec_from_file_location(
+        name, root / "__init__.py", submodule_search_locations=[str(root)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return {layer: importlib.import_module(f"{name}.{layer}") for layer in layers}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--src", required=True, help="the src directory to import viscotv from")
@@ -108,12 +120,7 @@ def main(argv=None):
     run = load_bench()
     import numpy as np
 
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-    mods = {name: importlib.import_module(f"viscotv.{name}") for name in run.LAYERS}
-    origin = Path(mods["solver"].__file__).resolve()
-    if src not in origin.parents:
-        raise SystemExit(f"viscotv was imported from {origin}, not from {src}")
+    mods = load_package(args.src, "viscotv", run.LAYERS)
     work = tempfile.TemporaryDirectory(prefix="viscotv-solve-digest-")  # removed at exit
     os.chdir(work.name)
     run.WORK = Path("viscotv-solve-digest")  # read by make_instance, named in the reports

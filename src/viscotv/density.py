@@ -33,7 +33,7 @@ __all__ = [
     "recession_constant",
 ]
 
-# Radial quotient phi'(t)/t switches to its Taylor expansion below this.
+# phi and the flux factor phi'(t)/t (``_flux_factor``) take their Taylor forms below this.
 _RADIAL_TOL = 1e-12
 
 
@@ -184,15 +184,21 @@ def phi_conjugate(params: DensityParams, s):
         raise ValueError("phi_conjugate is defined for the delta = 0 density only")
     scalar_in = np.ndim(s) == 0
     s = _check_nonneg(s, name="s")
-    mu = params.mu
-    cbar = recession_constant(params)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # s/cbar rather than (mu-1) s: (mu-1) cbar can round to 1 - 2**-53,
-        # while s/cbar is exactly 1 at s = cbar, so L = -inf there.
-        L = np.log1p(-s / cbar)
-        if mu == 2.0:
-            out = -s - L
-        else:
-            out = -s + np.expm1((mu - 2.0) / (mu - 1.0) * L) / (2.0 - mu)
-    out = np.where(s > cbar, np.inf, out)
+        out = _phi_conjugate(params.mu, s)
+    out = np.where(s > recession_constant(params), np.inf, out)
     return _maybe_scalar(out, scalar_in)
+
+
+def _phi_conjugate(mu, s):
+    """``phi_conjugate`` on a float array s >= 0, unchecked; nan beyond cbar and at nan s.
+
+    Its callers' ``np.errstate`` ignores ``log1p(-1)``'s divide at s = cbar.
+    """
+    cbar = 1.0 / (mu - 1.0)  # recession_constant
+    # s/cbar rather than (mu-1) s: (mu-1) cbar can round to 1 - 2**-53,
+    # while s/cbar is exactly 1 at s = cbar, so L = -inf there.
+    L = np.log1p(-s / cbar)
+    if mu == 2.0:
+        return -s - L
+    return -s + np.expm1((mu - 2.0) / (mu - 1.0) * L) / (2.0 - mu)

@@ -1,18 +1,24 @@
 """Dual variables, the dual functional, and the duality-gap certificate.
 
 Any field p with ``|p| < cbar`` per pixel (``<= cbar`` when mu > 2) is
-feasible for the Fenchel dual; that set is the domain of
-``density.phi_conjugate``, which is +inf outside it and so makes
-``R_hat[p]`` -inf there.  Plugging a feasible p into the Lagrangian and
-taking the pointwise infimum over test images yields a rigorous lower bound
-``R_hat[p]`` on the minimal energy (weak duality).  Like the energy, it is
-one total of a per-pixel field, each pixel's infimum minus ``phi*(|p|)``:
+feasible for the Fenchel dual; that set is the domain of the conjugate
+``phi*`` (``density.phi_conjugate``).  Plugging a feasible p into the
+Lagrangian and taking the pointwise infimum over test images yields a
+rigorous lower bound ``R_hat[p]`` on the minimal energy (weak duality).
+Like the energy, it is one total of a per-pixel field, each pixel's infimum
+minus ``phi*(|p|)``:
 
 * on known pixels the infimum of ``d . v + (lam/zeta)|v - f|^zeta`` over all
   v is available in closed form (``d = -div p``);
 * on damaged pixels there is no fidelity, so the infimum is taken over the
   ball ``|v| <= L`` instead -- legitimate because every minimizer obeys the
   maximum principle ``sup |u| <= L`` with L the largest known-pixel norm.
+
+The dual has one non-finite rule: a nan total is ``R_hat = -inf``, as a nan
+energy total is +inf.  phi*'s unchecked core ``density._phi_conjugate`` is
+nan past cbar and at a nan ``|p|`` (and +inf at cbar when mu <= 2), so a p
+outside the domain or with a nan norm, like an ``inf - inf`` total, gives
+-inf, and the certificate's gap is then inf.
 
 ``certify`` evaluates one such field at a candidate restoration u, the
 density gradient ``tau = DF(grad u)`` of the viscosity-free density, inside
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import density_gradient, phi_conjugate, recession_constant
+from .density import _phi_conjugate, density_gradient, recession_constant
 from .energy import ModelParams, _energy_total, _Plan, _total
 from .grid import _check_bound, _field_check, _image_check, _plane_rows, _root_sum_squares
 from .grid import _shape_check, _sum_products, _sup_known, channel_norms, divergence, gradient
@@ -58,8 +64,7 @@ class DualCertificate:
     A dual bound that rounding put above the primal value by at most 1e-10
     relative is reported as the primal value, with gap 0 (``certify``).
     ``dual_scale`` is the theta that tau was scaled by to give
-    ``dual_value``: 1.0 except at the mu > 2 rounding edge, where it is
-    ``cbar/max|tau|`` or 0 (``certify``).
+    ``dual_value``: 1.0 except at the mu > 2 rounding edge (``certify``).
     """
 
     primal_value: float
@@ -105,12 +110,12 @@ def _known_infimum(dot, d_norms, lam: float, zeta: float):
     return dot - (lam / zc) * (d_norms / lam) ** zc
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf sums; d . f on D, which is dropped
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as in certify
 def dual_value(tau, f, mask, mparams: ModelParams, bound: float) -> float:
     """Certified lower bound on the minimal delta = 0 energy.
 
-    Returns -inf when some |tau| leaves the domain of the conjugate
-    (``phi_conjugate`` is +inf there).  Rejects the inputs that
+    Returns -inf when some |tau| leaves the domain of the conjugate (the
+    module's non-finite rule).  Rejects the inputs that
     ``grid._shape_check``, ``grid._field_check`` and ``grid._check_bound`` do.
     """
     _, f, mask = _shape_check(None, f, mask)
@@ -127,34 +132,16 @@ def _dual_value(norms, split, damaged, mparams: ModelParams, bound: float) -> fl
     All are per pixel, in the layout of the bool ``damaged``, and ``bound``
     has passed ``_check_bound``.  Each pixel's term is ``_known_infimum``,
     or on D ``-bound |d|``, the infimum of ``d . v`` over ``|v| <= bound``,
-    minus ``phi*(|p|)``.  R_hat is one ``_total`` of the terms, read as -inf
-    where it is nan (``inf - inf``), as a nan energy total is +inf.  ``certify``
-    passes tau's pieces, or their copies scaled to the mu > 2 rounding edge.
+    minus ``phi*(|p|)``.  R_hat is one ``_total`` of the terms, -inf where
+    that is nan (the module's non-finite rule).  ``certify`` passes tau's
+    pieces, or their copies scaled to the mu > 2 rounding edge.
     """
     dot, d_norms = split
     terms = _known_infimum(dot, d_norms, mparams.lam, mparams.zeta)
     np.multiply(-bound, d_norms, out=terms, where=damaged)
-    terms -= phi_conjugate(mparams.density.without_viscosity(), norms)
+    terms -= _phi_conjugate(mparams.density.mu, norms)
     total = _total(terms)
     return -math.inf if math.isnan(total) else total
-
-
-def _edge_dual(norms, split, damaged, mparams: ModelParams, bound: float):
-    """``(theta, R_hat(theta p))`` at the ball's edge ``theta = cbar/max|p|``, or ``(0.0, 0.0)``.
-
-    For mu > 2, where ``phi*(cbar)`` is finite, and a p that rounding put a
-    few ulps past cbar.  ``norms`` and ``split`` are ``_dual_value``'s, all
-    linear in theta.  theta = 0, whose bound ``R_hat(0) = 0`` is always valid,
-    is taken when the edge's bound is not > 0 or p is 0 or has an infinite norm.
-    """
-    cbar = recession_constant(mparams.density)
-    n_max = np.max(norms)
-    if not 0.0 < n_max < np.inf:
-        return 0.0, 0.0
-    theta = cbar / n_max
-    scaled = tuple(theta * s for s in split)
-    value = _dual_value(cbar * (norms / n_max), scaled, damaged, mparams, bound)
-    return (float(theta), value) if value > 0.0 else (0.0, 0.0)
 
 
 # About this many values of u make one row band of ``certify``.  A band's
@@ -208,17 +195,18 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     reported gap upper-bounds the true suboptimality for the target problem.
 
     The dual side is the bound of the dual-feasible field
-    ``tau = DF(grad u)``.  Where rounding puts some ``|tau|`` above cbar at
-    mu > 2, tau is scaled along its own ray to the ball's edge,
-    ``theta = cbar/max|tau|``, or to theta = 0 (bound 0) where the edge's
-    bound is not positive (``_edge_dual``); ``dual_scale`` is that theta,
-    1.0 otherwise.  At mu <= 2 the bound is then -inf.
-    ``divergence_residual_on_D`` and ``feasibility_margin`` describe the
-    unscaled tau.  The gap is inf when the primal energy or the dual bound
-    is infinite; where a gradient entry overflows, tau's flux there is
-    ``0 * inf = nan`` and its bound is -inf.  A gap that rounding made
-    negative, down to -1e-10, is reported as 0 with the dual value set to
-    the primal value; a more negative one raises ``AssertionError``.
+    ``tau = DF(grad u)``, under the module's non-finite rule: where a
+    gradient entry overflows, tau's flux there is ``0 * inf = nan``, and the
+    bound is -inf, as it is for a ``|tau|`` at or past cbar at mu <= 2.  At
+    mu > 2, where ``phi*(cbar)`` is finite, a tau that rounding put past
+    cbar is scaled along its own ray to the ball's edge,
+    ``theta = cbar/max|tau|``, or to theta = 0, whose bound is 0, where the
+    edge's bound is not positive; ``dual_scale`` is that theta, 1.0
+    otherwise.  ``divergence_residual_on_D`` and ``feasibility_margin``
+    describe the unscaled tau.  The gap is inf when the primal energy or the
+    dual bound is infinite.  A gap that rounding made negative, down to
+    -1e-10, is reported as 0 with the dual value set to the primal value; a
+    more negative one raises ``AssertionError``.
 
     tau and ``-div tau`` come from ``energy._Plan.flux``, the flux rule of
     the residual, whose factor ``density._flux_factor`` is also
@@ -237,24 +225,27 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
     u, f, mask = _shape_check(u, f, mask)
     bound = _check_bound(f, mask, bound)
     target = mparams.without_viscosity()
-    # Inf totals as in ``energy.primal_energy``, and d . f on D, which is
-    # dropped.  A block, not a decorator, whose wrapper frame would take the
-    # place of the caller in the warning.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Inf totals as in ``energy.primal_energy``, d . f on D, which is dropped,
+    # and log1p(-1) in phi* at |tau| = cbar.  A block, not a decorator, whose
+    # wrapper frame would take the place of the caller in the warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         bands = [_certify_band(u, f, mask, target, *rows) for rows in _row_bands(u.shape)]
         energy, norms, *split = map(_join, zip(*bands))
         damaged = mask.reshape(-1)  # row-major, as the bands are joined
         del bands
         primal = _energy_total(energy)
         del energy
-        margin = recession_constant(target.density) - float(np.max(norms))
+        cbar = recession_constant(target.density)
+        n_max = float(np.max(norms))
+        margin = cbar - n_max
+        div_residual = float(np.max(split[1], where=damaged, initial=0.0))  # |div tau| on D
         dual_scale = 1.0
-        if math.isnan(margin):  # a 0 * inf flux where a gradient entry overflowed
-            dval = -math.inf
-        elif margin < 0.0 and target.density.mu > 2.0:
-            dual_scale, dval = _edge_dual(norms, split, damaged, target, bound)
-        else:
-            dval = _dual_value(norms, split, damaged, target, bound)
+        if margin < 0.0 and target.density.mu > 2.0:  # rounding put some |tau| past cbar
+            dual_scale = cbar / n_max  # < 1, as n_max > cbar
+            norms, split = cbar * (norms / n_max), [dual_scale * part for part in split]
+        dval = _dual_value(norms, split, damaged, target, bound)
+        if dual_scale < 1.0 and not dval > 0.0:  # theta = 0, whose bound R_hat(0) = 0 holds
+            dual_scale, dval = 0.0, 0.0
 
     if margin < 1e-12:
         warnings.warn(
@@ -263,7 +254,6 @@ def certify(u, f, mask, mparams: ModelParams, bound: float) -> DualCertificate:
             RuntimeWarning,
             stacklevel=2,
         )
-    div_residual = float(np.max(split[1], where=damaged, initial=0.0))  # |div tau| on D
 
     if dval == -math.inf or primal == math.inf:
         gap = math.inf

@@ -12,6 +12,7 @@ from viscotv.density import (
     _RADIAL_TOL,
     DensityParams,
     _flux_factor,
+    _phi_conjugate,
     _phi_prime,
     density_gradient,
     density_value,
@@ -219,7 +220,7 @@ class TestDensityGradient:
         assert small[0, 0] == pytest.approx(1e-13, rel=1e-6)
 
 
-class TestDensityGradientOut:
+class TestDensityGradientBits:
     """``density_gradient`` is ``(phi'(|P|)/|P| + delta) * P``, one multiply, in P's layout.
 
     ``energy._Plan.flux`` writes the same bits over the plan's gradient rows.
@@ -228,7 +229,7 @@ class TestDensityGradientOut:
     @staticmethod
     def fields(channels):
         # Gradient-shaped (4, 5, 2, M) fields with a zero pixel, one in the
-        # Taylor range of the radial quotient and one far out on the ray.
+        # Taylor range of the flux factor and one far out on the ray.
         rng = np.random.default_rng(channels)
         P = rng.normal(size=(4, 5, 2, channels))
         P[0, 0] = 0.0
@@ -261,7 +262,7 @@ class TestDensityGradientOut:
             assert same_bits(_unstitched(plan.grad_rows, 4, 5), expected)
 
 
-class TestRadialQuotient:
+class TestFluxFactor:
     R = np.array([0.0, 1e-13, 1e-3, 1.0, 1e8, 1e300])
 
     def test_mu2_closed_form_equals_general_formula_at_mu2(self):
@@ -362,6 +363,19 @@ class TestConjugate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert phi_conjugate(p, (1.0 - 1e-9) * recession_constant(p)) == math.inf
+
+    @pytest.mark.parametrize("mu", [1.0001, 1.5, 2.0, 3.0, 15.0])
+    def test_unchecked_core_bits(self, mu):
+        # The core has the public conjugate's bits on [0, cbar], cbar included,
+        # and is nan beyond it and at nan s, where the public one is +inf or raises.
+        cbar = recession_constant(DensityParams(mu))
+        inside = np.append(np.linspace(0.0, cbar, 257), np.nextafter(cbar, 0.0))
+        beyond = np.array([np.nextafter(cbar, np.inf), 2.0 * cbar, np.inf, np.nan])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            core = _phi_conjugate(mu, inside)
+            assert np.isnan(_phi_conjugate(mu, beyond)).all()
+        assert inside[-2] == cbar
+        assert same_bits(core, phi_conjugate(DensityParams(mu), inside))
 
     def test_array_input(self):
         p = DensityParams(2.0)

@@ -362,6 +362,19 @@ class TestCertify:
         assert cert.dual_value == -math.inf
         assert cert.relative_gap == math.inf
 
+    @pytest.mark.parametrize("mu", [2.0, 15.0])
+    def test_overflowed_gradient_gives_minus_infinite_dual(self, mu):
+        # A nan |tau| reaches the dual total, which reads as -inf; its nan
+        # margin is no rounding edge, at mu > 2 either, and warns of nothing.
+        u, f, mask, params, bound = overflow_case(mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = certify(u, f, mask, params, bound)
+        assert math.isnan(cert.feasibility_margin)
+        assert cert.dual_scale == 1.0
+        assert cert.dual_value == -math.inf
+        assert cert.relative_gap == math.inf
+
     def test_infinite_primal_gives_infinite_gap(self):
         # Finite data whose energy sums past the float range: inf, not NaN.
         f = np.zeros((8, 16, 1))
@@ -508,11 +521,11 @@ def rounding_edge_case(mu=15.0, scale=255.0):
     return u, f, mask, params_for(mu=mu, lam=10.0), sup_known_norm(f, mask)
 
 
-def overflow_case():
+def overflow_case(mu=2.0):
     """A gradient entry overflows on an inner row: tau is nan there, so is the margin."""
     u = np.zeros((5, 4, 1))
     u[2, 1, 0], u[2, 2, 0] = 1e308, -1e308
-    return u, np.zeros_like(u), np.zeros((5, 4), dtype=bool), params_for(), 0.0
+    return u, np.zeros_like(u), np.zeros((5, 4), dtype=bool), params_for(mu=mu), 0.0
 
 
 def random_case(shape, channels, seed):

@@ -476,7 +476,7 @@ class TestEulerResidual:
         assert euler_residual(u, f, mask, params).tobytes() == general.tobytes()
 
 
-class TestCompensatedSum:
+class TestTotal:
     """``energy._total``, the one summation rule: a pairwise ``np.add.reduce``.
 
     Its error is at most about ``ceil(log2 n) * eps * sum|x|``, well inside
